@@ -1,12 +1,11 @@
 #!/usr/bin/env python
-"""Microbenchmark: row-at-a-time vs batch vs vectorized-lowered top-k.
+"""Microbenchmark: batch vs vectorized-lowered top-k.
 
-Runs the same keys-only top-k workload through the three execution
-paths the engine offers and reports rows/sec for each:
+Runs the same keys-only top-k workload through the two single-process
+execution paths the engine offers and reports rows/sec for each:
 
-* ``row``        — ``HistogramTopK.execute`` (the Volcano path);
 * ``batch``      — ``HistogramTopK.execute_batches`` (RowBatch pipeline,
-  vectorized arrival admission);
+  vectorized arrival prefilter);
 * ``vectorized`` — the planner's :class:`VectorizedTopK` lowering (numpy
   kernels with late-binding row ids).
 
@@ -53,13 +52,6 @@ def build_workload(input_rows: int):
     return keys_only_workload(input_rows, k, memory_rows, seed=3)
 
 
-def run_row(workload, rows):
-    operator = HistogramTopK(workload.sort_spec, workload.k,
-                             workload.memory_rows)
-    output = list(operator.execute(iter(rows)))
-    return output, operator.stats
-
-
 def run_batch(workload, rows):
     operator = HistogramTopK(workload.sort_spec, workload.k,
                              workload.memory_rows)
@@ -78,7 +70,6 @@ def run_vectorized(workload, rows):
 
 
 PATHS = {
-    "row": run_row,
     "batch": run_batch,
     "vectorized": run_vectorized,
 }
@@ -135,8 +126,9 @@ def main(argv=None) -> int:
             "distribution": workload.distribution_label,
         },
         "paths": paths,
-        "speedups_vs_row": {
-            name: paths[name]["rows_per_sec"] / paths["row"]["rows_per_sec"]
+        "speedups_vs_batch": {
+            name: paths[name]["rows_per_sec"]
+            / paths["batch"]["rows_per_sec"]
             for name in paths
         },
     }
@@ -146,9 +138,9 @@ def main(argv=None) -> int:
         print(f"{name:>11}: {entry['rows_per_sec']:>12,.0f} rows/sec "
               f"({entry['seconds']:.3f}s, "
               f"spilled {entry['rows_spilled']:,})")
-    for name, speedup in report["speedups_vs_row"].items():
-        if name != "row":
-            print(f"{name} speedup vs row: {speedup:.2f}x")
+    for name, speedup in report["speedups_vs_batch"].items():
+        if name != "batch":
+            print(f"{name} speedup vs batch: {speedup:.2f}x")
     print(f"wrote {args.out}")
     return 0
 

@@ -12,7 +12,7 @@ Runs three top-k workloads with distinct winning strategies:
   cardinality feedback instead of defaults).
 
 Each workload is executed once with the no-knob cost-based planner and
-once per hand-picked variant (``force_path=`` row/batch/vectorized plus,
+once per hand-picked variant (``force_path=`` batch/vectorized plus,
 for composite keys, both key encodings). Per workload the report
 records the planner's chosen label, every variant's best-of-``--repeat``
 wall seconds, and the *regret*: cost-chosen seconds over the best
@@ -75,7 +75,6 @@ def workloads(rows: int) -> list[dict]:
             "name": "numeric",
             "sql": f"SELECT * FROM R ORDER BY K LIMIT {limit}",
             "variants": [
-                {"label": "force:row", "force_path": "row"},
                 {"label": "force:batch", "force_path": "batch"},
                 {"label": "force:vectorized", "force_path": "vectorized"},
             ],
@@ -84,7 +83,6 @@ def workloads(rows: int) -> list[dict]:
             "name": "composite",
             "sql": f"SELECT * FROM R ORDER BY S DESC, T, G LIMIT {limit}",
             "variants": [
-                {"label": "force:row", "force_path": "row"},
                 {"label": "force:batch", "force_path": "batch"},
                 {"label": "force:batch/ovc", "force_path": "batch",
                  "algorithm_options": {"key_encoding": "ovc"}},
@@ -97,7 +95,6 @@ def workloads(rows: int) -> list[dict]:
             "sql": (f"SELECT * FROM R WHERE G < 500 ORDER BY K "
                     f"LIMIT {limit}"),
             "variants": [
-                {"label": "force:row", "force_path": "row"},
                 {"label": "force:batch", "force_path": "batch"},
                 {"label": "force:vectorized", "force_path": "vectorized"},
             ],

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import bench_workload
 from repro.core.topk import HistogramTopK
+from repro.shard.partition import boundaries_from_sample
 from repro.storage.costmodel import CostModel
 from repro.storage.spill import SpillManager
 from repro.strategies import (
@@ -61,7 +62,7 @@ def test_strategy_late_materialization(benchmark):
 
 def test_strategy_range_partition(benchmark):
     workload, rows = _workload_rows()
-    boundaries = RangePartitionTopK.boundaries_from_sample(
+    boundaries = boundaries_from_sample(
         [row[0] for row in rows[:4_000]], 32)
 
     def run():

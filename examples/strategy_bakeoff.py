@@ -24,6 +24,7 @@ import random
 from repro.core.topk import HistogramTopK
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
+from repro.shard.partition import boundaries_from_sample
 from repro.storage.codec import TypedPageCodec
 from repro.storage.costmodel import CostModel
 from repro.storage.spill import DiskSpillBackend, SpillManager
@@ -59,7 +60,7 @@ def run_all(rows: list[tuple]) -> dict[str, object]:
     operators["late materialization"] = LateMaterializationTopK(
         key, K, MEMORY_ROWS)
 
-    boundaries = RangePartitionTopK.boundaries_from_sample(
+    boundaries = boundaries_from_sample(
         [row[0] for row in rows[:5_000]], 32)
     operators["range partitioning (sampled bounds)"] = \
         RangePartitionTopK(key, K, MEMORY_ROWS, boundaries)

@@ -39,7 +39,7 @@ from repro.core.policies import SizingPolicy, TargetBucketsPolicy
 from repro.errors import ConfigurationError, StaleCutoffSeed
 from repro.obs.timeline import CutoffTimeline
 from repro.obs.trace import NULL_TRACER
-from repro.rows.batch import RowBatch, flatten, numeric_key_column
+from repro.rows.batch import RowBatch, batches_from_rows, numeric_key_column
 from repro.rows.sortspec import SortSpec
 from repro.sorting.keycodec import compile_keycodec
 from repro.sorting.merge import Merger, MergePolicy
@@ -324,37 +324,37 @@ class HistogramTopK:
     def execute(self, rows: Iterable[tuple]) -> Iterator[tuple]:
         """Consume ``rows`` and yield the top ``k`` rows (after ``offset``).
 
-        Output rows appear in the requested sort order.
+        Output rows appear in the requested sort order.  A row-iterable
+        adapter: the rows are chunked into batches for
+        :meth:`execute_batches`, whose output and counters do not depend
+        on the chunking.
         """
+        schema = self.sort_spec.schema if self.sort_spec is not None \
+            else None
+        return self.execute_batches(batches_from_rows(rows, schema))
+
+    def execute_batches(self, batches: Iterable[RowBatch]) -> Iterator[tuple]:
+        """Consume a :class:`~repro.rows.batch.RowBatch` stream and yield
+        the top ``k`` rows (after ``offset``), in sort order.
+
+        Every arrival is tested against the *live* cutoff, interleaved
+        with run generation exactly as Algorithm 1 prescribes.  When the
+        sort key is a single numeric column, one vectorized comparison
+        against the cutoff current at the batch boundary first drops the
+        rows that cannot survive (the cutoff only tightens, so the
+        prefilter is exact); only the remaining rows pay a per-row test.
+        """
+        batches = iter(batches)
         if self.output_fits_in_memory:
             logger.debug("k+offset=%d fits in %d memory rows: "
                          "priority-queue regime", self.k + self.offset,
                          self.memory_rows)
-            output = self._execute_in_memory(iter(rows))
+            output = self._execute_in_memory(batches)
         else:
             logger.debug("k+offset=%d exceeds %d memory rows: "
                          "histogram-filtered external regime",
                          self.k + self.offset, self.memory_rows)
-            output = self._execute_external(iter(rows))
-        return self._emit(output)
-
-    def execute_batches(self, batches: Iterable[RowBatch]) -> Iterator[tuple]:
-        """Batch-at-a-time :meth:`execute`: same algorithm, same output.
-
-        The arrival-side cutoff test (Algorithm 1 line 4) is applied to a
-        whole :class:`~repro.rows.batch.RowBatch` at once — one vectorized
-        comparison when the sort key is a single numeric column — instead
-        of one Python-level call per surviving row.  Any batch whose key
-        column cannot be vectorized falls back to the row-at-a-time test;
-        a configured byte budget (per-row size accounting) routes the
-        whole execution through the row path.
-        """
-        if self.memory_bytes is not None:
-            return self.execute(flatten(batches))
-        if self.output_fits_in_memory:
-            output = self._execute_in_memory_batches(iter(batches))
-        else:
-            output = self._execute_external_batches(iter(batches))
+            output = self._execute_external(batches)
         return self._emit(output)
 
     def _emit(self, output: Iterator[tuple]) -> Iterator[tuple]:
@@ -366,7 +366,7 @@ class HistogramTopK:
         self._last_output_row = row
 
     def _batch_key_array(self, batch: RowBatch):
-        """Normalized key column of ``batch``, or ``None`` → row path."""
+        """Normalized key column of ``batch``, or ``None`` → per-row tests."""
         if self._batch_key is None:
             return None
         index, negate = self._batch_key
@@ -377,131 +377,98 @@ class HistogramTopK:
 
     # -- in-memory regime ----------------------------------------------------
 
-    def _execute_in_memory(self, rows: Iterator[tuple]) -> Iterator[tuple]:
+    def _execute_in_memory(
+            self, batches: Iterator[RowBatch]) -> Iterator[tuple]:
         """Priority-queue top-k (Section 2.3) for outputs that fit.
 
-        With a byte budget configured, resident bytes are tracked and a
-        budget overrun triggers a live switch to the external regime —
-        the adaptivity that makes an a-priori algorithm choice (and its
-        failure modes on variable-size rows) unnecessary.
+        Once the heap holds ``k + offset`` rows, every arrival registers
+        one comparison and one elimination (a replacement eliminates its
+        victim).  With a byte budget configured, resident bytes are
+        tracked and a budget overrun triggers a live switch to the
+        external regime — the adaptivity that makes an a-priori
+        algorithm choice (and its failure modes on variable-size rows)
+        unnecessary.
         """
         needed = self.k + self.offset
         sort_key = self.sort_key
         row_size = self.row_size
-        track_bytes = self.memory_bytes is not None
+        budget = self.memory_bytes
         stats = self.stats
         listener = self.cutoff_listener
         # Max-heap of the ``needed`` smallest keys seen so far.
         heap: list[tuple[_ReverseKey, int, tuple]] = []
         bytes_used = 0
         seq = 0
-        for row in rows:
-            stats.rows_consumed += 1
-            key = sort_key(row)
-            if len(heap) < needed:
-                seq += 1
-                heapq.heappush(heap, (_ReverseKey(key), seq, row))
-                if track_bytes:
-                    bytes_used += row_size(row)
-                if listener is not None and len(heap) == needed:
-                    listener(heap[0][0].key)
-            else:
-                stats.cutoff_comparisons += 1
-                if key < heap[0][0].key:
-                    seq += 1
-                    if track_bytes:
-                        bytes_used += row_size(row) \
-                            - row_size(heap[0][2])
-                    heapq.heapreplace(heap, (_ReverseKey(key), seq, row))
-                    if listener is not None:
-                        listener(heap[0][0].key)
-                stats.rows_eliminated_on_arrival += 1
-            if track_bytes and bytes_used > self.memory_bytes:
-                # The output no longer fits: hand everything resident
-                # plus the rest of the stream to the external regime.
-                logger.info(
-                    "priority queue exceeded %d bytes at %d resident "
-                    "rows: switching to the external regime",
-                    self.memory_bytes, len(heap))
-                self.switched_to_external = True
-                resident = [entry[2] for entry in heap]
-                # Resident rows were already counted on their first
-                # arrival; compensate before they re-enter the pipeline.
-                stats.rows_consumed -= len(resident)
-                yield from self._execute_external(
-                    itertools.chain(resident, rows))
-                return
-        survivors = sorted(((entry[0].key, entry[1], entry[2])
-                            for entry in heap),
-                           key=lambda item: (item[0], item[1]))
-        for _key, _seq, row in survivors[self.offset:]:
-            yield row
-
-    def _execute_in_memory_batches(
-            self, batches: Iterator[RowBatch]) -> Iterator[tuple]:
-        """Priority-queue regime over batches.
-
-        Identical to :meth:`_execute_in_memory` (including its counter
-        accounting: every arrival after the heap is full registers one
-        comparison and one elimination — a replaced row eliminates its
-        victim), but once the heap is full each batch is reduced to its
-        replacement candidates with a single vectorized comparison
-        against the heap's current cutoff.
-        """
-        needed = self.k + self.offset
-        sort_key = self.sort_key
-        stats = self.stats
-        listener = self.cutoff_listener
-        heap: list[tuple[_ReverseKey, int, tuple]] = []
-        seq = 0
         for batch in batches:
             rows = batch.rows
             stats.rows_consumed += len(rows)
             index = 0
-            if len(heap) < needed:
-                while index < len(rows) and len(heap) < needed:
-                    row = rows[index]
-                    index += 1
-                    seq += 1
-                    heapq.heappush(heap,
-                                   (_ReverseKey(sort_key(row)), seq, row))
-                if index >= len(rows):
-                    if listener is not None and len(heap) == needed:
-                        listener(heap[0][0].key)
-                    continue
-            remaining = len(rows) - index
-            stats.cutoff_comparisons += remaining
-            stats.rows_eliminated_on_arrival += remaining
-            keys = self._batch_key_array(batch)
-            if keys is not None:
-                # Rows at or above the batch-start cutoff can never enter
-                # the heap (the cutoff only tightens); survivors re-check
-                # against the live cutoff exactly like the row path.
-                top_key = heap[0][0].key
-                for i in np.flatnonzero(keys[index:] < top_key):
-                    row = rows[index + int(i)]
-                    key = sort_key(row)
-                    if key < heap[0][0].key:
-                        seq += 1
-                        heapq.heapreplace(heap,
-                                          (_ReverseKey(key), seq, row))
+            while index < len(rows) and len(heap) < needed:
+                row = rows[index]
+                index += 1
+                seq += 1
+                heapq.heappush(heap, (_ReverseKey(sort_key(row)), seq, row))
+                if budget is not None:
+                    bytes_used += row_size(row)
+                    if bytes_used > budget:
+                        yield from self._switch_to_external(
+                            heap, batch, index, batches)
+                        return
+            keys = (self._batch_key_array(batch)
+                    if index < len(rows) else None)
+            if keys is None:
+                candidates = enumerate(rows[index:] if index else rows,
+                                       index)
             else:
-                for row in rows[index:] if index else rows:
-                    key = sort_key(row)
-                    if key < heap[0][0].key:
-                        seq += 1
-                        heapq.heapreplace(heap,
-                                          (_ReverseKey(key), seq, row))
+                # Rows above the batch-start maximum can never enter the
+                # heap (the maximum only falls); ``<=`` keeps the
+                # prefilter exact under float64 rounding of int keys.
+                top_key = heap[0][0].key
+                candidates = ((index + i, rows[index + i])
+                              for i in np.flatnonzero(
+                                  keys[index:] <= top_key).tolist())
+            for i, row in candidates:
+                key = sort_key(row)
+                if key < heap[0][0].key:
+                    seq += 1
+                    if budget is not None:
+                        bytes_used += row_size(row) - row_size(heap[0][2])
+                    heapq.heapreplace(heap, (_ReverseKey(key), seq, row))
+                    if budget is not None and bytes_used > budget:
+                        stats.cutoff_comparisons += i + 1 - index
+                        stats.rows_eliminated_on_arrival += i + 1 - index
+                        yield from self._switch_to_external(
+                            heap, batch, i + 1, batches)
+                        return
+            stats.cutoff_comparisons += len(rows) - index
+            stats.rows_eliminated_on_arrival += len(rows) - index
             # Downstream sees this batch's consequences only after the
             # loop yields control, so one publication per batch is as
             # sharp as per-replacement publication.
-            if listener is not None:
+            if listener is not None and len(heap) == needed:
                 listener(heap[0][0].key)
         survivors = sorted(((entry[0].key, entry[1], entry[2])
                             for entry in heap),
                            key=lambda item: (item[0], item[1]))
         for _key, _seq, row in survivors[self.offset:]:
             yield row
+
+    def _switch_to_external(self, heap: list, batch: RowBatch, index: int,
+                            batches: Iterator[RowBatch]) -> Iterator[tuple]:
+        """Hand the resident rows, the rest of ``batch`` from ``index``
+        on, and the remaining stream to the external regime."""
+        logger.info(
+            "priority queue exceeded %d bytes at %d resident rows: "
+            "switching to the external regime",
+            self.memory_bytes, len(heap))
+        self.switched_to_external = True
+        resident = [entry[2] for entry in heap]
+        tail = batch.rows[index:]
+        # These rows were already counted on their first arrival;
+        # compensate before they re-enter the pipeline.
+        self.stats.rows_consumed -= len(resident) + len(tail)
+        return self._execute_external(itertools.chain(
+            (RowBatch(batch.schema, resident + tail),), batches))
 
     # -- external regime -----------------------------------------------------
 
@@ -538,11 +505,9 @@ class HistogramTopK:
                               cutoff_key=new_cutoff)
 
     def _external_machinery(self):
-        """Run generator wired to per-run histograms → the cutoff filter.
-
-        Shared by the row and batch external paths: both feed the same
-        generator, whose spill callbacks grow the histogram model that
-        sharpens the cutoff while runs are still being written.
+        """Run generator wired to per-run histograms → the cutoff filter:
+        its spill callbacks grow the histogram model that sharpens the
+        cutoff while runs are still being written.
         """
         want_index = (self.build_rank_index
                       if self.build_rank_index is not None
@@ -660,97 +625,39 @@ class HistogramTopK:
             self.spill_manager.delete_file(spill_file)
         yield from rows
 
-    def _execute_external(self, rows: Iterator[tuple]) -> Iterator[tuple]:
+    def _execute_external(
+            self, batches: Iterator[RowBatch]) -> Iterator[tuple]:
         """Histogram-filtered external merge sort (Algorithm 1)."""
         stats = self.stats
         sort_key = self.sort_key
+        budget = self.memory_bytes
 
         # Consume up to one memory-load first: if the whole input fits in
         # memory, no histogram or spill machinery is needed at all.
         buffered: list[tuple] = []
         buffered_bytes = 0
+        pending: tuple[tuple[RowBatch, int], ...] = ()
         exhausted = False
-        while len(buffered) < self.memory_rows:
-            if (self.memory_bytes is not None
-                    and buffered_bytes >= self.memory_bytes):
-                break
-            row = next(rows, None)
-            if row is None:
-                exhausted = True
-                break
-            stats.rows_consumed += 1
-            buffered.append(row)
-            if self.memory_bytes is not None:
-                buffered_bytes += self.row_size(row)
-        if exhausted:
-            buffered.sort(key=sort_key)
-            yield from buffered[self.offset:self.offset + self.k]
-            return
-
-        generator = self._external_machinery()
-        with self.tracer.span("topk.run_generation",
-                              algorithm=self.run_generation) as span:
-            generator.consume(buffered)
-            del buffered
-
-            cutoff_filter = self.cutoff_filter
-
-            def admitted(stream: Iterator[tuple]) -> Iterator[tuple]:
-                """Algorithm 1 line 4: eager elimination on arrival.
-
-                Yields ``(key, row)`` pairs: the key computed for the
-                cutoff check is handed to the run generator, which never
-                computes another.
-                """
-                for row in stream:
-                    stats.rows_consumed += 1
-                    stats.cutoff_comparisons += 1
-                    key = sort_key(row)
-                    if cutoff_filter.eliminate(key):
-                        stats.rows_eliminated_on_arrival += 1
-                        continue
-                    yield key, row
-
-            generator.consume_keyed(admitted(rows))
-            if self.tracer.enabled:
-                span.set_attribute("rows_consumed", stats.rows_consumed)
-                span.set_attribute("rows_eliminated_on_arrival",
-                                   stats.rows_eliminated_on_arrival)
-        yield from self._external_finish(generator)
-
-    def _execute_external_batches(
-            self, batches: Iterator[RowBatch]) -> Iterator[tuple]:
-        """Histogram-filtered external merge sort over batches.
-
-        The arrival-side check (Algorithm 1 line 4) runs once per batch
-        against the cutoff current at the batch boundary, as a single
-        vectorized comparison.  Rows the cutoff sharpens past *within* a
-        batch are still caught by the spill-time re-check (line 11), so
-        the output is identical to the row path; only the site where
-        such rows are counted as eliminated can shift (arrival → spill).
-        """
-        stats = self.stats
-        sort_key = self.sort_key
-
-        # Buffer exactly one memory-load of rows before starting any
-        # spill machinery, mirroring the row path.
-        buffered: list[tuple] = []
-        leftover: RowBatch | None = None
-        leftover_start = 0
-        exhausted = False
-        while len(buffered) < self.memory_rows:
+        while (len(buffered) < self.memory_rows
+               and (budget is None or buffered_bytes < budget)):
             batch = next(batches, None)
             if batch is None:
                 exhausted = True
                 break
-            take = min(len(batch.rows), self.memory_rows - len(buffered))
+            rows = batch.rows
+            take = min(len(rows), self.memory_rows - len(buffered))
+            if budget is not None:
+                for i in range(take):
+                    if buffered_bytes >= budget:
+                        take = i
+                        break
+                    buffered_bytes += self.row_size(rows[i])
             stats.rows_consumed += take
-            if take < len(batch.rows):
-                buffered.extend(batch.rows[:take])
-                leftover = batch
-                leftover_start = take
+            if take < len(rows):
+                buffered.extend(rows[:take])
+                pending = ((batch, take),)
                 break
-            buffered.extend(batch.rows)
+            buffered.extend(rows)
         if exhausted:
             buffered.sort(key=sort_key)
             yield from buffered[self.offset:self.offset + self.k]
@@ -761,53 +668,53 @@ class HistogramTopK:
                               algorithm=self.run_generation) as span:
             generator.consume_batch(buffered)
             del buffered
-
-            cutoff_filter = self.cutoff_filter
-            pending = (((leftover, leftover_start),)
-                       if leftover is not None else ())
             stream = itertools.chain(
                 pending, ((batch, 0) for batch in batches))
             for batch, start in stream:
-                rows = batch.rows
-                count = len(rows) - start
-                stats.rows_consumed += count
-                stats.cutoff_comparisons += count
-                keys = self._batch_key_array(batch)
-                if keys is None:
-                    # Non-vectorizable key: per-row arrival check.  The
-                    # keys computed here ride along to the generator.
-                    admitted = []
-                    admitted_keys = []
-                    for row in rows[start:] if start else rows:
-                        key = sort_key(row)
-                        if cutoff_filter.eliminate(key):
-                            stats.rows_eliminated_on_arrival += 1
-                        else:
-                            admitted.append(row)
-                            admitted_keys.append(key)
-                    if admitted:
-                        generator.consume_batch(admitted, admitted_keys)
-                    continue
-                if start:
-                    rows = rows[start:]
-                    keys = keys[start:]
-                mask = cutoff_filter.admit_batch(keys)
-                if mask is None:
-                    generator.consume_batch(rows)
-                    continue
-                survivors = int(mask.sum())
-                stats.rows_eliminated_on_arrival += len(rows) - survivors
-                if survivors == len(rows):
-                    # Whole batch admitted: hand the list over uncopied.
-                    generator.consume_batch(rows)
-                elif survivors:
-                    generator.consume_batch(
-                        [rows[int(i)] for i in np.flatnonzero(mask)])
+                self._admit_batch(generator, batch, start)
             if self.tracer.enabled:
                 span.set_attribute("rows_consumed", stats.rows_consumed)
                 span.set_attribute("rows_eliminated_on_arrival",
                                    stats.rows_eliminated_on_arrival)
         yield from self._external_finish(generator)
+
+    def _admit_batch(self, generator, batch: RowBatch, start: int) -> None:
+        """Algorithm 1 line 4 over ``batch.rows[start:]``: eager
+        elimination on arrival, interleaved with run generation.
+
+        Survivors reach the generator through a lazy ``(key, row)``
+        stream, so each row is tested against the cutoff as sharpened by
+        the spills of every row before it — and the key computed for the
+        test is the one the generator sorts by.
+        """
+        stats = self.stats
+        sort_key = self.sort_key
+        cutoff_filter = self.cutoff_filter
+        rows = batch.rows[start:] if start else batch.rows
+        consumed = stats.rows_consumed
+        stats.cutoff_comparisons += len(rows)
+        candidates = enumerate(rows)
+        keys = self._batch_key_array(batch)
+        if keys is not None:
+            mask = cutoff_filter.admit_batch(keys[start:] if start else keys)
+            if mask is not None:
+                indices = np.flatnonzero(mask).tolist()
+                stats.rows_eliminated_on_arrival += len(rows) - len(indices)
+                candidates = ((i, rows[i]) for i in indices)
+
+        def admitted() -> Iterator[tuple[Any, tuple]]:
+            for i, row in candidates:
+                key = sort_key(row)
+                if cutoff_filter.eliminate(key):
+                    stats.rows_eliminated_on_arrival += 1
+                    continue
+                # Refinements triggered by this row's admission see the
+                # exact arrival count (cutoff trace and timeline).
+                stats.rows_consumed = consumed + i + 1
+                yield key, row
+
+        generator.consume_keyed(admitted())
+        stats.rows_consumed = consumed + len(rows)
 
 
 def topk(

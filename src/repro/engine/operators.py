@@ -1383,16 +1383,11 @@ class TopK(Operator):
         algorithm_options: dict | None = None,
         cutoff_seed: Any = None,
         tracer=None,
-        execution: str = "batch",
     ):
         if algorithm not in TOPK_ALGORITHMS:
             raise ConfigurationError(
                 f"unknown top-k algorithm {algorithm!r}; "
                 f"choose from {TOPK_ALGORITHMS}")
-        if execution not in ("batch", "row"):
-            raise ConfigurationError(
-                f"unknown execution mode {execution!r} "
-                "(expected 'batch' or 'row')")
         self.child = child
         self.schema = child.schema
         self.sort_spec = sort_spec
@@ -1403,10 +1398,6 @@ class TopK(Operator):
         self.spill_manager = spill_manager
         self.algorithm_options = algorithm_options or {}
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: ``"batch"`` drains the child's batch surface (the default);
-        #: ``"row"`` pins the Volcano row-at-a-time path — kept as a
-        #: costed planner candidate and an ablation knob.
-        self.execution = execution
         #: Only the histogram algorithm understands cutoff seeding; the
         #: seed is silently ignored for the baselines.
         self.cutoff_seed = cutoff_seed
@@ -1456,15 +1447,11 @@ class TopK(Operator):
     def rows(self) -> Iterator[tuple]:
         impl = self._make_impl()
         self.last_impl = impl
-        if self.execution == "row":
-            return impl.execute(self.child.rows())
         return impl.execute_batches(self.child.batches())
 
     def label(self) -> str:
-        extra = "" if self.execution == "batch" \
-            else f" execution={self.execution}"
         return (f"TopK k={self.k} offset={self.offset} "
-                f"[{self.sort_spec!r}] algorithm={self.algorithm}{extra}")
+                f"[{self.sort_spec!r}] algorithm={self.algorithm}")
 
     def children(self) -> list[Operator]:
         return [self.child]

@@ -153,7 +153,7 @@ def _compile_predicates(schema: Schema,
 class Candidate:
     """One costed physical alternative for a plain top-k plan."""
 
-    path: str              # "row" | "batch" | "vectorized" | "sharded"
+    path: str              # "batch" | "vectorized" | "sharded"
     key_encoding: str      # "tuple" | "ovc" | "-" (vectorized paths)
     shards: int
     cost: PlanCost
@@ -377,9 +377,9 @@ class Planner:
         stats_catalog: Optional :class:`~repro.stats.StatsCatalog`
             feeding cardinality/selectivity estimates (the session wires
             its own by default).
-        path: Force one physical path (``"row"``, ``"batch"``,
-            ``"vectorized"``, ``"sharded"``) instead of costing; the
-            benchmark harness's hand-picking knob.
+        path: Force one physical path (``"batch"``, ``"vectorized"``,
+            ``"sharded"``) instead of costing; the benchmark harness's
+            hand-picking knob.
         join_method: Pin the physical join (``"hash"`` / ``"merge"``)
             instead of costing; ``"auto"`` (default) costs both.
         pushdown: Pin top-k cutoff pushdown below joins: ``True`` forces
@@ -423,8 +423,7 @@ class Planner:
             "min_rows_per_shard", 50_000)
         self.cost_model = cost_model
         self.stats_catalog = stats_catalog
-        if path is not None and path not in ("row", "batch", "vectorized",
-                                             "sharded"):
+        if path is not None and path not in ("batch", "vectorized", "sharded"):
             raise PlanError(f"unknown forced path {path!r}")
         self.path = path
         if join_method not in self.JOIN_METHODS:
@@ -617,9 +616,8 @@ class Planner:
                              materialization, fan_in=best_fan)
 
         # Enumeration order doubles as the cost tie-break (``min`` keeps
-        # the first of equals): vectorized before the row engine, batch
-        # before row, so degenerate inputs (zero estimated rows) still
-        # get the historically-preferred plan.
+        # the first of equals): vectorized before batch, so degenerate
+        # inputs (zero estimated rows) still get the vectorized plan.
         candidates: list[Candidate] = []
         vector_ok = self.vectorize and vectorized_lowering_eligible(
             spec, algorithm=self.algorithm,
@@ -635,11 +633,9 @@ class Planner:
         lazy_ok = self._supports_lazy_spill()
         for encoding in self._encoding_candidates(spec):
             candidates.append(costed("batch", encoding))
-            candidates.append(costed("row", encoding))
             if lazy_ok and encoding == "ovc":
-                for path in ("batch", "row"):
-                    candidates.append(
-                        costed(path, encoding, materialization="lazy"))
+                candidates.append(
+                    costed("batch", encoding, materialization="lazy"))
 
         eligible = candidates
         if self.path is not None:
@@ -720,7 +716,6 @@ class Planner:
                 algorithm_options=options,
                 cutoff_seed=cutoff_seed,
                 tracer=tracer,
-                execution=chosen.path,
             )
         operator.decision = decision
         return operator
@@ -1204,7 +1199,6 @@ class Planner:
                 memory_rows=memory_rows, cutoff_seed=None, shards=1,
                 table=None)
             consumer_row_s = {
-                "row": self.cost_model.plan_row_s_row,
                 "batch": self.cost_model.plan_row_s_batch,
                 "vectorized": self.cost_model.plan_row_s_vectorized,
                 "sharded": self.cost_model.plan_row_s_vectorized,

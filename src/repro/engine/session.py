@@ -102,7 +102,7 @@ class Database:
         stats_path: Directory for the default catalog's per-table JSON
             files; statistics then survive process restarts.
         force_path: Pin every plain top-k plan to one physical path
-            (``"row"``, ``"batch"``, ``"vectorized"``, ``"sharded"``)
+            (``"batch"``, ``"vectorized"``, ``"sharded"``)
             instead of costing — the benchmark harness's hand-picking
             knob.
         join_method: Pin the physical join operator (``"hash"`` /

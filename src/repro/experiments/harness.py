@@ -138,29 +138,16 @@ def run_algorithm(
     workload: Workload,
     row_bytes: int = LINEITEM_ROW_BYTES,
     cost_model: CostModel = SCALED_COST_MODEL,
-    batch_mode: bool = False,
     **options,
 ) -> RunResult:
-    """Execute algorithm ``name`` on ``workload`` and measure it.
-
-    ``batch_mode`` feeds the input through the batch pipeline
-    (``execute_batches``) instead of row at a time — same output, but
-    vectorized arrival filtering where the algorithm supports it.
-    """
+    """Execute algorithm ``name`` on ``workload`` and measure it."""
     spill_manager = _make_spill_manager(row_bytes)
     algorithm = _build_algorithm(name, workload, spill_manager, options)
     key = workload.sort_spec.key
     started = time.perf_counter()
     first_key = last_key = None
     output_rows = 0
-    if batch_mode:
-        from repro.rows.batch import batches_from_rows
-
-        output = algorithm.execute_batches(batches_from_rows(
-            workload.make_input(), workload.sort_spec.schema))
-    else:
-        output = algorithm.execute(workload.make_input())
-    for row in output:
+    for row in algorithm.execute(workload.make_input()):
         if output_rows == 0:
             first_key = key(row)
         last_key = key(row)

@@ -145,7 +145,12 @@ def batches_from_rows(
     schema: Schema,
     batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> Iterator[RowBatch]:
-    """Chunk a row iterable into :class:`RowBatch` es of ``batch_rows``."""
+    """Chunk a row iterable into :class:`RowBatch` es of ``batch_rows``.
+
+    If the source raises, the rows it produced before failing are still
+    delivered as a final short batch, then the error propagates — a
+    consumer sees exactly the rows a row-at-a-time reader would have.
+    """
     if isinstance(rows, (list, tuple)):
         # Sequence fast path: slicing beats accumulating row by row.
         for start in range(0, len(rows), batch_rows):
@@ -154,10 +159,15 @@ def batches_from_rows(
     iterator = iter(rows)
     while True:
         chunk: list[tuple] = []
-        for row in iterator:
-            chunk.append(row)
-            if len(chunk) >= batch_rows:
-                break
+        try:
+            for row in iterator:
+                chunk.append(row)
+                if len(chunk) >= batch_rows:
+                    break
+        except Exception:
+            if chunk:
+                yield RowBatch(schema, chunk)
+            raise
         if not chunk:
             return
         yield RowBatch(schema, chunk)

@@ -10,9 +10,8 @@ Partitioning only shapes *performance*:
   bits — shards stay load-balanced under any input order, and duplicate
   keys land together so per-shard histograms see full tie groups.
 * :class:`RangePartitioner` routes by key range, boundaries sampled from
-  the first arriving block via
-  :meth:`~repro.strategies.range_partition.RangePartitionTopK.boundaries_from_sample`
-  (the strategy's "prior statistics pass", here taken online).  The
+  the first arriving block via :func:`boundaries_from_sample` (range
+  partitioning's "prior statistics pass", here taken online).  The
   low-range shard then owns the whole answer and its cutoff collapses
   the other shards' input almost entirely — the sharded analogue of
   range partitioning's wholesale discard.
@@ -23,12 +22,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.strategies.range_partition import RangePartitionTopK
 
 #: Knuth's multiplicative constant (golden-ratio based), applied to the
 #: raw IEEE-754 bit pattern of each key.
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _HIGH = np.uint64(33)
+
+
+def boundaries_from_sample(keys, partitions: int) -> list[float]:
+    """``partitions - 1`` quantile boundaries of a key sample."""
+    if partitions < 2:
+        raise ConfigurationError("need at least two partitions")
+    quantiles = np.linspace(0, 1, partitions + 1)[1:-1]
+    return [float(q) for q in np.quantile(np.asarray(keys), quantiles)]
 
 
 def make_partitioner(mode: str, shards: int):
@@ -78,11 +84,11 @@ class RangePartitioner:
             if sample.size == 0:
                 return np.zeros(0, dtype=np.int64)
             self.boundaries = np.asarray(
-                RangePartitionTopK.boundaries_from_sample(
-                    sample, self.shards),
+                boundaries_from_sample(sample, self.shards),
                 dtype=np.float64)
-        # side='left' matches RangePartitionTopK._partition_of
-        # (bisect_left): a key equal to a boundary belongs to the lower
-        # partition.  NaN sorts above every boundary → the last shard.
+        # side='left' matches RangePartitionTopK._partition_of in
+        # repro.strategies (bisect_left): a key equal to a boundary
+        # belongs to the lower partition.  NaN sorts above every
+        # boundary → the last shard.
         return np.searchsorted(self.boundaries, keys,
                                side="left").astype(np.int64)

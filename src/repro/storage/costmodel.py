@@ -62,6 +62,8 @@ class CostModel:
     # ``BENCH_batch.json`` (1M uniform rows on the reference container:
     # row 0.43s, batch 0.30s, vectorized 0.076s).  These drive the
     # planner's path choice, where only *relative* magnitudes matter.
+    # ``plan_row_s_row`` prices a row-at-a-time consumer that is not a
+    # top-k (the join planner's default); every top-k path is batched.
     plan_row_s_row: float = 4.3e-7
     plan_row_s_batch: float = 3.0e-7
     plan_row_s_vectorized: float = 7.6e-8
@@ -217,8 +219,7 @@ class CostModel:
             row_bytes: Estimated bytes per row (spill volume term).
             needed: ``k + offset`` output rows.
             memory_rows: The operator's memory budget.
-            path: ``"row"`` | ``"batch"`` | ``"vectorized"`` |
-                ``"sharded"``.
+            path: ``"batch"`` | ``"vectorized"`` | ``"sharded"``.
             key_columns: ORDER BY arity (tuple-comparison cost term).
             key_encoding: ``"tuple"`` or ``"ovc"``.
             desc_obj_columns: Descending non-numeric columns — ``Desc``
@@ -259,7 +260,6 @@ class CostModel:
             )
 
         per_row = {
-            "row": self.plan_row_s_row,
             "batch": self.plan_row_s_batch,
             "vectorized": self.plan_row_s_vectorized,
         }[path]

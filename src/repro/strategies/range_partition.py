@@ -12,7 +12,8 @@ generation.
 :class:`RangePartitionTopK` implements the strategy honestly:
 
 * partition boundaries must be supplied (or sampled via
-  :meth:`boundaries_from_sample`, which models a prior statistics pass);
+  :func:`repro.shard.partition.boundaries_from_sample`, which models a
+  prior statistics pass);
 * partitions spill to storage as they fill (the output exceeds memory);
 * once the cumulative count in low partitions reaches ``k``, later rows
   belonging to higher partitions are dropped on arrival;
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 import bisect
 from typing import Any, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from repro.core.topk import HistogramTopK
 from repro.errors import ConfigurationError
@@ -85,15 +84,6 @@ class RangePartitionTopK:
         self._counts = [0] * partition_count
         self._cut_partition = partition_count  # first discarded partition
         self._next_run_id = 0
-
-    @classmethod
-    def boundaries_from_sample(cls, keys: Sequence[float],
-                               partitions: int) -> list[float]:
-        """Quantile boundaries from a sample (the 'statistics pass')."""
-        if partitions < 2:
-            raise ConfigurationError("need at least two partitions")
-        quantiles = np.linspace(0, 1, partitions + 1)[1:-1]
-        return [float(q) for q in np.quantile(np.asarray(keys), quantiles)]
 
     # -- internals -------------------------------------------------------
 

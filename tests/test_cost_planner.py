@@ -73,7 +73,7 @@ class TestDefaultChoices:
         db = make_db(rows)
         plan = db.plan("SELECT * FROM R ORDER BY S, T, G LIMIT 500")
         decision = decision_of(plan)
-        assert decision.chosen.path in ("batch", "row")
+        assert decision.chosen.path == "batch"
         assert decision.chosen.key_encoding == "ovc"
 
     def test_auto_shards_stays_single_process_on_small_tables(self, rows):
@@ -88,7 +88,8 @@ class TestDefaultChoices:
         decision = decision_of(db.plan("SELECT * FROM R ORDER BY K "
                                        "LIMIT 500"))
         paths = {candidate.path for candidate in decision.candidates}
-        assert {"vectorized", "batch", "row"} <= paths
+        assert {"vectorized", "batch"} <= paths
+        assert "row" not in paths
         best = min(decision.candidates, key=lambda c: c.cost.seconds)
         assert decision.chosen.cost.seconds == best.cost.seconds
 
@@ -120,20 +121,18 @@ class TestOverrides:
         assert "key_encoding" in decision.forced
 
     def test_forced_path(self, rows):
-        for path, expected in (("row", TopK), ("batch", TopK),
+        for path, expected in (("batch", TopK),
                                ("vectorized", VectorizedTopK)):
             db = make_db(rows, force_path=path)
             plan = db.plan("SELECT * FROM R ORDER BY K LIMIT 100")
             assert isinstance(plan, expected)
             decision = decision_of(plan)
             assert decision.chosen.path == path
-        if isinstance(plan, TopK):
-            assert plan.execution == "batch"
 
-    def test_forced_path_row_execution(self, rows):
-        db = make_db(rows, force_path="row")
-        plan = db.plan("SELECT * FROM R ORDER BY K LIMIT 100")
-        assert plan.execution == "row"
+    def test_forced_path_row_rejected(self, rows):
+        # There is one HistogramTopK execution path; "row" is no option.
+        with pytest.raises(PlanError):
+            make_db(rows, force_path="row")
 
     def test_forced_ineligible_path_raises(self, rows):
         db = make_db(rows, force_path="vectorized")
@@ -292,10 +291,10 @@ class TestDifferentialPaths:
     def test_all_paths_byte_identical(self, rows):
         sql = "SELECT * FROM R WHERE G < 80 ORDER BY K LIMIT 700"
         results = {}
-        for path in ("row", "batch", "vectorized"):
+        for path in ("batch", "vectorized"):
             db = make_db(rows, force_path=path)
             results[path] = db.sql(sql).rows
-        assert results["row"] == results["batch"] == results["vectorized"]
+        assert results["batch"] == results["vectorized"]
 
     def test_encodings_byte_identical(self, rows):
         sql = "SELECT * FROM R ORDER BY S, T DESC LIMIT 400"

@@ -3,8 +3,9 @@
 Hypothesis drives the same ``(rows, k, sort spec, memory budget, batch
 size)`` through every top-k execution surface in the repo —
 
-* ``HistogramTopK.execute`` (the row engine, Algorithm 1),
-* ``HistogramTopK.execute_batches`` (the batch-at-a-time path),
+* ``HistogramTopK.execute`` (Algorithm 1 over a row iterable — an
+  adapter that chunks the rows for ``execute_batches``),
+* ``HistogramTopK.execute_batches`` at arbitrary batch sizes,
 * the planner's ``VectorizedTopK`` lowering via ``Database.sql``,
 * all three baselines (optimized / traditional / priority-queue),
 
@@ -175,6 +176,78 @@ def test_offset_agreement(keys, k, offset, memory):
     db.register_table("T", SCHEMA, rows)
     result = db.sql(f"SELECT * FROM T ORDER BY K LIMIT {k} OFFSET {offset}")
     assert result.rows == oracle
+
+
+@given(n=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1),
+       duplicates=st.booleans(),
+       k=st.integers(1, 50),
+       offset=st.integers(0, 20),
+       memory=st.integers(2, 64),
+       drawn_batch_rows=st.integers(2, 96),
+       ascending=st.booleans(),
+       run_generation=st.sampled_from(
+           ["replacement_selection", "quicksort"]),
+       key_encoding=st.sampled_from(["tuple", "ovc"]),
+       memory_bytes=st.one_of(st.none(), st.integers(40, 3_000)))
+@settings(max_examples=120, deadline=None)
+def test_batch_size_never_changes_rows_or_counters(
+        n, seed, duplicates, k, offset, memory, drawn_batch_rows,
+        ascending, run_generation, key_encoding, memory_bytes):
+    """Chunking is invisible: ``execute`` and ``execute_batches`` at any
+    batch size emit the same rows *and* the same filter counters.
+
+    Every arrival meets the live cutoff, interleaved with run
+    generation, so where a row is eliminated (on arrival or at spill)
+    cannot depend on which batch carried it.  Covers both regimes, the
+    vectorized prefilter (tuple keys on one numeric column) and the
+    per-row test (ovc keys), OFFSET, and the byte budget's mid-stream
+    switch from the priority queue to run generation.  Input sizes are
+    drawn directly (not as list lengths, which hypothesis keeps short)
+    so most examples overflow memory and spill.
+    """
+    import random
+
+    rng = random.Random(seed)
+    rows = make_rows([float(rng.randrange(-30, 30)) if duplicates
+                      else rng.uniform(-1e6, 1e6) for _ in range(n)])
+    spec = make_spec(ascending)
+    oracle = sorted(rows, key=spec.key)[offset:offset + k]
+
+    def make():
+        return HistogramTopK(
+            spec, k, memory, offset=offset, run_generation=run_generation,
+            key_encoding=key_encoding, memory_bytes=memory_bytes,
+            row_size=lambda row: 24 + row[1] % 40)
+
+    def counters(engine):
+        stats = engine.stats
+        return (stats.io.rows_spilled, stats.rows_eliminated_on_arrival,
+                stats.rows_eliminated_at_spill, stats.rows_consumed,
+                engine.switched_to_external)
+
+    reference = make()
+    assert list(reference.execute(iter(rows))) == oracle
+    assert reference.stats.rows_consumed == len(rows)
+    for batch_rows in (1, drawn_batch_rows, 4_096):
+        engine = make()
+        out = list(engine.execute_batches(
+            batches_from_rows(rows, SCHEMA, batch_rows)))
+        assert out == oracle
+        assert counters(engine) == counters(reference)
+
+
+def test_prefilter_exact_for_int_keys_beyond_float64_precision():
+    """The vectorized prefilter compares float64 copies of INT64 keys.
+    ``2**53 + 1`` rounds to ``2**53``, so a strict ``<`` against a heap
+    maximum of ``2**53 + 1`` would drop the smaller key ``2**53``; the
+    prefilter may only drop rows the exact per-row test drops."""
+    schema = Schema([Column("K", ColumnType.INT64)])
+    big = 2**53
+    rows = [(big - 2,), (big + 1,), (big,)]
+    operator = HistogramTopK(SortSpec(schema, ["K"]), 2, 8)
+    assert list(operator.execute_batches(
+        batches_from_rows(rows, schema))) == [(big - 2,), (big,)]
 
 
 @given(keys=st.lists(st.integers(-50, 50).map(float),
@@ -403,7 +476,7 @@ def test_planner_choice_is_semantically_invisible(keys, k, memory,
 
     chosen = run()
     assert chosen == oracle
-    for path in ("row", "batch", "vectorized"):
+    for path in ("batch", "vectorized"):
         assert run(force_path=path) == oracle
 
 
@@ -431,11 +504,9 @@ def test_planner_choice_composite_keys_agree(keys, k, memory,
         return db.sql(sql).rows
 
     assert run() == oracle
-    for path in ("row", "batch"):
-        for encoding in ("ovc", "tuple"):
-            assert run(force_path=path,
-                       algorithm_options={"key_encoding": encoding}) \
-                == oracle
+    for encoding in ("ovc", "tuple"):
+        assert run(force_path="batch",
+                   algorithm_options={"key_encoding": encoding}) == oracle
 
 
 @pytest.mark.slow_io

@@ -127,7 +127,7 @@ def make_db(left, right, **kwargs):
        memory=st.sampled_from([4, 32, 100_000]),
        join_method=st.sampled_from(["auto", "hash", "merge"]),
        pushdown=st.sampled_from([None, True, False]),
-       path=st.sampled_from([None, "row", "batch"]))
+       path=st.sampled_from([None, "batch"]))
 @settings(max_examples=60, deadline=None)
 def test_inner_join_topk_differential(tables, k, memory, join_method,
                                       pushdown, path):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.rows.schema import Column, ColumnType, Schema
+from repro.shard.partition import boundaries_from_sample
 from repro.storage.costmodel import CostModel, SCALED_COST_MODEL
 from repro.strategies import (
     LateMaterializationTopK,
@@ -182,14 +183,14 @@ class TestLateMaterialization:
 class TestRangePartition:
     def test_correctness_with_good_boundaries(self):
         rows = uniform(20_000, seed=5)
-        boundaries = RangePartitionTopK.boundaries_from_sample(
+        boundaries = boundaries_from_sample(
             [row[0] for row in rows], 16)
         operator = RangePartitionTopK(KEY, 2_000, 400, boundaries)
         assert list(operator.execute(iter(rows))) == sorted(rows)[:2_000]
 
     def test_discards_high_partitions(self):
         rows = uniform(20_000, seed=6)
-        boundaries = RangePartitionTopK.boundaries_from_sample(
+        boundaries = boundaries_from_sample(
             [row[0] for row in rows], 16)
         operator = RangePartitionTopK(KEY, 2_000, 400, boundaries)
         list(operator.execute(iter(rows)))
@@ -201,7 +202,7 @@ class TestRangePartition:
         rows = uniform(20_000, seed=7)
         # Boundaries sampled from the top decile only: wildly misplaced.
         skewed_sample = sorted(row[0] for row in rows)[-2_000:]
-        boundaries = RangePartitionTopK.boundaries_from_sample(
+        boundaries = boundaries_from_sample(
             skewed_sample, 16)
         operator = RangePartitionTopK(KEY, 2_000, 400, boundaries)
         assert list(operator.execute(iter(rows))) == sorted(rows)[:2_000]
@@ -210,13 +211,13 @@ class TestRangePartition:
         rows = uniform(20_000, seed=8)
         good = RangePartitionTopK(
             KEY, 2_000, 400,
-            RangePartitionTopK.boundaries_from_sample(
+            boundaries_from_sample(
                 [row[0] for row in rows], 16))
         list(good.execute(iter(rows)))
         skewed_sample = sorted(row[0] for row in rows)[-2_000:]
         bad = RangePartitionTopK(
             KEY, 2_000, 400,
-            RangePartitionTopK.boundaries_from_sample(skewed_sample, 16))
+            boundaries_from_sample(skewed_sample, 16))
         list(bad.execute(iter(rows)))
         assert (bad.stats.rows_eliminated_on_arrival
                 < good.stats.rows_eliminated_on_arrival)
@@ -229,7 +230,7 @@ class TestRangePartition:
         with pytest.raises(ConfigurationError):
             RangePartitionTopK(KEY, 10, 10, [0.9, 0.1])
         with pytest.raises(ConfigurationError):
-            RangePartitionTopK.boundaries_from_sample([1.0, 2.0], 1)
+            boundaries_from_sample([1.0, 2.0], 1)
 
     def test_small_input(self):
         rows = uniform(50, seed=9)
