@@ -13,8 +13,8 @@ Two tentpole claims of ISSUE 10, measured on 1M-row skewed workloads:
 
 * **GROUP BY leg** — aggregation fused into run generation spills
   partial aggregates (at most one row per group per run) instead of
-  raw input rows, so it writes strictly fewer bytes than the unfused
-  post-sort pass, with identical results (exact-int SUM/AVG).
+  raw input rows, so it spills fewer rows than the input holds, with
+  results identical to a plain-Python reference (exact-int SUM/AVG).
 
 Results are written as JSON (default ``BENCH_groupjoin.json``) so CI
 can smoke-run with a tiny ``--rows`` budget and assert the file parses.
@@ -74,7 +74,7 @@ def make_join_tables(rows: int, dims: int, seed: int = 7):
 
 def make_group_table(rows: int, groups: int, seed: int = 11):
     """Zipf-skewed group keys (a few giant groups, a long tail) over
-    int values — exact-int aggregation keeps every mode bit-identical."""
+    int values — exact-int aggregation keeps results bit-identical."""
     rng = np.random.default_rng(seed)
     gk = (rng.zipf(1.5, size=rows) - 1) % groups
     iv = rng.integers(0, 1_000, size=rows)
@@ -119,8 +119,8 @@ def run_join_variant(fact, dim, *, k: int, memory_rows: int,
     }
 
 
-def run_group_variant(rows, *, memory_rows: int, fusion: str) -> dict:
-    db = Database(memory_rows=memory_rows, aggregate_fusion=fusion)
+def run_group_by(rows, *, memory_rows: int) -> dict:
+    db = Database(memory_rows=memory_rows)
     db.register_table("G", GROUP_SCHEMA, rows, row_count=len(rows))
     sql = ("SELECT GK, COUNT(*), SUM(IV), MIN(IV), MAX(IV), AVG(IV) "
            "FROM G GROUP BY GK")
@@ -128,12 +128,28 @@ def run_group_variant(rows, *, memory_rows: int, fusion: str) -> dict:
     result = db.sql(sql)
     seconds = time.perf_counter() - started
     return {
-        "name": fusion,
+        "name": "rungen",
         "seconds": round(seconds, 4),
         "rows_spilled": result.stats.io.rows_spilled,
         "bytes_written": result.stats.io.bytes_written,
         "rows": result.rows,
     }
+
+
+def reference_group_by(rows) -> list[tuple]:
+    """The GROUP BY output computed in plain Python."""
+    groups: dict[int, list[int]] = {}
+    for key, value in rows:
+        acc = groups.get(key)
+        if acc is None:
+            groups[key] = [1, value, value, value]
+        else:
+            acc[0] += 1
+            acc[1] += value
+            acc[2] = min(acc[2], value)
+            acc[3] = max(acc[3], value)
+    return [(key, count, total, low, high, total / count)
+            for key, (count, total, low, high) in sorted(groups.items())]
 
 
 def main(argv=None) -> int:
@@ -168,18 +184,11 @@ def main(argv=None) -> int:
                  / max(on["join_sort_rows_spilled"], 1))
 
     group_rows = make_group_table(args.rows, groups)
-    group_variants = []
-    for fusion in ("postsort", "rungen"):
-        variant = run_group_variant(
-            group_rows, memory_rows=args.memory_rows, fusion=fusion)
-        print(f"{variant['name']:>16}: {variant['seconds']:8.3f}s  "
-              f"spilled rows={variant['rows_spilled']:>9}  "
-              f"bytes={variant['bytes_written']}")
-        group_variants.append(variant)
-    group_outputs = [v.pop("rows") for v in group_variants]
-    group_identical = all(rows == group_outputs[0]
-                          for rows in group_outputs[1:])
-    postsort, fused = group_variants
+    fused = run_group_by(group_rows, memory_rows=args.memory_rows)
+    print(f"{fused['name']:>16}: {fused['seconds']:8.3f}s  "
+          f"spilled rows={fused['rows_spilled']:>9}  "
+          f"bytes={fused['bytes_written']}")
+    group_identical = fused.pop("rows") == reference_group_by(group_rows)
 
     report = {
         "workload": {
@@ -194,19 +203,17 @@ def main(argv=None) -> int:
         "join_variants": join_variants,
         "join_outputs_identical": join_identical,
         "sort_side_spill_reduction": round(reduction, 2),
-        "group_variants": group_variants,
-        "group_outputs_identical": group_identical,
+        "group_by": fused,
+        "group_output_matches_reference": group_identical,
+        "fused_spill_rows": fused["rows_spilled"],
         "fused_spill_bytes": fused["bytes_written"],
-        "postsort_spill_bytes": postsort["bytes_written"],
-        "fused_spills_fewer_bytes": (
-            fused["bytes_written"] < postsort["bytes_written"]),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"\njoin outputs identical: {join_identical}")
     print(f"sort-side spill reduction (merge, off/on): {reduction:.1f}x")
-    print(f"group outputs identical: {group_identical}")
-    print(f"fused vs post-sort spill bytes: {fused['bytes_written']} "
-          f"vs {postsort['bytes_written']}")
+    print(f"group output matches reference: {group_identical}")
+    print(f"fused spill: {fused['rows_spilled']} of {args.rows} rows, "
+          f"{fused['bytes_written']} bytes")
     print(f"wrote {args.out}")
     if not join_identical or not group_identical:
         return 1

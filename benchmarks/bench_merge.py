@@ -13,19 +13,14 @@ merge tournaments with one integer comparison.
 Variants per path (interleaved A/B within each repetition, best-of-N
 kept):
 
-* ``tuple`` — ``key_encoding="tuple"``: the pre-codec substrate, binary
-  heap over tuple keys;
-* ``ovc`` — ``key_encoding="ovc"``: binary keys, persisted offset-value
-  codes, tree-of-losers merge.
+* ``tuple`` — the operator sorts by ``SPEC.key``, a plain callable:
+  the pre-codec substrate, binary heap over tuple keys;
+* ``ovc`` — the operator sorts by ``SPEC`` itself, which picks binary
+  keys, persisted offset-value codes and the tree-of-losers merge.
 
 The row and batch paths run at fan-in 8 (multi-level merge: intermediate
 steps rewrite coded runs) and fan-in 64 (single wide final merge).  Both
-variants' output rows are asserted identical per configuration.  The
-vectorized path is A/B'd as ``tuple`` vs ``auto`` on its natural
-single-numeric-column workload: the codec deliberately declines such
-specs (``KeyCodec.preferred`` is False — numpy keys are already machine
-comparisons), so this leg demonstrates *no regression* rather than a
-win.
+variants' output rows are asserted identical per configuration.
 
 Alongside wall time, each variant reports the comparison counters
 (``full_key_comparisons`` / ``code_comparisons``); the issue's
@@ -55,12 +50,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.topk import HistogramTopK  # noqa: E402
-from repro.datagen.workloads import keys_only_workload  # noqa: E402
-from repro.engine.operators import (  # noqa: E402
-    Table,
-    TableScan,
-    VectorizedTopK,
-)
 from repro.rows.batch import batches_from_rows  # noqa: E402
 from repro.rows.schema import Column, ColumnType, Schema  # noqa: E402
 from repro.rows.sortspec import SortColumn, SortSpec  # noqa: E402
@@ -80,7 +69,9 @@ SCHEMA = Schema([
 SPEC = SortSpec(SCHEMA, [SortColumn("B", ascending=False), "A",
                          SortColumn("C", ascending=False)])
 
-VARIANTS = ["tuple", "ovc"]
+#: Variant name -> the sort key handed to the operator.
+SORT_KEYS = {"tuple": SPEC.key, "ovc": SPEC}
+VARIANTS = list(SORT_KEYS)
 BASELINE = "tuple"
 FAN_INS = [8, 64]
 
@@ -102,17 +93,15 @@ def sizing(input_rows: int) -> tuple[int, int]:
     return memory_rows, k
 
 
-def run_row(rows, memory_rows, k, fan_in, key_encoding):
-    operator = HistogramTopK(SPEC, k, memory_rows, fan_in=fan_in,
-                             run_generation="quicksort",
-                             key_encoding=key_encoding)
+def run_row(rows, memory_rows, k, fan_in, variant):
+    operator = HistogramTopK(SORT_KEYS[variant], k, memory_rows,
+                             fan_in=fan_in, run_generation="quicksort")
     return list(operator.execute(iter(rows))), operator.stats
 
 
-def run_batch(rows, memory_rows, k, fan_in, key_encoding):
-    operator = HistogramTopK(SPEC, k, memory_rows, fan_in=fan_in,
-                             run_generation="quicksort",
-                             key_encoding=key_encoding)
+def run_batch(rows, memory_rows, k, fan_in, variant):
+    operator = HistogramTopK(SORT_KEYS[variant], k, memory_rows,
+                             fan_in=fan_in, run_generation="quicksort")
     return list(operator.execute_batches(
         batches_from_rows(rows, SCHEMA))), operator.stats
 
@@ -164,43 +153,6 @@ def measure(rows, memory_rows, k, repeat: int) -> dict:
     return results
 
 
-def measure_vectorized(input_rows: int, repeat: int) -> dict:
-    """No-regression leg: ``auto`` must not perturb the lowered kernel."""
-    workload = keys_only_workload(*(
-        (input_rows,) + sizing(input_rows)), seed=7)
-    rows = list(workload.make_input())
-
-    def run(key_encoding):
-        # The planner-equivalent construction: the codec declines the
-        # single-float spec, so both settings run the identical kernel.
-        table = Table("KEYS", workload.schema, rows)
-        operator = VectorizedTopK(TableScan(table), workload.sort_spec,
-                                  k=workload.k,
-                                  memory_rows=workload.memory_rows)
-        return list(operator.rows()), operator.stats
-
-    per_variant = {variant: {"seconds": float("inf")}
-                   for variant in ("tuple", "auto")}
-    outputs = {}
-    for _ in range(repeat):
-        for variant in per_variant:
-            started = time.perf_counter()
-            output, stats = run(variant)
-            elapsed = time.perf_counter() - started
-            entry = per_variant[variant]
-            if elapsed < entry["seconds"]:
-                entry.update(seconds=elapsed,
-                             rows_per_sec=len(rows) / elapsed,
-                             rows_spilled=stats.io.rows_spilled)
-            outputs[variant] = output
-    if outputs["auto"] != outputs["tuple"]:
-        raise AssertionError("vectorized auto/tuple outputs differ")
-    baseline = per_variant["tuple"]["seconds"]
-    for entry in per_variant.values():
-        entry["speedup_vs_baseline"] = baseline / entry["seconds"]
-    return {"fan_in_none": per_variant}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=1_000_000,
@@ -220,7 +172,6 @@ def main(argv=None) -> int:
     rows = make_rows(args.rows)
 
     paths = measure(rows, memory_rows, k, args.repeat)
-    paths["vectorized"] = measure_vectorized(args.rows, args.repeat)
     report = {
         "benchmark": "merge_substrate",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -4,16 +4,15 @@
 Runs three top-k workloads with distinct winning strategies:
 
 * ``numeric`` — single FLOAT64 key: the vectorized engine should win.
-* ``composite`` — three-column descending-string-led key: batch rows
-  with offset-value coding should win (tuple keys pay a Python ``Desc``
-  wrapper call per comparison; byte-string keys pay encoding once).
+* ``composite`` — three-column descending-string-led key: only the
+  batch path (binary keys with offset-value coding) is eligible.
 * ``filtered`` — selective predicate plus numeric key: the choice must
   survive a WHERE clause (and the second repetition plans from observed
   cardinality feedback instead of defaults).
 
 Each workload is executed once with the no-knob cost-based planner and
-once per hand-picked variant (``force_path=`` batch/vectorized plus,
-for composite keys, both key encodings). Per workload the report
+once per hand-picked variant (``force_path=`` batch/vectorized). Per
+workload the report
 records the planner's chosen label, every variant's best-of-``--repeat``
 wall seconds, and the *regret*: cost-chosen seconds over the best
 hand-picked variant's seconds. The acceptance gate is regret <= 1.15
@@ -84,10 +83,6 @@ def workloads(rows: int) -> list[dict]:
             "sql": f"SELECT * FROM R ORDER BY S DESC, T, G LIMIT {limit}",
             "variants": [
                 {"label": "force:batch", "force_path": "batch"},
-                {"label": "force:batch/ovc", "force_path": "batch",
-                 "algorithm_options": {"key_encoding": "ovc"}},
-                {"label": "force:batch/tuple", "force_path": "batch",
-                 "algorithm_options": {"key_encoding": "tuple"}},
             ],
         },
         {
@@ -217,7 +212,7 @@ def main(argv=None) -> int:
         "regret_gate": REGRET_GATE,
         "note": (
             "Regret compares the no-knob cost-based plan's wall seconds "
-            "against the best force_path/key_encoding hand-picked "
+            "against the best force_path hand-picked "
             "variant. Tiny smoke runs are noise-dominated; the 15% gate "
             "is only enforced with --check on full-size runs."),
         "workloads": results,

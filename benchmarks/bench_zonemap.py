@@ -90,7 +90,6 @@ def run_variant(spec, rows, k, memory_rows,
     manager = SpillManager(backend=backend)
     operator = HistogramTopK(spec, k, memory_rows,
                              spill_manager=manager,
-                             key_encoding="ovc",
                              late_materialization=late)
     output = list(operator.execute(iter(rows)))
     manager.close()

@@ -84,7 +84,7 @@ def run_all(rows: list[tuple]) -> dict[str, object]:
     operators["engine spill path (zone maps + late mat.)"] = \
         HistogramTopK(spec, K, MEMORY_ROWS,
                       spill_manager=SpillManager(backend=backends[0]),
-                      key_encoding="ovc", late_materialization=True)
+                      late_materialization=True)
 
     reference = None
     for name, operator in operators.items():

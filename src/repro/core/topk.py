@@ -41,7 +41,7 @@ from repro.obs.timeline import CutoffTimeline
 from repro.obs.trace import NULL_TRACER
 from repro.rows.batch import RowBatch, batches_from_rows, numeric_key_column
 from repro.rows.sortspec import SortSpec
-from repro.sorting.keycodec import compile_keycodec
+from repro.sorting.keycodec import binary_key_codec
 from repro.sorting.merge import Merger, MergePolicy
 from repro.sorting.quicksort_runs import QuicksortRunGenerator
 from repro.sorting.replacement_selection import (
@@ -56,6 +56,13 @@ logger = logging.getLogger(__name__)
 
 class HistogramTopK:
     """Top-k operator with histogram-guided eager input filtering.
+
+    The comparison substrate follows from ``sort_key`` alone
+    (:func:`~repro.sorting.keycodec.binary_key_codec`): a composite spec
+    (several columns, a nullable column, or a descending non-numeric
+    one) runs on order-preserving binary keys plus offset-value coded
+    merging; a bare-primitive spec or a callable runs on tuple keys.
+    ``cutoff_seed`` and :attr:`final_cutoff` live in that key space.
 
     Args:
         sort_key: A :class:`~repro.rows.sortspec.SortSpec` or a plain
@@ -112,19 +119,6 @@ class HistogramTopK:
             trajectory is recorded into :attr:`timeline`.  ``None`` (the
             default) uses the no-op tracer: untraced executions pay a
             single attribute-load-and-branch per *phase*, never per row.
-        key_encoding: ``"auto"`` (default), ``"ovc"`` or ``"tuple"``.
-            Controls the comparison substrate: ``"ovc"`` forces
-            order-preserving binary keys plus offset-value coded merging
-            (:mod:`repro.sorting.keycodec`, :mod:`repro.sorting.ovc`) and
-            raises :class:`~repro.errors.ConfigurationError` when the
-            sort spec cannot be encoded; ``"tuple"`` forces the classic
-            tuple keys; ``"auto"`` picks the binary encoding exactly when
-            the spec's tuple keys would be composite Python objects.
-            Output rows and ``rows_spilled`` are identical either way —
-            the encoding is order- and equality-preserving — only the
-            comparison costs differ.  Note that ``cutoff_seed`` and
-            :attr:`final_cutoff` live in whichever key space is active,
-            so seeds must come from an execution with the same encoding.
         late_materialization: Merge spilled runs as key-only *skeletons*
             (``(file, page, slot)`` references) and re-read the payload
             pages of the ≤ k winners in a final stitch step.  Effective
@@ -160,7 +154,6 @@ class HistogramTopK:
         cutoff_seed: Any = None,
         tracer=None,
         merge_read_ahead: int = 2,
-        key_encoding: str = "auto",
         histogram_sink: Callable[[Any], None] | None = None,
         cutoff_listener: Callable[[Any], None] | None = None,
         late_materialization: bool = False,
@@ -181,32 +174,12 @@ class HistogramTopK:
         self.sort_spec = sort_key if isinstance(sort_key, SortSpec) else None
         self._batch_key = (numeric_key_column(self.sort_spec)
                            if self.sort_spec is not None else None)
-        if key_encoding not in ("auto", "ovc", "tuple"):
-            raise ConfigurationError(
-                f"unknown key encoding {key_encoding!r} "
-                "(expected 'auto', 'ovc' or 'tuple')")
         #: The compiled binary key codec, or ``None`` when the operator
-        #: runs on tuple keys.  ``"auto"`` engages the codec exactly when
-        #: the spec's tuple keys are composite Python objects (multiple
-        #: columns, nullable, or a wrapped descending column) — the cases
-        #: where byte-string comparison beats tuple comparison; a bare
-        #: numeric key stays a tuple key so the vectorized batch admission
-        #: keeps working.  With a codec, ``sort_key`` *is* the encoder:
-        #: every key in the operator (runs, histograms, cutoff, seeds) is
-        #: an order-preserving byte string, and ``cutoff_seed`` /
-        #: :attr:`final_cutoff` live in that byte key space.
-        self.key_codec = None
-        if key_encoding != "tuple":
-            codec = (compile_keycodec(self.sort_spec)
-                     if self.sort_spec is not None else None)
-            if key_encoding == "ovc":
-                if codec is None:
-                    raise ConfigurationError(
-                        "key_encoding='ovc' requires a SortSpec whose "
-                        "column types all have binary key encoders")
-                self.key_codec = codec
-            elif codec is not None and codec.preferred:
-                self.key_codec = codec
+        #: runs on tuple keys.  With a codec, ``sort_key`` *is* the
+        #: encoder: every key in the operator (runs, histograms, cutoff,
+        #: seeds) is an order-preserving byte string; a bare numeric key
+        #: stays a tuple key so the vectorized batch admission works.
+        self.key_codec = binary_key_codec(sort_key)
         if self.key_codec is not None:
             self.sort_key = self.key_codec.encode
             self._batch_key = None
@@ -275,10 +248,9 @@ class HistogramTopK:
             k=needed, bucket_capacity=histogram_bucket_capacity,
             on_refine=on_refine)
         # Seeds live in the active key space (byte strings with a codec,
-        # tuples/raw values without).  A cost-based planner may choose a
-        # different encoding for a repeat of the query that produced the
-        # seed, so a space-mismatched seed is dropped rather than letting
-        # ``bytes``-vs-tuple comparisons blow up mid-scan.
+        # tuples/raw values without).  A caller-supplied seed from the
+        # other space is dropped rather than letting ``bytes``-vs-tuple
+        # comparisons blow up mid-scan.
         if cutoff_seed is not None \
                 and isinstance(cutoff_seed, bytes) \
                 != (self.key_codec is not None):

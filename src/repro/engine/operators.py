@@ -41,7 +41,7 @@ from repro.rows.batch import (
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortSpec
 from repro.sorting.external_sort import StreamingSorter
-from repro.sorting.keycodec import compile_keycodec
+from repro.sorting.keycodec import binary_key_codec, compile_keycodec
 from repro.sorting.merge import Merger
 from repro.sorting.runs import RunWriter
 from repro.storage.spill import SpillManager
@@ -717,11 +717,9 @@ class SortMergeJoin(_JoinBase):
                   ) -> Callable[[tuple], Any] | None:
         """The side's sort-key extractor: a preferred binary key codec's
         encoder, or ``None`` for raw join-column values."""
-        codec = compile_keycodec(
+        codec = binary_key_codec(
             SortSpec(node.schema, [node.schema.names[index]]))
-        if codec is not None and codec.preferred:
-            return codec.encode
-        return None
+        return codec.encode if codec is not None else None
 
     def rows(self) -> Iterator[tuple]:
         stats = self._reset()
@@ -871,8 +869,8 @@ AGGREGATE_FUNCS = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 
 
 class GroupedAggregate(Operator):
-    """Hash aggregation for GROUP BY / aggregate queries, optionally
-    fused into external-sort run generation.
+    """Hash aggregation for GROUP BY / aggregate queries, fused into
+    external-sort run generation.
 
     Standard SQL semantics: aggregates skip NULL inputs (``COUNT(*)``
     counts rows), an all-NULL group yields ``None`` for
@@ -895,14 +893,9 @@ class GroupedAggregate(Operator):
     with distinct groups per run, not input rows.  SUM/AVG totals over
     int columns stay in exact int arithmetic with one division at emit,
     so the merged result is bit-identical to the single-pass one.
-    ``fusion="postsort"`` instead externally sorts the raw rows by
-    group key and aggregates adjacent groups in a post-pass — the
-    Do/Graefe/Naughton baseline the fused mode is measured against.
-    With ``memory_rows=None`` (default) aggregation is a plain
-    unbounded in-memory hash pass.
+    With ``memory_rows=None`` (default) the same loop never spills: a
+    plain unbounded in-memory hash pass.
     """
-
-    FUSION_MODES = ("rungen", "postsort")
 
     def __init__(
         self,
@@ -912,12 +905,7 @@ class GroupedAggregate(Operator):
         select: Sequence[str],
         memory_rows: int | None = None,
         spill_manager: SpillManager | None = None,
-        fusion: str = "rungen",
     ):
-        if fusion not in self.FUSION_MODES:
-            raise ConfigurationError(
-                f"unknown aggregate fusion mode {fusion!r}; "
-                f"choose from {self.FUSION_MODES}")
         if memory_rows is not None and memory_rows <= 0:
             raise ConfigurationError("memory_rows must be positive")
         self.child = child
@@ -926,7 +914,6 @@ class GroupedAggregate(Operator):
         self.select = tuple(select)
         self.memory_rows = memory_rows
         self.spill_manager = spill_manager
-        self.fusion = fusion
         self._group_indexes = tuple(child.schema.index_of(name)
                                     for name in self.group_columns)
         self._agg_indexes = tuple(
@@ -967,17 +954,18 @@ class GroupedAggregate(Operator):
             by_name[agg.name] = column
         return Schema(by_name[name] for name in self.select)
 
+    @property
+    def fusion(self) -> str:
+        """Always ``"rungen"``: aggregation is fused into run generation."""
+        return "rungen"
+
     def rows(self) -> Iterator[tuple]:
         self.stats = OperatorStats()
         self.groups_out = 0
         self.groups_collapsed_rungen = 0
-        if self.memory_rows is None:
-            return self._aggregated(self.stats)
-        if self.fusion == "postsort":
-            return self._aggregated_postsort(self.stats)
-        return self._aggregated_fused(self.stats)
+        return self._aggregated(self.stats)
 
-    # -- accumulator plumbing (shared by all three paths) ------------------
+    # -- accumulator plumbing ----------------------------------------------
 
     def _new_accs(self) -> list:
         # Accumulator per aggregate: COUNT → int; SUM → number | None;
@@ -1030,26 +1018,6 @@ class GroupedAggregate(Operator):
     def _normalized(key: tuple) -> tuple:
         # NULL group keys sort last within each column, like ORDER BY.
         return tuple((v is None, v) for v in key)
-
-    # -- the unbounded in-memory pass --------------------------------------
-
-    def _aggregated(self, stats: OperatorStats) -> Iterator[tuple]:
-        group_indexes = self._group_indexes
-        groups: dict[tuple, list] = {}
-        for row in self.child.rows():
-            stats.rows_consumed += 1
-            key = tuple(row[i] for i in group_indexes)
-            accs = groups.get(key)
-            if accs is None:
-                accs = groups[key] = self._new_accs()
-            self._accumulate(accs, row)
-        if not groups and not self.group_columns:
-            # Global aggregate over an empty input still emits one row.
-            groups[()] = self._new_accs()
-        ordered = sorted(groups.items(),
-                         key=lambda item: self._normalized(item[0]))
-        for key, accs in ordered:
-            yield self._emit(key, accs, stats)
 
     # -- partial-aggregate rows (the fused path's spill currency) ----------
     #
@@ -1121,7 +1089,7 @@ class GroupedAggregate(Operator):
 
     # -- run-generation-fused aggregation ----------------------------------
 
-    def _aggregated_fused(self, stats: OperatorStats) -> Iterator[tuple]:
+    def _aggregated(self, stats: OperatorStats) -> Iterator[tuple]:
         group_indexes = self._group_indexes
         limit = self.memory_rows
         manager = self.spill_manager or SpillManager()
@@ -1134,7 +1102,7 @@ class GroupedAggregate(Operator):
             key = tuple(row[i] for i in group_indexes)
             accs = groups.get(key)
             if accs is None:
-                if len(groups) >= limit:
+                if limit is not None and len(groups) >= limit:
                     # Memory holds ``memory_rows`` distinct groups and a
                     # new one arrived: spill the collapsed partials as a
                     # run.  Rows of resident groups never trigger this —
@@ -1149,6 +1117,7 @@ class GroupedAggregate(Operator):
             self._accumulate(accs, row)
         if not runs:
             if not groups and not self.group_columns:
+                # Global aggregate over an empty input still emits one row.
                 groups[()] = self._new_accs()
             ordered = sorted(groups.items(),
                              key=lambda item: self._normalized(item[0]))
@@ -1166,48 +1135,9 @@ class GroupedAggregate(Operator):
             yield self._emit(tuple(partial[:width]),
                              self._accs_from_partial(partial), stats)
 
-    # -- the post-sort baseline --------------------------------------------
-
-    def _aggregated_postsort(self, stats: OperatorStats) -> Iterator[tuple]:
-        group_indexes = self._group_indexes
-        manager = self.spill_manager or SpillManager()
-        stats.io = manager.stats
-        normalized = self._normalized
-        sorter = StreamingSorter(
-            sort_key=lambda row: normalized(
-                tuple(row[i] for i in group_indexes)),
-            memory_rows=self.memory_rows, spill_manager=manager,
-            stats=stats)
-
-        def pairs() -> Iterator[tuple]:
-            for row in self.child.rows():
-                stats.rows_consumed += 1
-                yield normalized(tuple(row[i] for i in group_indexes)), row
-
-        sorter.consume_keyed(pairs())
-        stream = sorter.stream()
-        current_key = no_group = object()
-        current_raw: tuple = ()
-        accs: list = []
-        try:
-            for key, row in stream:
-                if key != current_key:
-                    if current_key is not no_group:
-                        yield self._emit(current_raw, accs, stats)
-                    current_key = key
-                    current_raw = tuple(row[i] for i in group_indexes)
-                    accs = self._new_accs()
-                self._accumulate(accs, row)
-            if current_key is not no_group:
-                yield self._emit(current_raw, accs, stats)
-            elif not self.group_columns:
-                yield self._emit((), self._new_accs(), stats)
-        finally:
-            stream.close()
-
     def analyze_details(self) -> dict:
         details = {"aggregate_groups_out": self.groups_out}
-        if self.memory_rows is not None and self.fusion == "rungen":
+        if self.memory_rows is not None:
             details["groups_collapsed_rungen"] = self.groups_collapsed_rungen
         return details
 
@@ -1300,12 +1230,7 @@ class GroupedTopKOperator(Operator):
         k: int,
         memory_rows: int = 100_000,
         spill_manager: SpillManager | None = None,
-        key_encoding: str = "auto",
     ):
-        if key_encoding not in ("auto", "ovc", "tuple"):
-            raise ConfigurationError(
-                f"unknown key encoding {key_encoding!r} "
-                "(expected 'auto', 'ovc' or 'tuple')")
         self.child = child
         self.schema = child.schema
         self.sort_spec = sort_spec
@@ -1314,26 +1239,11 @@ class GroupedTopKOperator(Operator):
         self.k = k
         self.memory_rows = memory_rows
         self.spill_manager = spill_manager
-        self.key_encoding = key_encoding
-        # The binary composite-key lowering (group bytes ‖ sort-key
-        # bytes) engages when both the group column and the sort spec
-        # compile to order-preserving byte encoders.  ``"auto"`` falls
-        # back to tuple keys when they don't; ``"ovc"`` insists.
-        self.group_encoder = None
-        self.value_encoder = None
-        if key_encoding != "tuple":
-            from repro.sorting.keycodec import compile_keycodec
-
-            group_codec = compile_keycodec(
-                SortSpec(child.schema, [group_column]))
-            value_codec = compile_keycodec(sort_spec)
-            if group_codec is not None and value_codec is not None:
-                self.group_encoder = group_codec.encode
-                self.value_encoder = value_codec.encode
-            elif key_encoding == "ovc":
-                raise ConfigurationError(
-                    "key_encoding='ovc' requires binary key encoders for "
-                    "the group column and every sort column")
+        # The binary composite-key lowering: group bytes ‖ sort-key
+        # bytes, merged by the OVC loser tree.
+        self.group_encoder = compile_keycodec(
+            SortSpec(child.schema, [group_column])).encode
+        self.value_encoder = compile_keycodec(sort_spec).encode
         self.stats = OperatorStats()
 
     def rows(self) -> Iterator[tuple]:
@@ -1354,9 +1264,8 @@ class GroupedTopKOperator(Operator):
         return (row for _group, row in operator.execute(self.child.rows()))
 
     def label(self) -> str:
-        encoding = "ovc" if self.group_encoder is not None else "tuple"
         return (f"GroupedTopK k={self.k} per {self.group_column} "
-                f"[{self.sort_spec!r}] encoding={encoding}")
+                f"[{self.sort_spec!r}]")
 
     def children(self) -> list["Operator"]:
         return [self.child]

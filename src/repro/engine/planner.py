@@ -4,14 +4,15 @@ Plans are intentionally simple — scan, optional filter, then either a
 top-k, a full sort, or a plain limit, then a projection.  The paper
 makes the top-k *algorithm* choice moot (the histogram operator adapts
 at runtime, Section 5.2), but everything *around* the operator is a
-genuine optimization problem: row vs batch vs vectorized vs sharded
-execution, tuple vs order-preserving-byte key encoding, merge fan-in,
-and worker count.  Those choices are made here by enumerating the
-eligible candidates and costing each with the
+genuine optimization problem: batch vs vectorized vs sharded
+execution, merge fan-in, and worker count.  Those choices are made here
+by enumerating the eligible candidates and costing each with the
 :class:`~repro.storage.costmodel.CostModel`, fed by the statistics
 catalog (:mod:`repro.stats`) when one is attached — with every historic
-knob (``vectorize=``, ``shards=``, ``key_encoding``, ``fan_in``,
-``path=``) retained as an override that pins the decision.
+knob (``vectorize=``, ``shards=``, ``fan_in``, ``path=``) retained as an
+override that pins the decision.  The key substrate is not a choice: it
+follows from the sort spec
+(:func:`~repro.sorting.keycodec.binary_key_codec`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.errors import PlanError, SchemaError
 from repro.rows.batch import numeric_key_column
 from repro.rows.schema import Column, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
-from repro.sorting.keycodec import compile_keycodec
+from repro.sorting.keycodec import binary_key_codec, compile_keycodec
 from repro.storage.costmodel import (
     CostModel,
     DEFAULT_COST_MODEL,
@@ -100,20 +101,13 @@ def vectorized_lowering_eligible(
     lowering (the sharded executor runs the same kernel per worker).
     Lowering requires every condition the kernels assume:
 
-    * the paper's histogram algorithm with no ablation options — except
-      ``key_encoding="auto"``, the row engine's default, under which the
-      binary key codec declines single-numeric-column specs anyway
-      (exactly the specs that lower); a forced ``"ovc"``/``"tuple"``
-      pins the query to the row engine;
+    * the paper's histogram algorithm with no ablation options;
     * no ``cutoff_seed`` (the kernels have no stale-seed detection;
       seeded repeats run on the row engine);
     * a single non-nullable numeric ORDER BY column, so batch key
       columns extract as float64 arrays (numpy present).
     """
-    options = {key: value
-               for key, value in (algorithm_options or {}).items()
-               if not (key == "key_encoding" and value == "auto")}
-    if algorithm != "histogram" or options:
+    if algorithm != "histogram" or algorithm_options:
         return False
     if cutoff_seed is not None:
         return False
@@ -154,7 +148,7 @@ class Candidate:
     """One costed physical alternative for a plain top-k plan."""
 
     path: str              # "batch" | "vectorized" | "sharded"
-    key_encoding: str      # "tuple" | "ovc" | "-" (vectorized paths)
+    keys: str              # "tuple" | "ovc" | "-" (vectorized paths)
     shards: int
     cost: PlanCost
     #: ``"eager"`` decodes full rows during the external merge;
@@ -167,8 +161,7 @@ class Candidate:
     fan_in: int | None = None
 
     def label(self) -> str:
-        encoding = "" if self.key_encoding == "-" \
-            else f"/{self.key_encoding}"
+        encoding = "" if self.keys == "-" else f"/{self.keys}"
         shards = f"x{self.shards}" if self.shards > 1 else ""
         lazy = "+lazy" if self.materialization == "lazy" else ""
         fan = f"@f{self.fan_in}" if self.fan_in is not None else ""
@@ -199,7 +192,7 @@ class PlanDecision:
         fan_in = cost.fan_in if cost.fan_in is not None else "-"
         lines = [
             (f"Planner: path={self.chosen.path} "
-             f"key_encoding={self.chosen.key_encoding} "
+             f"keys={self.chosen.keys} "
              f"fan_in={fan_in} shards={self.chosen.shards} "
              f"cost={cost.seconds:.4f}s [stats={self.stats_source}]"),
             (f"  estimated: rows_in={self.estimated_rows:.0f} "
@@ -355,10 +348,8 @@ class Planner:
         spill_manager_factory: Zero-argument factory for each query's spill
             substrate (lets a session share I/O accounting).
         algorithm_options: Extra keyword arguments for the top-k operator's
-            algorithm (e.g. ``sizing_policy=...``).  Any option beyond
-            ``key_encoding`` pins plans to the row engine, whose behavior
-            the knobs configure; an explicit ``key_encoding`` pins the
-            encoding decision.
+            algorithm (e.g. ``sizing_policy=...``).  Any option pins plans
+            to the row engine, whose behavior the knobs configure.
         vectorize: Allow lowering plain histogram top-k plans onto the
             vectorized numpy kernels (see
             :func:`vectorized_lowering_eligible`).  ``False`` pins every
@@ -385,16 +376,9 @@ class Planner:
         pushdown: Pin top-k cutoff pushdown below joins: ``True`` forces
             it on wherever it is valid, ``False`` disables it, ``None``
             (default) lets the cost model decide.
-        aggregate_fusion: GROUP BY execution strategy — ``"rungen"``
-            (default) fuses aggregation into run generation so memory
-            and spill scale with distinct groups, ``"postsort"``
-            aggregates in a pass over an external sort of the raw input
-            (the unfused baseline), ``"hash"`` keeps the legacy
-            unbounded in-memory hash aggregation.
     """
 
     JOIN_METHODS = ("auto", "hash", "merge")
-    AGGREGATE_FUSION_MODES = ("rungen", "postsort", "hash")
 
     def __init__(
         self,
@@ -410,7 +394,6 @@ class Planner:
         path: str | None = None,
         join_method: str = "auto",
         pushdown: bool | None = None,
-        aggregate_fusion: str = "rungen",
     ):
         self.memory_rows = memory_rows
         self.algorithm = algorithm
@@ -432,11 +415,6 @@ class Planner:
                 f"choose from {self.JOIN_METHODS}")
         self.join_method = join_method
         self.pushdown = pushdown
-        if aggregate_fusion not in self.AGGREGATE_FUSION_MODES:
-            raise PlanError(
-                f"unknown aggregate fusion mode {aggregate_fusion!r}; "
-                f"choose from {self.AGGREGATE_FUSION_MODES}")
-        self.aggregate_fusion = aggregate_fusion
         self._lazy_capable: bool | None = None
 
     def _supports_lazy_spill(self) -> bool:
@@ -521,24 +499,6 @@ class Planner:
 
     # -- candidate enumeration / costing ---------------------------------
 
-    def _encoding_candidates(self, spec: SortSpec) -> list[str]:
-        """Eligible key encodings for the row engine, pinned or costed."""
-        pinned = self.algorithm_options.get("key_encoding")
-        if pinned is not None and pinned != "auto":
-            return [pinned]
-        if self.algorithm != "histogram":
-            return ["tuple"]
-        codec = compile_keycodec(spec)
-        if codec is None:
-            return ["tuple"]
-        if codec.preferred:
-            # Composite specs: both encodings work; the cost model
-            # decides (comparison savings vs encode overhead).
-            return ["ovc", "tuple"]
-        # Bare-primitive specs: the codec declines by policy — byte
-        # keys would defeat the vectorized batch admission filter.
-        return ["tuple"]
-
     def _shard_counts(self, table: Table, shards: int | str) -> list[int]:
         """Worker counts worth costing (gated on table size)."""
         if shards == "auto":
@@ -585,34 +545,32 @@ class Planner:
         forced: list[str] = []
         pinned_fan_in = self.algorithm_options.get("fan_in")
 
-        def cost(path: str, encoding: str, n_shards: int = 1,
+        def cost(path: str, keys: str, n_shards: int = 1,
                  materialization: str = "eager",
                  fan_in: int | None = None) -> PlanCost:
             return self.cost_model.topk_plan_cost(
                 rows=rows, row_bytes=row_bytes, needed=needed,
                 memory_rows=memory_rows, path=path,
-                key_columns=key_columns,
-                key_encoding=encoding if encoding != "-" else "tuple",
-                desc_obj_columns=spec.desc_object_columns,
+                key_columns=key_columns, binary_keys=keys == "ovc",
                 fan_in=fan_in if fan_in is not None else pinned_fan_in,
                 shards=n_shards, materialization=materialization)
 
-        def costed(path: str, encoding: str, n_shards: int = 1,
+        def costed(path: str, keys: str, n_shards: int = 1,
                    materialization: str = "eager") -> Candidate:
             """One candidate with merge fan-in swept as a costed
             dimension: the unbounded default competes against a small
             ladder and only the cheapest rung survives, keeping the
             candidate count flat.  A pinned ``fan_in`` option skips
             the sweep (it is a directive, not a hint)."""
-            best = cost(path, encoding, n_shards, materialization)
+            best = cost(path, keys, n_shards, materialization)
             best_fan: int | None = None
             if pinned_fan_in is None and best.rows_spilled > 0:
                 for rung in MERGE_FAN_IN_LADDER:
-                    trial = cost(path, encoding, n_shards,
+                    trial = cost(path, keys, n_shards,
                                  materialization, fan_in=rung)
                     if trial.seconds < best.seconds:
                         best, best_fan = trial, rung
-            return Candidate(path, encoding, n_shards, best,
+            return Candidate(path, keys, n_shards, best,
                              materialization, fan_in=best_fan)
 
         # Enumeration order doubles as the cost tie-break (``min`` keeps
@@ -627,15 +585,15 @@ class Planner:
             candidates.append(costed("vectorized", "-"))
             for count in self._shard_counts(table, shards):
                 candidates.append(costed("sharded", "-", count))
-        # Lazy materialization needs ovc byte keys (the split pages
-        # store the encoded sort key next to each row id) and a spill
-        # backend whose codec writes split pages.
-        lazy_ok = self._supports_lazy_spill()
-        for encoding in self._encoding_candidates(spec):
-            candidates.append(costed("batch", encoding))
-            if lazy_ok and encoding == "ovc":
-                candidates.append(
-                    costed("batch", encoding, materialization="lazy"))
+        # The spec picks the row engine's key substrate (the baselines
+        # always sort tuple keys).  Lazy materialization needs ovc byte
+        # keys (the split pages store the encoded sort key next to each
+        # row id) and a spill backend whose codec writes split pages.
+        keys = ("ovc" if self.algorithm == "histogram"
+                and binary_key_codec(spec) is not None else "tuple")
+        candidates.append(costed("batch", keys))
+        if keys == "ovc" and self._supports_lazy_spill():
+            candidates.append(costed("batch", keys, materialization="lazy"))
 
         eligible = candidates
         if self.path is not None:
@@ -655,8 +613,6 @@ class Planner:
                 eligible = sharded
         if not self.vectorize:
             forced.append("vectorize=False")
-        if self.algorithm_options.get("key_encoding") not in (None, "auto"):
-            forced.append("key_encoding")
         if self.algorithm_options.get("fan_in") is not None:
             forced.append("fan_in")
 
@@ -699,8 +655,6 @@ class Planner:
             )
         else:
             options = dict(self.algorithm_options)
-            if self.algorithm == "histogram":
-                options["key_encoding"] = chosen.key_encoding
             if chosen.materialization == "lazy":
                 options["late_materialization"] = True
             if chosen.fan_in is not None:
@@ -803,7 +757,6 @@ class Planner:
                     k=query.limit,
                     memory_rows=memory_rows,
                     spill_manager=self.spill_manager_factory(),
-                    key_encoding=self._grouped_key_encoding(),
                 )
             elif (query.limit is not None
                     and shared == len(sort_columns)):
@@ -843,13 +796,6 @@ class Planner:
 
     # -- aggregate planning ----------------------------------------------
 
-    def _grouped_key_encoding(self) -> str:
-        """The session's key-encoding knob as it applies to grouped
-        top-k (``"auto"`` lets the operator pick the binary composite
-        lowering when the codecs compile)."""
-        encoding = self.algorithm_options.get("key_encoding", "auto")
-        return encoding if encoding is not None else "auto"
-
     def _plan_aggregate(self, query: ParsedQuery, node: Operator,
                         schema: Schema,
                         ns: "_JoinNamespace | None" = None) -> Operator:
@@ -878,18 +824,15 @@ class Planner:
             return resolve(ident)
 
         select = [output_name(name) for name in query.columns or []]
-        if group_columns and self.aggregate_fusion != "hash":
-            # Memory-governed grouping: "rungen" collapses duplicate
-            # group keys into in-buffer partial aggregates during run
-            # generation, "postsort" externally sorts the raw input and
-            # aggregates adjacent groups in a pass — both bounded by the
-            # session's memory budget.  Global aggregates (one group)
-            # never need either.
+        if group_columns:
+            # Memory-governed grouping: duplicate group keys collapse
+            # into in-buffer partial aggregates during run generation,
+            # bounded by the session's memory budget.  Global aggregates
+            # (one group) never need it.
             node = GroupedAggregate(
                 node, group_columns, aggregates, select,
                 memory_rows=self.memory_rows,
-                spill_manager=self.spill_manager_factory(),
-                fusion=self.aggregate_fusion)
+                spill_manager=self.spill_manager_factory())
         else:
             node = GroupedAggregate(node, group_columns, aggregates,
                                     select)
@@ -1074,12 +1017,8 @@ class Planner:
             if negate:
                 return lambda row: -float(row[index])
             return lambda row: float(row[index])
-        if chosen.key_encoding == "ovc":
-            codec = compile_keycodec(spec)
-            if codec is None:  # pragma: no cover - same types compiled
-                raise PlanError(
-                    "internal: pushdown key codec unavailable")
-            return codec.encode
+        if chosen.keys == "ovc":
+            return compile_keycodec(spec).encode
         return spec.key
 
     def _plan_join(self, query: ParsedQuery, left_table: Table,
@@ -1206,7 +1145,7 @@ class Planner:
 
         filter_row_s = self.cost_model.plan_compare_base_s
         if (topk_decision is not None
-                and topk_decision.chosen.key_encoding == "ovc"):
+                and topk_decision.chosen.keys == "ovc"):
             filter_row_s += self.cost_model.plan_key_encode_s
         needed = (query.limit + query.offset if plain_topk else None)
         decision = self._decide_join(
@@ -1288,7 +1227,6 @@ class Planner:
                     k=query.limit,
                     memory_rows=memory_rows,
                     spill_manager=self.spill_manager_factory(),
-                    key_encoding=self._grouped_key_encoding(),
                 )
             elif query.limit is not None:
                 operator = self._build_topk(

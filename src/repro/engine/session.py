@@ -109,10 +109,6 @@ class Database:
             ``"merge"``); ``"auto"`` (default) costs both.
         pushdown: Pin top-k cutoff pushdown below joins (``True`` on
             wherever valid, ``False`` off, ``None`` costed).
-        aggregate_fusion: GROUP BY strategy — ``"rungen"`` (default)
-            fuses aggregation into run generation, ``"postsort"``
-            aggregates over an external sort of the raw input,
-            ``"hash"`` keeps the legacy unbounded in-memory pass.
     """
 
     def __init__(
@@ -127,7 +123,6 @@ class Database:
         force_path: str | None = None,
         join_method: str = "auto",
         pushdown: bool | None = None,
-        aggregate_fusion: str = "rungen",
     ):
         self._tables: dict[str, Table] = {}
         self.stats_catalog = (stats_catalog if stats_catalog is not None
@@ -142,7 +137,6 @@ class Database:
             path=force_path,
             join_method=join_method,
             pushdown=pushdown,
-            aggregate_fusion=aggregate_fusion,
         )
 
     # -- registry -------------------------------------------------------------
@@ -310,17 +304,14 @@ class Database:
         * WHERE predicates bias the scanned distribution — only
           predicate-free executions harvest;
         * the sort key must be a single non-nullable column whose
-          normalized keys decode (raw values, negated numerics, or
-          ``Desc`` wrappers — not order-preserving byte strings).
+          normalized keys decode (raw values or negated numerics — not
+          order-preserving byte strings).
         """
         if query.predicates or query.join is not None:
             # Join output is not a column sample of the base table.
             return None
         spec = getattr(topk, "sort_spec", None)
         if spec is None or not hasattr(topk, "histogram_sink"):
-            return None
-        decision = topk.__dict__.get("decision")
-        if decision is not None and decision.chosen.key_encoding == "ovc":
             return None
         un_normalize = key_value_decoder(spec)
         if un_normalize is None:

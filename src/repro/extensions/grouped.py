@@ -49,7 +49,7 @@ class GroupedTopK:
             memory capacity; the per-group builder simply sees fewer rows).
         group_encoder: Optional row → bytes encoder of the group columns
             (order-preserving, prefix-free — a
-            :func:`~repro.keys.codec.compile_keycodec` encoder).  Given
+            :func:`~repro.sorting.keycodec.compile_keycodec` encoder).  Given
             together with ``value_encoder``, the operator runs in
             *binary composite key* mode: the run-generation sort key is
             ``group_bytes ‖ sort_bytes``, runs carry offset-value codes,

@@ -107,22 +107,6 @@ class SortSpec:
         """True when the spec is a single ascending column (fast paths)."""
         return len(self.columns) == 1 and self.columns[0].ascending
 
-    @property
-    def desc_object_columns(self) -> int:
-        """How many columns compile to :class:`Desc` wrappers (descending
-        non-numerics).  Each wrapper turns a C-level comparison into a
-        Python ``__lt__`` call, which the planner's cost model charges
-        for on tuple-encoded keys."""
-        count = 0
-        for column in self.columns:
-            if column.ascending:
-                continue
-            ctype = self.schema.column(column.name).type
-            if ctype not in (ColumnType.INT64, ColumnType.FLOAT64,
-                             ColumnType.DECIMAL):
-                count += 1
-        return count
-
     def comparator(self) -> Callable[[Sequence[Any], Sequence[Any]], int]:
         """Return a three-way comparator over rows (for tests and tools).
 
@@ -199,11 +183,12 @@ def _compile_key(schema: Schema, columns: tuple[SortColumn, ...]
 def key_value_decoder(spec: SortSpec) -> Callable[[Any], Any] | None:
     """Decoder from normalized single-column sort keys to column values.
 
-    The inverse of :func:`_compile_key` for the decodable cases —
-    ascending keys are raw values, descending numerics are negated,
-    descending non-numerics are :class:`Desc`-wrapped.  ``None`` when
-    keys don't decode (multi-column tuples, nullable ``(is_null, value)``
-    pairs).  Consumers: run-histogram harvesting and cutoff-seed
+    The inverse of :func:`_compile_key` for the specs that sort on tuple
+    keys — ascending keys are raw values, descending numerics are
+    negated.  ``None`` for every other spec (multi-column, nullable, or
+    descending non-numeric): those run on order-preserving byte keys
+    (:func:`~repro.sorting.keycodec.binary_key_codec`), which do not
+    decode.  Consumers: run-histogram harvesting and cutoff-seed
     validation, which need bucket boundaries / seed keys back in column
     value space to meet a statistics histogram.
     """
@@ -218,7 +203,7 @@ def key_value_decoder(spec: SortSpec) -> Callable[[Any], Any] | None:
     if schema_column.type in (ColumnType.INT64, ColumnType.FLOAT64,
                               ColumnType.DECIMAL):
         return lambda key: -key
-    return lambda key: key.value
+    return None
 
 
 def sort_spec(schema: Schema, *columns: SortColumn | str) -> SortSpec:

@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER
 from repro.rows.sortspec import SortSpec
-from repro.sorting.keycodec import compile_keycodec
+from repro.sorting.keycodec import binary_key_codec
 from repro.sorting.merge import Merger, MergePolicy
 from repro.sorting.quicksort_runs import QuicksortRunGenerator
 from repro.sorting.replacement_selection import (
@@ -35,6 +35,11 @@ RUN_GENERATORS = {
 class ExternalSort:
     """External merge sort over an arbitrary row stream.
 
+    The comparison substrate follows from ``sort_key``
+    (:func:`~repro.sorting.keycodec.binary_key_codec`): binary keys plus
+    the offset-value coded tree-of-losers merge for a composite
+    :class:`~repro.rows.sortspec.SortSpec`, tuple keys otherwise.
+
     Args:
         sort_key: A :class:`~repro.rows.sortspec.SortSpec` or a
             normalized sort-key extractor callable.
@@ -49,12 +54,6 @@ class ExternalSort:
             run generation and the merge phase open spans.
         merge_read_ahead: Pages of background prefetch per run during
             merging (real-I/O backends only); ``0`` disables it.
-        key_encoding: ``"auto"`` (default), ``"ovc"`` or ``"tuple"`` —
-            the comparison substrate, with the same semantics as
-            :class:`repro.core.topk.HistogramTopK`: binary keys plus the
-            offset-value coded tree-of-losers merge when the (SortSpec)
-            key is encodable and worth encoding.  A plain callable
-            ``sort_key`` always runs on tuple keys.
     """
 
     def __init__(
@@ -69,7 +68,6 @@ class ExternalSort:
         stats: OperatorStats | None = None,
         tracer=None,
         merge_read_ahead: int = 2,
-        key_encoding: str = "auto",
     ):
         try:
             generator_cls = RUN_GENERATORS[run_generation]
@@ -78,23 +76,9 @@ class ExternalSort:
                 f"unknown run generation algorithm {run_generation!r}; "
                 f"choose from {sorted(RUN_GENERATORS)}"
             ) from None
-        if key_encoding not in ("auto", "ovc", "tuple"):
-            raise ConfigurationError(
-                f"unknown key encoding {key_encoding!r} "
-                "(expected 'auto', 'ovc' or 'tuple')")
-        spec = sort_key if isinstance(sort_key, SortSpec) else None
-        resolved_key = sort_key.key if spec is not None else sort_key
-        self.key_codec = None
-        if key_encoding != "tuple":
-            codec = compile_keycodec(spec) if spec is not None else None
-            if key_encoding == "ovc":
-                if codec is None:
-                    raise ConfigurationError(
-                        "key_encoding='ovc' requires a SortSpec whose "
-                        "column types all have binary key encoders")
-                self.key_codec = codec
-            elif codec is not None and codec.preferred:
-                self.key_codec = codec
+        resolved_key = (sort_key.key if isinstance(sort_key, SortSpec)
+                        else sort_key)
+        self.key_codec = binary_key_codec(sort_key)
         if self.key_codec is not None:
             resolved_key = self.key_codec.encode
         self.stats = stats or OperatorStats()

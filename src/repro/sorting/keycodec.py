@@ -55,9 +55,10 @@ both — the property offset-value codes rely on.
 
 ``decode`` is unsupported **by design**: rows travel next to their keys
 everywhere in this library, so a decoder would only invite drift between
-two representations of the same ordering.  Specs that cannot be encoded
-(unknown column types from future schema growth) simply return ``None``
-from :func:`compile_keycodec` and callers fall back to tuple keys.
+two representations of the same ordering.
+
+Every column type has an encoder, so every spec compiles.  Whether a job
+*uses* the encoding is decided in one place, :func:`binary_key_codec`.
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ class KeyCodec:
 
     Attributes:
         columns: The spec's sort columns (for display).
-        preferred: Whether the auto policy should substitute this codec
-            for tuple keys: ``True`` unless the tuple key is already a
+        preferred: Whether jobs on this spec run on binary keys + the
+            OVC loser tree: ``True`` unless the tuple key is already a
             bare primitive (single non-nullable column, ascending or
             descending-numeric), whose C-level comparisons the encoding
             cannot beat — and which the vectorized batch paths rely on.
@@ -250,7 +251,7 @@ class KeyCodec:
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(schema: Schema, columns) -> KeyCodec | None:
+def _compile(schema: Schema, columns) -> KeyCodec:
     expressions: list[str] = []
     namespace: dict = {"KeyEncodingError": KeyEncodingError}
     for position, column in enumerate(columns):
@@ -261,12 +262,10 @@ def _compile(schema: Schema, columns) -> KeyCodec | None:
         if ctype is ColumnType.INT64:
             template = _INT_ASC if column.ascending else _INT_DESC
             expression = template.format(v=subscript)
-        elif ctype in _HELPER_FACTORIES:
+        else:
             helper = f"e{position}"
             namespace[helper] = _HELPER_FACTORIES[ctype](column.ascending)
             expression = f"{helper}({subscript})"
-        else:  # future column type: fall back to tuple keys
-            return None
         if schema_column.nullable:
             expression = (f"(NULL_FLAG if {subscript} is None "
                           f"else VALUE_FLAG + {expression})")
@@ -301,11 +300,24 @@ def _compile(schema: Schema, columns) -> KeyCodec | None:
                     encode=encode)
 
 
-def compile_keycodec(spec: SortSpec) -> KeyCodec | None:
-    """Compile ``spec`` to a :class:`KeyCodec`, or ``None`` if any of its
-    columns has no binary encoding (callers then keep tuple keys).
+def compile_keycodec(spec: SortSpec) -> KeyCodec:
+    """Compile ``spec`` to a :class:`KeyCodec`.
 
     Compilation is memoized on ``(schema, columns)``, so repeated plan
     construction reuses the same generated encoder.
     """
     return _compile(spec.schema, spec.columns)
+
+
+def binary_key_codec(sort_key) -> KeyCodec | None:
+    """The comparison substrate of a job sorting by ``sort_key``.
+
+    A :class:`~repro.rows.sortspec.SortSpec` whose codec is
+    :attr:`~KeyCodec.preferred` runs on binary keys + the OVC loser
+    tree: the codec is returned.  Bare-primitive specs and plain
+    callable keys run on tuple keys + the heap merge: ``None``.
+    """
+    if not isinstance(sort_key, SortSpec):
+        return None
+    codec = compile_keycodec(sort_key)
+    return codec if codec.preferred else None

@@ -78,12 +78,6 @@ class CostModel:
     plan_compare_column_s: float = 6.0e-8
     #: A comparison decided by offset-value codes alone (integer test).
     plan_compare_code_s: float = 1.5e-8
-    #: Surcharge per descending non-numeric column in a tuple-encoded
-    #: comparison: each one is a ``Desc`` wrapper whose ``__lt__`` is a
-    #: Python call instead of a C-level compare.  Calibrated from the
-    #: measured 1.5x OVC-vs-tuple gap on ``ORDER BY S DESC, T`` at 200k
-    #: rows (byte-string keys pay encoding once instead).
-    plan_compare_desc_obj_s: float = 2.5e-7
     #: Extra per-row cost of encoding an order-preserving binary key.
     plan_key_encode_s: float = 1.0e-7
     #: Fraction of merge comparisons an OVC tree resolves without a full
@@ -206,8 +200,7 @@ class CostModel:
         memory_rows: int,
         path: str,
         key_columns: int = 1,
-        key_encoding: str = "tuple",
-        desc_obj_columns: int = 0,
+        binary_keys: bool = False,
         fan_in: int | None = None,
         shards: int = 1,
         materialization: str = "eager",
@@ -221,9 +214,8 @@ class CostModel:
             memory_rows: The operator's memory budget.
             path: ``"batch"`` | ``"vectorized"`` | ``"sharded"``.
             key_columns: ORDER BY arity (tuple-comparison cost term).
-            key_encoding: ``"tuple"`` or ``"ovc"``.
-            desc_obj_columns: Descending non-numeric columns — ``Desc``
-                wrappers that make tuple comparisons pay a Python call.
+            binary_keys: Whether the plan sorts order-preserving binary
+                keys merged by the OVC loser tree (else tuple keys).
             fan_in: Merge fan-in (``None`` = unbounded single pass).
             shards: Worker processes (``"sharded"`` path only).
             materialization: ``"eager"`` (full rows through every merge
@@ -241,9 +233,8 @@ class CostModel:
             per_shard = self.topk_plan_cost(
                 rows=shard_rows, row_bytes=row_bytes, needed=needed,
                 memory_rows=memory_rows, path="vectorized",
-                key_columns=key_columns, key_encoding=key_encoding,
-                desc_obj_columns=desc_obj_columns, fan_in=fan_in,
-                shards=1)
+                key_columns=key_columns, binary_keys=binary_keys,
+                fan_in=fan_in, shards=1)
             startup = self.plan_shard_startup_s * shards
             feed = rows * self.plan_shard_feed_row_s
             final_merge = (shards * needed) * self.plan_row_s_vectorized
@@ -264,10 +255,9 @@ class CostModel:
             "vectorized": self.plan_row_s_vectorized,
         }[path]
         full_compare = (self.plan_compare_base_s
-                        + self.plan_compare_column_s * max(1, key_columns)
-                        + self.plan_compare_desc_obj_s * desc_obj_columns)
+                        + self.plan_compare_column_s * max(1, key_columns))
         cpu = rows * per_row
-        if key_encoding == "ovc":
+        if binary_keys:
             cpu += rows * self.plan_key_encode_s
             full_compare = (
                 self.plan_ovc_code_fraction * self.plan_compare_code_s

@@ -74,7 +74,32 @@ class TestDefaultChoices:
         plan = db.plan("SELECT * FROM R ORDER BY S, T, G LIMIT 500")
         decision = decision_of(plan)
         assert decision.chosen.path == "batch"
-        assert decision.chosen.key_encoding == "ovc"
+        assert decision.chosen.keys == "ovc"
+
+    def test_key_substrate_follows_the_spec(self, rows):
+        """Each spec gets exactly one ``batch`` candidate, whose key
+        substrate is the codec's ``preferred`` rule — no knob picks it."""
+        from repro.sorting.keycodec import compile_keycodec
+
+        schema = Schema([Column("K", ColumnType.FLOAT64),
+                         Column("N", ColumnType.FLOAT64, nullable=True),
+                         Column("S", ColumnType.STRING)])
+        table = [(row[0], None if row[1] % 10 == 0 else row[0], row[2])
+                 for row in rows]
+        db = Database(memory_rows=2_000)
+        db.register_table("R", schema, table, row_count=len(table))
+        for order_by, expected in (("K", "tuple"), ("N", "ovc"),
+                                   ("S DESC", "ovc"), ("S, K", "ovc")):
+            decision = decision_of(db.plan(
+                f"SELECT * FROM R ORDER BY {order_by} LIMIT 100"))
+            batch = [candidate for candidate in decision.candidates
+                     if candidate.path == "batch"]
+            assert [candidate.keys for candidate in batch] == [expected]
+            columns = [SortColumn(item.split()[0],
+                                  ascending=not item.endswith("DESC"))
+                       for item in order_by.split(", ")]
+            preferred = compile_keycodec(SortSpec(schema, columns)).preferred
+            assert (expected == "ovc") == preferred
 
     def test_auto_shards_stays_single_process_on_small_tables(self, rows):
         db = make_db(rows, shards="auto")
@@ -112,13 +137,6 @@ class TestOverrides:
         decision = decision_of(db.plan("SELECT * FROM R ORDER BY K "
                                        "LIMIT 200"))
         assert decision.chosen.path == "vectorized"
-
-    def test_pinned_key_encoding(self, rows):
-        db = make_db(rows, algorithm_options={"key_encoding": "tuple"})
-        decision = decision_of(db.plan("SELECT * FROM R ORDER BY S, T "
-                                       "LIMIT 100"))
-        assert decision.chosen.key_encoding == "tuple"
-        assert "key_encoding" in decision.forced
 
     def test_forced_path(self, rows):
         for path, expected in (("batch", TopK),
@@ -166,9 +184,11 @@ class TestEligibilityPredicate:
         assert not vectorized_lowering_eligible(
             self.spec("K"), algorithm_options={"run_generation": "loser"})
 
-    def test_auto_key_encoding_is_not_an_option(self):
-        assert vectorized_lowering_eligible(
-            self.spec("K"), algorithm_options={"key_encoding": "auto"})
+    def test_auto_key_encoding_is_not_an_option(self, rows):
+        # The spec picks the key substrate; no option selects it.
+        db = make_db(rows, algorithm_options={"key_encoding": "auto"})
+        with pytest.raises(TypeError):
+            db.sql("SELECT * FROM R ORDER BY S, T LIMIT 100")
 
     def test_cutoff_seed_pins_row_engine(self):
         assert not vectorized_lowering_eligible(self.spec("K"),
@@ -180,7 +200,7 @@ class TestExplainSurface:
         db = make_db(rows)
         text = db.explain("SELECT * FROM R ORDER BY K LIMIT 500")
         assert "Planner: path=vectorized" in text
-        assert "key_encoding=" in text
+        assert "keys=" in text
         assert "fan_in=" in text
         assert "cost=" in text
         assert "candidates:" in text
@@ -248,7 +268,6 @@ class TestStaleSeedSpaceGuard:
 
         spec = SortSpec(SCHEMA, [SortColumn("S"), SortColumn("T")])
         operator = HistogramTopK(sort_key=spec, k=10, memory_rows=100,
-                                 key_encoding="ovc",
                                  cutoff_seed=("sx", "tx"))
         assert operator.cutoff_seed is None  # tuple seed, byte key space
         output = list(operator.execute(iter(rows[:1000])))
@@ -297,10 +316,12 @@ class TestDifferentialPaths:
         assert results["batch"] == results["vectorized"]
 
     def test_encodings_byte_identical(self, rows):
+        # The planner's binary keys vs the same spec's tuple keys.
+        from repro.core.topk import topk
+
         sql = "SELECT * FROM R ORDER BY S, T DESC LIMIT 400"
-        outputs = []
-        for encoding in ("ovc", "tuple"):
-            db = make_db(
-                rows, algorithm_options={"key_encoding": encoding})
-            outputs.append(db.sql(sql).rows)
-        assert outputs[0] == outputs[1]
+        spec = SortSpec(SCHEMA, [SortColumn("S"),
+                                 SortColumn("T", ascending=False)])
+        assert decision_of(make_db(rows).plan(sql)).chosen.keys == "ovc"
+        assert make_db(rows).sql(sql).rows == topk(rows, 400, spec.key,
+                                                    2_000)

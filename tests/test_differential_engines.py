@@ -188,36 +188,38 @@ def test_offset_agreement(keys, k, offset, memory):
        ascending=st.booleans(),
        run_generation=st.sampled_from(
            ["replacement_selection", "quicksort"]),
-       key_encoding=st.sampled_from(["tuple", "ovc"]),
+       two_columns=st.booleans(),
        memory_bytes=st.one_of(st.none(), st.integers(40, 3_000)))
 @settings(max_examples=120, deadline=None)
 def test_batch_size_never_changes_rows_or_counters(
         n, seed, duplicates, k, offset, memory, drawn_batch_rows,
-        ascending, run_generation, key_encoding, memory_bytes):
+        ascending, run_generation, two_columns, memory_bytes):
     """Chunking is invisible: ``execute`` and ``execute_batches`` at any
     batch size emit the same rows *and* the same filter counters.
 
     Every arrival meets the live cutoff, interleaved with run
     generation, so where a row is eliminated (on arrival or at spill)
     cannot depend on which batch carried it.  Covers both regimes, the
-    vectorized prefilter (tuple keys on one numeric column) and the
-    per-row test (ovc keys), OFFSET, and the byte budget's mid-stream
-    switch from the priority queue to run generation.  Input sizes are
-    drawn directly (not as list lengths, which hypothesis keeps short)
-    so most examples overflow memory and spill.
+    vectorized prefilter (one numeric column: tuple keys) and the
+    per-row test (two columns: binary keys), OFFSET, and the byte
+    budget's mid-stream switch from the priority queue to run
+    generation.  Input sizes are drawn directly (not as list lengths,
+    which hypothesis keeps short) so most examples overflow memory and
+    spill.
     """
     import random
 
     rng = random.Random(seed)
     rows = make_rows([float(rng.randrange(-30, 30)) if duplicates
                       else rng.uniform(-1e6, 1e6) for _ in range(n)])
-    spec = make_spec(ascending)
+    spec = (SortSpec(SCHEMA, [SortColumn("K", ascending=ascending), "P"])
+            if two_columns else make_spec(ascending))
     oracle = sorted(rows, key=spec.key)[offset:offset + k]
 
     def make():
         return HistogramTopK(
             spec, k, memory, offset=offset, run_generation=run_generation,
-            key_encoding=key_encoding, memory_bytes=memory_bytes,
+            memory_bytes=memory_bytes,
             row_size=lambda row: 24 + row[1] % 40)
 
     def counters(engine):
@@ -227,6 +229,7 @@ def test_batch_size_never_changes_rows_or_counters(
                 engine.switched_to_external)
 
     reference = make()
+    assert (reference.key_codec is not None) == two_columns
     assert list(reference.execute(iter(rows))) == oracle
     assert reference.stats.rows_consumed == len(rows)
     for batch_rows in (1, drawn_batch_rows, 4_096):
@@ -353,6 +356,8 @@ def test_ovc_engines_match_tuple_engines(keys, k, memory, batch_rows,
                                          run_generation, fan_in):
     """OVC on vs off: byte-identical output and spill volume.
 
+    The spec itself runs on binary keys + the OVC loser tree; its
+    ``spec.key`` callable runs the same query on tuple keys + the heap.
     A multi-column descending spec makes the tuple keys maximally
     composite (``Desc`` wrappers + nested tuples) while the ``-40..40``
     key range forces long shared prefixes in the binary encoding — the
@@ -368,10 +373,10 @@ def test_ovc_engines_match_tuple_engines(keys, k, memory, batch_rows,
                              SortColumn("B", ascending=False)])
     oracle = sorted(rows, key=spec.key)[:k]
 
-    def run(key_encoding, batched):
+    def run(sort_key, batched):
         operator = HistogramTopK(
-            spec, k, memory, run_generation=run_generation,
-            fan_in=fan_in, key_encoding=key_encoding)
+            sort_key, k, memory, run_generation=run_generation,
+            fan_in=fan_in)
         if batched:
             out = list(operator.execute_batches(
                 batches_from_rows(rows, schema, batch_rows)))
@@ -379,8 +384,8 @@ def test_ovc_engines_match_tuple_engines(keys, k, memory, batch_rows,
             out = list(operator.execute(iter(rows)))
         return out, operator
 
-    out_tuple, eng_tuple = run("tuple", batched=False)
-    out_ovc, eng_ovc = run("ovc", batched=False)
+    out_tuple, eng_tuple = run(spec.key, batched=False)
+    out_ovc, eng_ovc = run(spec, batched=False)
     assert out_tuple == oracle
     assert out_ovc == oracle
     assert eng_ovc.key_codec is not None
@@ -390,17 +395,12 @@ def test_ovc_engines_match_tuple_engines(keys, k, memory, batch_rows,
     assert eng_ovc.stats.io.runs_written == \
         eng_tuple.stats.io.runs_written
 
-    out_tuple_b, eng_tuple_b = run("tuple", batched=True)
-    out_ovc_b, eng_ovc_b = run("ovc", batched=True)
+    out_tuple_b, eng_tuple_b = run(spec.key, batched=True)
+    out_ovc_b, eng_ovc_b = run(spec, batched=True)
     assert out_tuple_b == oracle
     assert out_ovc_b == oracle
     assert eng_ovc_b.stats.io.rows_spilled == \
         eng_tuple_b.stats.io.rows_spilled
-
-    # "auto" must pick the codec for this spec (composite tuple key).
-    out_auto, eng_auto = run("auto", batched=False)
-    assert out_auto == oracle
-    assert eng_auto.key_codec is not None
 
 
 def test_ovc_reduces_full_comparisons_on_multi_column_desc():
@@ -419,15 +419,15 @@ def test_ovc_reduces_full_comparisons_on_multi_column_desc():
     spec = SortSpec(schema, [SortColumn("A", ascending=False),
                              "B", SortColumn("C", ascending=False)])
 
-    def run(key_encoding):
+    def run(sort_key):
         operator = HistogramTopK(
-            spec, k=1_500, memory_rows=400, fan_in=8,
-            run_generation="quicksort", key_encoding=key_encoding)
+            sort_key, k=1_500, memory_rows=400, fan_in=8,
+            run_generation="quicksort")
         out = list(operator.execute(iter(rows)))
         return out, operator.stats
 
-    out_tuple, stats_tuple = run("tuple")
-    out_ovc, stats_ovc = run("ovc")
+    out_tuple, stats_tuple = run(spec.key)
+    out_ovc, stats_ovc = run(spec)
     assert out_tuple == out_ovc
     assert stats_tuple.io.rows_spilled == stats_ovc.io.rows_spilled
     assert stats_ovc.io.rows_spilled > 0  # the workload genuinely merges
@@ -487,8 +487,8 @@ def test_planner_choice_is_semantically_invisible(keys, k, memory,
 @settings(max_examples=40, deadline=None)
 def test_planner_choice_composite_keys_agree(keys, k, memory,
                                              first_desc):
-    """Composite string-led keys: the costed encoding pick (OVC) and
-    every forced path x encoding combination agree byte-for-byte."""
+    """Composite string-led keys: the costed plan (batch/ovc) and the
+    forced batch path agree byte-for-byte with the oracle."""
     schema = Schema([Column("S", ColumnType.STRING),
                      Column("K", ColumnType.INT64)])
     rows = [(f"g{key % 7}", int(key)) for key in keys]
@@ -504,9 +504,7 @@ def test_planner_choice_composite_keys_agree(keys, k, memory,
         return db.sql(sql).rows
 
     assert run() == oracle
-    for encoding in ("ovc", "tuple"):
-        assert run(force_path="batch",
-                   algorithm_options={"key_encoding": encoding}) == oracle
+    assert run(force_path="batch") == oracle
 
 
 @pytest.mark.slow_io
@@ -539,7 +537,6 @@ def test_zone_maps_and_late_materialization_agree(keys, k, memory, late):
             manager = SpillManager(backend=backend, page_bytes=256)
             operator = HistogramTopK(
                 spec, k, memory, spill_manager=manager,
-                key_encoding="ovc",
                 late_materialization=late_materialization)
             out = list(operator.execute(iter(rows)))
             io = operator.stats.io
@@ -578,7 +575,7 @@ def test_zone_maps_skip_pages_directed():
             manager = SpillManager(backend=backend, page_bytes=4096)
             operator = HistogramTopK(
                 spec, k, memory, spill_manager=manager,
-                key_encoding="ovc", late_materialization=late)
+                late_materialization=late)
             out = list(operator.execute(iter(rows)))
             io = operator.stats.io
             manager.close()

@@ -330,25 +330,30 @@ AGGREGATE_SQL = ("SELECT JK, COUNT(*), SUM(LV), MIN(LV), MAX(LV), "
                  "AVG(LV) FROM L GROUP BY JK")
 
 
-@given(rows=left_rows(max_size=120),
-       memory=st.sampled_from([2, 8, 100_000]))
+@given(rows=left_rows(max_size=120))
 @settings(max_examples=50, deadline=None)
-def test_fused_aggregation_differential(rows, memory):
-    """Run-generation-fused GROUP BY vs the post-sort pass vs the
-    legacy in-memory hash: identical outputs (AVG bit-identical by
-    exact-int accumulation), and fusion never spills more than the
-    post-sort pass — partial aggregates are at most one row per
-    (group, run), raw rows are one per input row."""
+def test_fused_aggregation_differential(rows):
+    """Run-generation-fused GROUP BY at a budget that spills hard (2
+    groups), one that spills lightly (8) and none (``None``: the loop
+    never flushes): each output equals the reference (AVG bit-identical
+    by exact-int accumulation), and partial aggregates — at most one
+    row per (group, run) — never outnumber the input rows."""
+    from repro.engine.operators import GroupedAggregate
+    from repro.storage.spill import SpillManager
+
     oracle = reference_aggregate(rows)
-    results = {}
-    for fusion in ("rungen", "postsort", "hash"):
-        db = make_db(rows, [], memory_rows=memory,
-                     aggregate_fusion=fusion)
-        results[fusion] = db.sql(AGGREGATE_SQL)
-    for fusion, result in results.items():
-        assert result.rows == oracle, fusion
-    assert (results["rungen"].stats.io.rows_spilled
-            <= results["postsort"].stats.io.rows_spilled)
+    planned = make_db(rows, []).plan(AGGREGATE_SQL)
+    assert isinstance(planned, GroupedAggregate)
+    for memory in (2, 8, None):
+        node = GroupedAggregate(planned.child, planned.group_columns,
+                                planned.aggregates, planned.select,
+                                memory_rows=memory,
+                                spill_manager=SpillManager())
+        assert list(node.rows()) == oracle, memory
+        spilled = node.stats.io.rows_spilled
+        assert spilled <= len(rows)
+        if memory is None:
+            assert spilled == 0
 
 
 # -- deterministic edge legs ---------------------------------------------
@@ -440,29 +445,24 @@ class TestEdges:
 
     def test_fused_aggregation_spills_strictly_less_at_scale(self):
         """Fusion's point: spilled partial aggregates (≤ one row per
-        group per run) undercut the post-sort pass's raw-row spill,
-        with identical output."""
+        group per run) undercut the raw rows an unfused post-sort pass
+        would spill, with the reference output."""
         import random
 
         rng = random.Random(7)
-        # More distinct groups than the memory budget, so both modes
-        # must spill — fusion spills partials, post-sort raw rows.
+        # More distinct groups than the memory budget, so aggregation
+        # must spill partials.
         rows = [(i, rng.randrange(5_000), rng.randrange(1_000))
                 for i in range(20_000)]
-
-        def run(fusion):
-            db = make_db(rows, [], memory_rows=500,
-                         aggregate_fusion=fusion)
-            return db.sql(AGGREGATE_SQL, explain_analyze=True)
-
-        fused = run("rungen")
-        postsort = run("postsort")
-        assert fused.rows == postsort.rows == reference_aggregate(rows)
-        assert fused.stats.io.rows_spilled > 0
-        assert (fused.stats.io.rows_spilled
-                < postsort.stats.io.rows_spilled)
+        db = make_db(rows, [], memory_rows=500)
+        fused = db.sql(AGGREGATE_SQL, explain_analyze=True)
+        assert fused.rows == reference_aggregate(rows)
+        assert 0 < fused.stats.io.rows_spilled < len(rows)
         rendered = fused.explain_analyze()
         assert "groups_collapsed_rungen" in rendered
+        # GROUP BY always fuses; there is no mode to pick.
+        with pytest.raises(TypeError):
+            Database(aggregate_fusion="postsort")
 
     @pytest.mark.slow_join
     def test_disk_scale_differential(self):

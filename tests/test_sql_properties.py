@@ -14,7 +14,8 @@ identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}",
                             fullmatch=True).filter(
     lambda name: name.upper() not in {
         "SELECT", "FROM", "WHERE", "AND", "ORDER", "BY", "LIMIT",
-        "OFFSET", "ASC", "DESC"})
+        "OFFSET", "ASC", "DESC", "PER", "JOIN", "ON", "INNER", "LEFT",
+        "OUTER", "GROUP"})
 
 operators = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 

@@ -126,7 +126,7 @@ def test_join_plan_matrix(join_dataset, join_type, join_method,
 
 
 GROUPED_PLANS = list(itertools.product(
-    ("tuple", "ovc", "auto"),   # grouped key encoding
+    ("tuple", "ovc", "auto"),   # key substrate; "auto" = the SQL plan
     (3, 40),                    # k per group
     (100, 100_000),             # memory budget
 ))
@@ -136,14 +136,30 @@ GROUPED_PLANS = list(itertools.product(
     "encoding,k,memory", GROUPED_PLANS,
     ids=[f"{e}-k{k}-mem{m}" for e, k, m in GROUPED_PLANS])
 def test_grouped_plan_matrix(join_dataset, encoding, k, memory):
+    """The planner's grouped top-k (binary composite keys) and the
+    operator on either key substrate all match the oracle."""
     from repro.engine.session import Database
+    from repro.extensions.grouped import GroupedTopK
+    from repro.rows.sortspec import SortSpec
+    from repro.sorting.keycodec import compile_keycodec
 
     left_schema, _right_schema, left, _right = join_dataset
-    db = Database(memory_rows=memory,
-                  algorithm_options={"key_encoding": encoding})
-    db.register_table("L", left_schema, left, row_count=len(left))
-    result = db.sql("SELECT * FROM L ORDER BY LV, LID "
-                    f"LIMIT {k} PER JK")
+    if encoding == "auto":
+        db = Database(memory_rows=memory)
+        db.register_table("L", left_schema, left, row_count=len(left))
+        rows = db.sql("SELECT * FROM L ORDER BY LV, LID "
+                      f"LIMIT {k} PER JK").rows
+    else:
+        spec = SortSpec(left_schema, ["LV", "LID"])
+        encoders = {}
+        if encoding == "ovc":
+            encoders = dict(
+                group_encoder=compile_keycodec(
+                    SortSpec(left_schema, ["JK"])).encode,
+                value_encoder=compile_keycodec(spec).encode)
+        operator = GroupedTopK(lambda row: row[1], spec.key, k, memory,
+                               **encoders)
+        rows = [row for _group, row in operator.execute(iter(left))]
     by_group = {}
     for row in left:
         by_group.setdefault(row[1], []).append(row)
@@ -152,4 +168,4 @@ def test_grouped_plan_matrix(join_dataset, encoding, k, memory):
                         key=lambda g: (g is None, g if g is not None else 0)):
         expected.extend(
             sorted(by_group[group], key=lambda r: (r[2], r[0]))[:k])
-    assert result.rows == expected
+    assert rows == expected
