@@ -1,20 +1,17 @@
 #!/usr/bin/env python
-"""Benchmark: streaming merge join + run-generation-fused GROUP BY.
+"""Benchmark: streaming merge join with run-generation cutoff pushdown.
 
-Two tentpole claims of ISSUE 10, measured on 1M-row skewed workloads:
+Measured on a 1M-row skewed workload: under the streaming sort-merge
+join, cutoff pushdown engages *during run generation* (the join's
+publisher sharpens the shared bound while sort-side rows arrive), so
+``merge+pushdown`` spills a fraction of the sort side that pushdown-off
+merge (the bound never moves before the sort finishes) writes in full —
+with byte-identical output.  The headline is
+``sort_side_spill_reduction`` (>= 2x wanted).
 
-* **Join leg** — under the streaming sort-merge join, cutoff pushdown
-  now engages *during run generation* (the join's publisher sharpens
-  the shared bound while sort-side rows arrive), so
-  ``merge+pushdown`` spills a fraction of the sort side that
-  pushdown-off merge (PR 8's behavior: the bound never moved before
-  the sort finished) writes in full — with byte-identical output.
-  The headline is ``sort_side_spill_reduction`` (>= 2x wanted).
-
-* **GROUP BY leg** — aggregation fused into run generation spills
-  partial aggregates (at most one row per group per run) instead of
-  raw input rows, so it spills fewer rows than the input holds, with
-  results identical to a plain-Python reference (exact-int SUM/AVG).
+GROUP BY is measured by the ``groupby_zipf`` workload of
+``benchmarks/perf/run.py``, which also checks its output against a
+plain-Python oracle.
 
 Results are written as JSON (default ``BENCH_groupjoin.json``) so CI
 can smoke-run with a tiny ``--rows`` budget and assert the file parses.
@@ -55,10 +52,6 @@ DIM_SCHEMA = Schema([
     Column("DK", ColumnType.INT64),
     Column("DV", ColumnType.INT64),
 ])
-GROUP_SCHEMA = Schema([
-    Column("GK", ColumnType.INT64),
-    Column("IV", ColumnType.INT64),
-])
 
 
 def make_join_tables(rows: int, dims: int, seed: int = 7):
@@ -70,15 +63,6 @@ def make_join_tables(rows: int, dims: int, seed: int = 7):
     fact = [(i, int(fk[i]), float(sv[i])) for i in range(rows)]
     dim = [(j, j * 10) for j in range(dims)]
     return fact, dim
-
-
-def make_group_table(rows: int, groups: int, seed: int = 11):
-    """Zipf-skewed group keys (a few giant groups, a long tail) over
-    int values — exact-int aggregation keeps results bit-identical."""
-    rng = np.random.default_rng(seed)
-    gk = (rng.zipf(1.5, size=rows) - 1) % groups
-    iv = rng.integers(0, 1_000, size=rows)
-    return [(int(gk[i]), int(iv[i])) for i in range(rows)]
 
 
 def join_counters(plan) -> tuple[int, int]:
@@ -119,52 +103,15 @@ def run_join_variant(fact, dim, *, k: int, memory_rows: int,
     }
 
 
-def run_group_by(rows, *, memory_rows: int) -> dict:
-    db = Database(memory_rows=memory_rows)
-    db.register_table("G", GROUP_SCHEMA, rows, row_count=len(rows))
-    sql = ("SELECT GK, COUNT(*), SUM(IV), MIN(IV), MAX(IV), AVG(IV) "
-           "FROM G GROUP BY GK")
-    started = time.perf_counter()
-    result = db.sql(sql)
-    seconds = time.perf_counter() - started
-    return {
-        "name": "rungen",
-        "seconds": round(seconds, 4),
-        "rows_spilled": result.stats.io.rows_spilled,
-        "bytes_written": result.stats.io.bytes_written,
-        "rows": result.rows,
-    }
-
-
-def reference_group_by(rows) -> list[tuple]:
-    """The GROUP BY output computed in plain Python."""
-    groups: dict[int, list[int]] = {}
-    for key, value in rows:
-        acc = groups.get(key)
-        if acc is None:
-            groups[key] = [1, value, value, value]
-        else:
-            acc[0] += 1
-            acc[1] += value
-            acc[2] = min(acc[2], value)
-            acc[3] = max(acc[3], value)
-    return [(key, count, total, low, high, total / count)
-            for key, (count, total, low, high) in sorted(groups.items())]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rows", type=int, default=1_000_000)
     parser.add_argument("--dims", type=int, default=1_000)
     parser.add_argument("--k", type=int, default=1_000)
     parser.add_argument("--memory-rows", type=int, default=10_000)
-    parser.add_argument("--groups", type=int, default=None,
-                        help="distinct group keys (default rows // 20)")
     parser.add_argument("--out", type=str,
                         default=str(REPO_ROOT / "BENCH_groupjoin.json"))
     args = parser.parse_args(argv)
-    groups = args.groups if args.groups is not None else \
-        max(2, args.rows // 20)
 
     fact, dim = make_join_tables(args.rows, args.dims)
     join_variants = []
@@ -183,41 +130,23 @@ def main(argv=None) -> int:
     reduction = (off["join_sort_rows_spilled"]
                  / max(on["join_sort_rows_spilled"], 1))
 
-    group_rows = make_group_table(args.rows, groups)
-    fused = run_group_by(group_rows, memory_rows=args.memory_rows)
-    print(f"{fused['name']:>16}: {fused['seconds']:8.3f}s  "
-          f"spilled rows={fused['rows_spilled']:>9}  "
-          f"bytes={fused['bytes_written']}")
-    group_identical = fused.pop("rows") == reference_group_by(group_rows)
-
     report = {
         "workload": {
             "rows": args.rows,
             "dim_rows": args.dims,
             "k": args.k,
             "memory_rows": args.memory_rows,
-            "groups": groups,
             "sort_value_distribution": "lognormal(0, 2)",
-            "group_key_distribution": "zipf(1.5)",
         },
         "join_variants": join_variants,
         "join_outputs_identical": join_identical,
         "sort_side_spill_reduction": round(reduction, 2),
-        "group_by": fused,
-        "group_output_matches_reference": group_identical,
-        "fused_spill_rows": fused["rows_spilled"],
-        "fused_spill_bytes": fused["bytes_written"],
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(f"\njoin outputs identical: {join_identical}")
     print(f"sort-side spill reduction (merge, off/on): {reduction:.1f}x")
-    print(f"group output matches reference: {group_identical}")
-    print(f"fused spill: {fused['rows_spilled']} of {args.rows} rows, "
-          f"{fused['bytes_written']} bytes")
     print(f"wrote {args.out}")
-    if not join_identical or not group_identical:
-        return 1
-    return 0
+    return 0 if join_identical else 1
 
 
 if __name__ == "__main__":

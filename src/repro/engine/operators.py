@@ -22,17 +22,20 @@ plan display.
 
 from __future__ import annotations
 
+import functools
 import heapq
+from math import inf
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.baselines.optimized_topk import OptimizedMergeSortTopK
 from repro.baselines.priority_queue_topk import PriorityQueueTopK
 from repro.baselines.traditional_topk import TraditionalMergeSortTopK
 from repro.core.topk import HistogramTopK
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PlanError
 from repro.obs.trace import NULL_TRACER
 from repro.rows.batch import (
     DEFAULT_BATCH_ROWS,
+    NUMERIC_TYPES,
     RowBatch,
     batches_from_rows,
     flatten,
@@ -868,6 +871,88 @@ class SortMergeJoin(_JoinBase):
 AGGREGATE_FUNCS = ("COUNT", "SUM", "MIN", "MAX", "AVG")
 
 
+@functools.lru_cache(maxsize=256)
+def _compile_fold(group_indexes: tuple[int, ...],
+                  specs: tuple[tuple[str, int | None], ...]
+                  ) -> tuple[Callable, tuple]:
+    """Generate the GROUP BY fold for one (group columns, aggregates)
+    pair; returns ``(fold, empty_state)``.
+
+    ``fold(rows, groups, limit, flush)`` folds one batch into ``groups``
+    (group-key tuple → flat state list, laid out as
+    :class:`GroupedAggregate` describes) and returns the dict it ends
+    with: when a new group arrives while ``groups`` holds ``limit``
+    entries, ``flush(groups)`` spills them and returns the empty dict to
+    continue with.
+
+    Like the key encoder in :mod:`repro.sorting.keycodec`, the body is
+    straight-line code with no per-row dispatch on function names, and
+    each argument column is loaded and NULL-tested once however many
+    aggregates read it.  SUM, MIN and MAX over one column start NULL
+    and all take the group's first non-NULL value, so one test of the
+    first such slot guards them all.  AVG's total starts at int 0, so
+    int columns stay exact until the one division at emit.
+    """
+    initial: list = []
+    counts: list[int] = []  # COUNT(*) slots
+    by_column: dict[int, list[tuple[str, int]]] = {}
+    for func, index in specs:
+        slot = len(initial)
+        if func == "AVG":
+            initial += [0, 0]
+        else:
+            initial.append(0 if func == "COUNT" else None)
+        if index is None:
+            counts.append(slot)
+        else:
+            by_column.setdefault(index, []).append((func, slot))
+
+    body = [f"state[{slot}] += 1" for slot in counts]
+    for index, uses in by_column.items():
+        value = f"v{index}"
+        body += [f"{value} = row[{index}]", f"if {value} is not None:"]
+        for func, slot in uses:
+            if func == "COUNT":
+                body.append(f"    state[{slot}] += 1")
+            elif func == "AVG":
+                body += [f"    state[{slot}] += {value}",
+                         f"    state[{slot + 1}] += 1"]
+        ordered = [(func, slot) for func, slot in uses
+                   if func in ("SUM", "MIN", "MAX")]
+        if not ordered:
+            continue
+        body.append(f"    if state[{ordered[0][1]}] is None:")
+        body += [f"        state[{slot}] = {value}" for _, slot in ordered]
+        body.append("    else:")
+        for func, slot in ordered:
+            if func == "SUM":
+                body.append(f"        state[{slot}] += {value}")
+            else:
+                test = "<" if func == "MIN" else ">"
+                body += [f"        if {value} {test} state[{slot}]:",
+                         f"            state[{slot}] = {value}"]
+
+    key = "".join(f"row[{index}]," for index in group_indexes)
+    source = "\n".join([
+        "def fold(rows, groups, limit, flush):",
+        "    get = groups.get",
+        "    for row in rows:",
+        f"        key = ({key})",
+        "        state = get(key)",
+        "        if state is None:",
+        "            if len(groups) >= limit:",
+        "                groups = flush(groups)",
+        "                get = groups.get",
+        f"            state = groups[key] = {initial!r}",
+        *("        " + line for line in body),
+        "    return groups",
+        "",
+    ])
+    namespace: dict = {}
+    exec(compile(source, "<group-fold>", "exec"), namespace)
+    return namespace["fold"], tuple(initial)
+
+
 class GroupedAggregate(Operator):
     """Hash aggregation for GROUP BY / aggregate queries, fused into
     external-sort run generation.
@@ -878,23 +963,32 @@ class GroupedAggregate(Operator):
     group, and a global aggregate (no GROUP BY) emits exactly one row
     even on empty input.  Output rows are emitted in group-key order
     (NULLs last) so the result is deterministic without an ORDER BY.
+    SUM and AVG take numeric columns only (INT64, FLOAT64, DECIMAL);
+    anything else is a :class:`~repro.errors.PlanError` at construction.
 
     ``select`` fixes the output column order: each item is either a
     group-by column name or the canonical name of an aggregate
     (``SUM(V)``, ``COUNT(*)``).
 
+    The input is read a batch at a time through ``child.batches()`` and
+    folded by one generated function per (group columns, aggregates)
+    (:func:`_compile_fold`).  Each group's state is one flat list laid
+    out like the tail of a spilled partial row — COUNT/SUM/MIN/MAX one
+    slot each, AVG an exact ``(total, count)`` pair — so a spill writes
+    ``key + tuple(state)`` and output rows come from that same layout.
+
     Memory governance (``memory_rows`` set): every aggregate function
     here is associative-mergeable, so duplicate group keys collapse
-    into in-buffer accumulators *during run generation* — when the
-    buffer reaches ``memory_rows`` distinct groups, it spills one run
-    of partial-aggregate rows (AVG as an exact ``(sum, count)`` pair)
-    sorted by group key, and the final merge re-combines partials of
-    the same key across run boundaries.  Memory and spill volume scale
-    with distinct groups per run, not input rows.  SUM/AVG totals over
-    int columns stay in exact int arithmetic with one division at emit,
-    so the merged result is bit-identical to the single-pass one.
-    With ``memory_rows=None`` (default) the same loop never spills: a
-    plain unbounded in-memory hash pass.
+    into in-buffer state *during run generation* — when the buffer holds
+    ``memory_rows`` distinct groups and a new one arrives, it spills one
+    run of partial-aggregate rows sorted by group key, and the final
+    merge re-combines partials of the same key across run boundaries in
+    run creation order.  Memory and spill volume scale with distinct
+    groups per run, not input rows.  SUM/AVG totals over int columns
+    stay in exact int arithmetic with one division at emit, so the
+    merged result is bit-identical to the single-pass one.  With
+    ``memory_rows=None`` (default) the same loop never spills: a plain
+    unbounded in-memory hash pass.
     """
 
     def __init__(
@@ -923,20 +1017,26 @@ class GroupedAggregate(Operator):
         self._specs = tuple((agg.func, index)
                             for agg, index in zip(self.aggregates,
                                                   self._agg_indexes))
-        group_names = {name: pos
-                       for pos, name in enumerate(self.group_columns)}
-        agg_names = {agg.name: pos
-                     for pos, agg in enumerate(self.aggregates)}
-        self._picks = tuple(
-            (True, group_names[name]) if name in group_names
-            else (False, agg_names[name])
-            for name in self.select)
         self.schema = self._output_schema(child.schema)
+        # The function owning each state slot (AVG owns two), and each
+        # output column as a ``(partial-row index, is_avg)`` pick.
+        width = len(self.group_columns)
+        slot_funcs: list[str] = []
+        picks = {name: (pos, False)
+                 for pos, name in enumerate(self.group_columns)}
+        for agg in self.aggregates:
+            picks.setdefault(agg.name, (width + len(slot_funcs),
+                                        agg.func == "AVG"))
+            slot_funcs += [agg.func] * (2 if agg.func == "AVG" else 1)
+        self._slot_funcs = tuple(slot_funcs)
+        self._picks = tuple(picks[name] for name in self.select)
+        self._fold, self._empty_state = _compile_fold(self._group_indexes,
+                                                      self._specs)
         self.stats = OperatorStats()
         #: Distinct groups produced on the most recent execution.
         self.groups_out = 0
-        #: Input rows absorbed into an existing in-buffer accumulator
-        #: during run generation (the fused path's collapse count).
+        #: Input rows absorbed into an existing in-buffer group during
+        #: run generation (the fused path's collapse count).
         self.groups_collapsed_rungen = 0
 
     def _output_schema(self, child_schema: Schema) -> Schema:
@@ -944,12 +1044,18 @@ class GroupedAggregate(Operator):
         for name in self.group_columns:
             by_name[name] = child_schema.column(name)
         for agg, index in zip(self.aggregates, self._agg_indexes):
+            source = None if index is None else child_schema.columns[index]
+            if (agg.func in ("SUM", "AVG")
+                    and source.type not in NUMERIC_TYPES):
+                raise PlanError(
+                    f"{agg.name}: column {source.name} is "
+                    f"{source.type.name}; SUM and AVG take INT64, "
+                    f"FLOAT64 or DECIMAL columns")
             if agg.func == "COUNT":
                 column = Column(agg.name, ColumnType.INT64, nullable=False)
             elif agg.func == "AVG":
                 column = Column(agg.name, ColumnType.FLOAT64, nullable=True)
             else:  # SUM / MIN / MAX keep the source type, made nullable
-                source = child_schema.columns[index]
                 column = Column(agg.name, source.type, nullable=True)
             by_name[agg.name] = column
         return Schema(by_name[name] for name in self.select)
@@ -965,54 +1071,14 @@ class GroupedAggregate(Operator):
         self.groups_collapsed_rungen = 0
         return self._aggregated(self.stats)
 
-    # -- accumulator plumbing ----------------------------------------------
-
-    def _new_accs(self) -> list:
-        # Accumulator per aggregate: COUNT → int; SUM → number | None;
-        # MIN/MAX → value | None; AVG → [total, count].  AVG's total
-        # starts at integer 0 (0 is the exact additive identity for
-        # every numeric type), so int columns accumulate in exact int
-        # arithmetic and divide exactly once at emit — which also makes
-        # the fused partial-aggregate merge bit-identical to the
-        # single-pass result.
-        return [[0, 0] if func == "AVG"
-                else (0 if func == "COUNT" else None)
-                for func, _ in self._specs]
-
-    def _accumulate(self, accs: list, row: tuple) -> None:
-        for pos, (func, index) in enumerate(self._specs):
-            if func == "COUNT":
-                if index is None or row[index] is not None:
-                    accs[pos] += 1
-                continue
-            value = row[index]
-            if value is None:
-                continue
-            if func == "AVG":
-                accs[pos][0] += value
-                accs[pos][1] += 1
-            elif accs[pos] is None:
-                accs[pos] = value
-            elif func == "SUM":
-                accs[pos] = accs[pos] + value
-            elif func == "MIN":
-                if value < accs[pos]:
-                    accs[pos] = value
-            else:  # MAX
-                if value > accs[pos]:
-                    accs[pos] = value
-
-    def _finalize(self, accs: list) -> list:
-        return [(acc[0] / acc[1] if acc[1] else None)
-                if func == "AVG" else acc
-                for (func, _), acc in zip(self._specs, accs)]
-
-    def _emit(self, key: tuple, accs: list, stats: OperatorStats) -> tuple:
-        finals = self._finalize(accs)
+    def _emit(self, partial: tuple, stats: OperatorStats) -> tuple:
+        """The output row of one group's partial row ``key + state``."""
         stats.rows_output += 1
         self.groups_out += 1
-        return tuple(key[pos] if is_group else finals[pos]
-                     for is_group, pos in self._picks)
+        return tuple(
+            (partial[pos] / partial[pos + 1] if partial[pos + 1] else None)
+            if is_avg else partial[pos]
+            for pos, is_avg in self._picks)
 
     @staticmethod
     def _normalized(key: tuple) -> tuple:
@@ -1021,47 +1087,18 @@ class GroupedAggregate(Operator):
 
     # -- partial-aggregate rows (the fused path's spill currency) ----------
     #
-    # A spilled partial row is ``group values + flattened accumulator
-    # state``: COUNT/SUM/MIN/MAX one slot each, AVG two (exact total,
-    # count).  Every function is associative and commutes with
-    # partitioning the input, so partials combine across run boundaries
-    # in any grouping — the merge combines them in run creation order,
-    # keeping the fold deterministic.
-
-    def _partial_row(self, key: tuple, accs: list) -> tuple:
-        parts = list(key)
-        for (func, _), acc in zip(self._specs, accs):
-            if func == "AVG":
-                parts.append(acc[0])
-                parts.append(acc[1])
-            else:
-                parts.append(acc)
-        return tuple(parts)
-
-    def _accs_from_partial(self, partial: tuple) -> list:
-        accs = []
-        pos = len(self._group_indexes)
-        for func, _ in self._specs:
-            if func == "AVG":
-                accs.append([partial[pos], partial[pos + 1]])
-                pos += 2
-            else:
-                accs.append(partial[pos])
-                pos += 1
-        return accs
+    # A spilled partial row is ``group values + flat state``.  Every
+    # function is associative and commutes with partitioning the input,
+    # so partials combine across run boundaries in any grouping — the
+    # merge combines them in run creation order, keeping the fold
+    # deterministic.
 
     def _combine_partials(self, earlier: tuple, later: tuple) -> tuple:
         width = len(self._group_indexes)
         parts = list(earlier[:width])
-        pos = width
-        for func, _ in self._specs:
-            if func == "AVG":
-                parts.append(earlier[pos] + later[pos])
-                parts.append(earlier[pos + 1] + later[pos + 1])
-                pos += 2
-                continue
+        for pos, func in enumerate(self._slot_funcs, width):
             mine, theirs = earlier[pos], later[pos]
-            if func == "COUNT":
+            if func in ("COUNT", "AVG"):  # counts and totals: never NULL
                 parts.append(mine + theirs)
             elif mine is None:
                 parts.append(theirs)
@@ -1073,7 +1110,6 @@ class GroupedAggregate(Operator):
                 parts.append(theirs if theirs < mine else mine)
             else:  # MAX
                 parts.append(theirs if theirs > mine else mine)
-            pos += 1
         return tuple(parts)
 
     def _flush_partials(self, groups: dict, manager: SpillManager,
@@ -1082,58 +1118,51 @@ class GroupedAggregate(Operator):
         ordered = sorted(groups.items(),
                          key=lambda item: self._normalized(item[0]))
         writer = RunWriter(manager, run_id)
-        for key, accs in ordered:
-            writer.write(self._normalized(key),
-                         self._partial_row(key, accs))
+        for key, state in ordered:
+            writer.write(self._normalized(key), key + tuple(state))
         return writer.close()
 
     # -- run-generation-fused aggregation ----------------------------------
 
     def _aggregated(self, stats: OperatorStats) -> Iterator[tuple]:
-        group_indexes = self._group_indexes
-        limit = self.memory_rows
+        fold = self._fold
+        limit = self.memory_rows if self.memory_rows is not None else inf
         manager = self.spill_manager or SpillManager()
         stats.io = manager.stats
-        groups: dict[tuple, list] = {}
         runs = []
-        next_run_id = 0
-        for row in self.child.rows():
-            stats.rows_consumed += 1
-            key = tuple(row[i] for i in group_indexes)
-            accs = groups.get(key)
-            if accs is None:
-                if limit is not None and len(groups) >= limit:
-                    # Memory holds ``memory_rows`` distinct groups and a
-                    # new one arrived: spill the collapsed partials as a
-                    # run.  Rows of resident groups never trigger this —
-                    # they fold into their accumulator in place.
-                    runs.append(self._flush_partials(groups, manager,
-                                                     next_run_id))
-                    next_run_id += 1
-                    groups = {}
-                accs = groups[key] = self._new_accs()
-            else:
-                self.groups_collapsed_rungen += 1
-            self._accumulate(accs, row)
+
+        def flush(full: dict) -> dict:
+            # Memory holds ``memory_rows`` distinct groups and a new one
+            # arrived: spill the collapsed partials as a run.  Rows of
+            # resident groups never trigger this — they fold in place.
+            runs.append(self._flush_partials(full, manager, len(runs)))
+            return {}
+
+        groups: dict[tuple, list] = {}
+        for batch in self.child.batches():
+            stats.rows_consumed += len(batch.rows)
+            groups = fold(batch.rows, groups, limit, flush)
+        # Every consumed row either opened a group or folded into one.
+        opened = len(groups) + sum(run.row_count for run in runs)
+        self.groups_collapsed_rungen = stats.rows_consumed - opened
         if not runs:
             if not groups and not self.group_columns:
                 # Global aggregate over an empty input still emits one row.
-                groups[()] = self._new_accs()
+                groups[()] = list(self._empty_state)
             ordered = sorted(groups.items(),
                              key=lambda item: self._normalized(item[0]))
-            for key, accs in ordered:
-                yield self._emit(key, accs, stats)
+            for key, state in ordered:
+                yield self._emit(key + tuple(state), stats)
             return
         if groups:
-            runs.append(self._flush_partials(groups, manager, next_run_id))
-        width = len(group_indexes)
+            flush(groups)
+        width = len(self._group_indexes)
         merger = Merger(
             sort_key=lambda partial: self._normalized(partial[:width]),
             spill_manager=manager, stats=stats)
         for _key, partial in merger.merge_aggregated(
                 runs, self._combine_partials):
-            yield self._emit(tuple(partial[:width]),
-                             self._accs_from_partial(partial), stats)
+            yield self._emit(partial, stats)
 
     def analyze_details(self) -> dict:
         details = {"aggregate_groups_out": self.groups_out}

@@ -33,8 +33,9 @@ from repro.rows.schema import ColumnType, Schema
 #: overhead to noise, small enough to stay cache- and latency-friendly.
 DEFAULT_BATCH_ROWS = 4_096
 
-#: Column types whose values can be extracted into a float64 key array.
-_NUMERIC_TYPES = (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL)
+#: The numeric column types: their values extract into a float64 key
+#: array, and they are the only types SUM and AVG accept.
+NUMERIC_TYPES = (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL)
 
 
 class RowBatch:
@@ -81,7 +82,7 @@ class RowBatch:
         array = None
         if np is not None:
             column = self.schema.columns[column_index]
-            if column.type in _NUMERIC_TYPES and not column.nullable:
+            if column.type in NUMERIC_TYPES and not column.nullable:
                 try:
                     array = np.fromiter(
                         map(operator.itemgetter(column_index), self.rows),
@@ -135,7 +136,7 @@ def numeric_key_column(sort_spec) -> tuple[int, bool] | None:
         return None
     column = sort_spec.columns[0]
     schema_column = sort_spec.schema.column(column.name)
-    if schema_column.type not in _NUMERIC_TYPES or schema_column.nullable:
+    if schema_column.type not in NUMERIC_TYPES or schema_column.nullable:
         return None
     return sort_spec.schema.index_of(column.name), not column.ascending
 

@@ -41,7 +41,6 @@ from tests.test_strategies import (
     LEFT_SCHEMA,
     RIGHT_SCHEMA,
     joined_tables,
-    left_rows,
     unique_key_tables,
 )
 
@@ -328,32 +327,6 @@ def reference_aggregate(rows):
 
 AGGREGATE_SQL = ("SELECT JK, COUNT(*), SUM(LV), MIN(LV), MAX(LV), "
                  "AVG(LV) FROM L GROUP BY JK")
-
-
-@given(rows=left_rows(max_size=120))
-@settings(max_examples=50, deadline=None)
-def test_fused_aggregation_differential(rows):
-    """Run-generation-fused GROUP BY at a budget that spills hard (2
-    groups), one that spills lightly (8) and none (``None``: the loop
-    never flushes): each output equals the reference (AVG bit-identical
-    by exact-int accumulation), and partial aggregates — at most one
-    row per (group, run) — never outnumber the input rows."""
-    from repro.engine.operators import GroupedAggregate
-    from repro.storage.spill import SpillManager
-
-    oracle = reference_aggregate(rows)
-    planned = make_db(rows, []).plan(AGGREGATE_SQL)
-    assert isinstance(planned, GroupedAggregate)
-    for memory in (2, 8, None):
-        node = GroupedAggregate(planned.child, planned.group_columns,
-                                planned.aggregates, planned.select,
-                                memory_rows=memory,
-                                spill_manager=SpillManager())
-        assert list(node.rows()) == oracle, memory
-        spilled = node.stats.io.rows_spilled
-        assert spilled <= len(rows)
-        if memory is None:
-            assert spilled == 0
 
 
 # -- deterministic edge legs ---------------------------------------------
