@@ -53,9 +53,9 @@ from repro.vectorized.runs import (  # noqa: E402
 )
 from repro.vectorized.topk import VectorizedHistogramTopK  # noqa: E402
 
-#: Spill-heavy proportions (matching ``bench_spill.py``): the output is
-#: far larger than the memory budget, so every engine genuinely writes
-#: sorted runs to disk.
+#: Spill-heavy proportions (the same as ``bench_zonemap.py``): the
+#: output is far larger than the memory budget, so every engine
+#: genuinely writes sorted runs to disk.
 MEMORY_FRACTION = 1 / 250
 K_FRACTION = 1 / 20
 

@@ -49,9 +49,9 @@ from repro.rows.sortspec import SortColumn, SortSpec  # noqa: E402
 from repro.storage.codec import TypedPageCodec  # noqa: E402
 from repro.storage.spill import DiskSpillBackend, SpillManager  # noqa: E402
 
-#: Spill-heavy proportions (mirrors ``bench_spill.py``): a large output
-#: relative to a small memory budget keeps the cutoff filter loose, so a
-#: sizable fraction of the wide rows genuinely reaches the disk.
+#: Spill-heavy proportions: a large output relative to a small memory
+#: budget keeps the cutoff filter loose, so a sizable fraction of the
+#: wide rows genuinely reaches the disk.
 MEMORY_FRACTION = 1 / 250
 K_FRACTION = 1 / 20
 

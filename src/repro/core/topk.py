@@ -153,7 +153,6 @@ class HistogramTopK:
         stats: OperatorStats | None = None,
         cutoff_seed: Any = None,
         tracer=None,
-        merge_read_ahead: int = 2,
         histogram_sink: Callable[[Any], None] | None = None,
         cutoff_listener: Callable[[Any], None] | None = None,
         late_materialization: bool = False,
@@ -191,9 +190,6 @@ class HistogramTopK:
         self.run_generation = run_generation
         self.fan_in = fan_in
         self.merge_policy = merge_policy
-        #: Pages of background prefetch per run during merging
-        #: (real-I/O spill backends only; ``0`` disables it).
-        self.merge_read_ahead = merge_read_ahead
         self.double_filter = double_filter
         if memory_bytes is not None and memory_bytes <= 0:
             raise ConfigurationError("memory_bytes must be positive")
@@ -553,7 +549,6 @@ class HistogramTopK:
             fan_in=self.fan_in,
             policy=self.merge_policy,
             tracer=self.tracer,
-            read_ahead=self.merge_read_ahead,
             ovc=self.key_codec is not None,
             stats=self.stats,
             retain_files=set(payload_files) if lazy else None,

@@ -418,8 +418,8 @@ class Planner:
         self._lazy_capable: bool | None = None
 
     def _supports_lazy_spill(self) -> bool:
-        """Whether the session's spill substrate writes key-split pages
-        (the prerequisite for lazy-materialization candidates).
+        """Whether the session's spill substrate writes pages with key
+        sections (the prerequisite for lazy-materialization candidates).
 
         Probed once through the factory and cached.  The probe manager is
         deliberately *not* closed: factories commonly share one

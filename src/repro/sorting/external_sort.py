@@ -52,8 +52,6 @@ class ExternalSort:
         stats: Shared operator counters.
         tracer: Optional :class:`repro.obs.trace.Tracer`; when enabled,
             run generation and the merge phase open spans.
-        merge_read_ahead: Pages of background prefetch per run during
-            merging (real-I/O backends only); ``0`` disables it.
     """
 
     def __init__(
@@ -67,7 +65,6 @@ class ExternalSort:
         merge_policy: MergePolicy = MergePolicy.LOWEST_KEYS_FIRST,
         stats: OperatorStats | None = None,
         tracer=None,
-        merge_read_ahead: int = 2,
     ):
         try:
             generator_cls = RUN_GENERATORS[run_generation]
@@ -99,7 +96,6 @@ class ExternalSort:
             fan_in=fan_in,
             policy=merge_policy,
             tracer=self.tracer,
-            read_ahead=merge_read_ahead,
             ovc=self.key_codec is not None,
             stats=self.stats,
         )
@@ -161,7 +157,6 @@ class StreamingSorter:
         stats: Shared operator counters (sort/merge comparisons; spill
             I/O lands on the manager's :class:`IOStats`).
         fan_in: Optional merge fan-in limit.
-        read_ahead: Pages of background prefetch per run while merging.
         compute_codes: Persist offset-value codes in runs and merge via
             the OVC tree of losers (binary-key feeds only).
     """
@@ -173,7 +168,6 @@ class StreamingSorter:
         spill_manager: SpillManager,
         stats: OperatorStats | None = None,
         fan_in: int | None = None,
-        read_ahead: int = 2,
         compute_codes: bool = False,
     ):
         if memory_rows <= 0:
@@ -183,7 +177,6 @@ class StreamingSorter:
         self._spill_manager = spill_manager
         self.stats = stats or OperatorStats()
         self._fan_in = fan_in
-        self._read_ahead = read_ahead
         self._compute_codes = compute_codes
         self._keys: list = []
         self._rows: list[tuple] = []
@@ -238,7 +231,6 @@ class StreamingSorter:
             sort_key=self._sort_key,
             spill_manager=self._spill_manager,
             fan_in=self._fan_in,
-            read_ahead=self._read_ahead,
             ovc=self._compute_codes,
             stats=self.stats,
         )

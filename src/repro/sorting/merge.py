@@ -54,7 +54,6 @@ def merge_keyed(
     runs: list[SortedRun],
     sort_key: Callable[[tuple], Any],
     sources: list[Iterator[tuple[Any, tuple]]] | None = None,
-    read_ahead: int = 0,
     stats: OperatorStats | None = None,
     cutoff: Any = None,
 ) -> Iterator[tuple[Any, tuple]]:
@@ -67,9 +66,10 @@ def merge_keyed(
     equal keys follows run position, making the merge stable with respect
     to run creation order.  ``sources`` substitutes a custom ``(key,
     row)`` iterator per run (used by offset skipping, which starts each
-    run mid-file); ``read_ahead > 0`` enables background page prefetch on
-    backends with real I/O.  Per-run iterators are closed on exit, so an
-    early-terminated merge releases any read-ahead threads immediately.
+    run mid-file).  Run scans read ahead on backends with real I/O
+    (:meth:`~repro.sorting.runs.SortedRun.keyed_rows`); per-run iterators
+    are closed on exit, so an early-terminated merge releases any
+    read-ahead threads immediately.
 
     ``stats``, when given, accumulates ``full_key_comparisons`` — a
     ``2 * log2(heap size)``-per-operation estimate of the key
@@ -89,8 +89,7 @@ def merge_keyed(
             if sources is not None:
                 iterator = iter(sources[order])
             else:
-                iterator = run.keyed_rows(sort_key, prefetch=read_ahead,
-                                          cutoff=cutoff)
+                iterator = run.keyed_rows(sort_key, cutoff=cutoff)
             iterators.append(iterator)
             first = next(iterator, None)
             if first is not None:
@@ -132,9 +131,6 @@ class Merger:
         tracer: Optional :class:`repro.obs.trace.Tracer`; when enabled,
             every intermediate merge step and the final merge open spans
             annotated with full/code-only comparison counts.
-        read_ahead: Pages of background prefetch per run scan (effective
-            only on backends with real I/O, e.g. the disk backend); ``0``
-            disables the read-ahead thread entirely.
         ovc: Merge with the offset-value coded tree of losers instead of
             the binary heap (binary-key engines only).
         stats: Operator counters receiving ``full_key_comparisons`` /
@@ -153,21 +149,17 @@ class Merger:
         fan_in: int | None = None,
         policy: MergePolicy = MergePolicy.LOWEST_KEYS_FIRST,
         tracer=None,
-        read_ahead: int = 2,
         ovc: bool = False,
         stats: OperatorStats | None = None,
         retain_files: set[int] | None = None,
     ):
         if fan_in is not None and fan_in < 2:
             raise ConfigurationError("merge fan-in must be at least 2")
-        if read_ahead < 0:
-            raise ConfigurationError("merge read-ahead must be >= 0")
         self._sort_key = sort_key
         self._spill_manager = spill_manager
         self._fan_in = fan_in
         self._policy = policy
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._read_ahead = read_ahead
         self._ovc = ovc
         self._stats = stats if stats is not None else OperatorStats()
         self._retain_files = retain_files if retain_files else set()
@@ -245,8 +237,7 @@ class Merger:
             self._next_intermediate_id += 1
             if self._ovc:
                 for key, row, code in merge_coded(
-                        runs, self._sort_key,
-                        read_ahead=self._read_ahead, stats=self._stats,
+                        runs, self._sort_key, stats=self._stats,
                         cutoff=cutoff):
                     if cutoff is not None and key > cutoff:
                         writer.truncated = True
@@ -258,7 +249,6 @@ class Merger:
                     writer.write(key, row, code)
             else:
                 for key, row in merge_keyed(runs, self._sort_key,
-                                            read_ahead=self._read_ahead,
                                             stats=self._stats,
                                             cutoff=cutoff):
                     if cutoff is not None and key > cutoff:
@@ -287,12 +277,10 @@ class Merger:
         if self._ovc:
             for key, row, _code in merge_coded(
                     runs, self._sort_key, sources=sources,
-                    read_ahead=self._read_ahead, stats=self._stats,
-                    cutoff=cutoff):
+                    stats=self._stats, cutoff=cutoff):
                 yield key, row
         else:
             yield from merge_keyed(runs, self._sort_key, sources=sources,
-                                   read_ahead=self._read_ahead,
                                    stats=self._stats, cutoff=cutoff)
 
     def merge_topk(
@@ -362,12 +350,10 @@ class Merger:
                 for run in runs:
                     if self._ovc:
                         skipped_rows, iterator = run.coded_rows_skipping(
-                            self._sort_key, skip_key,
-                            prefetch=self._read_ahead, cutoff=cutoff)
+                            self._sort_key, skip_key, cutoff=cutoff)
                     else:
                         skipped_rows, iterator = run.keyed_rows_skipping(
-                            self._sort_key, skip_key,
-                            prefetch=self._read_ahead, cutoff=cutoff)
+                            self._sort_key, skip_key, cutoff=cutoff)
                     self.offset_rows_skipped += skipped_rows
                     sources.append(iterator)
         remaining_offset = offset - self.offset_rows_skipped

@@ -82,7 +82,6 @@ def merge_coded(
     runs: list,
     encode: Callable[[tuple], bytes],
     sources: list[Iterator[tuple[bytes, tuple, int]]] | None = None,
-    read_ahead: int = 0,
     stats: Any = None,
     cutoff: bytes | None = None,
 ) -> Iterator[tuple[bytes, tuple, int]]:
@@ -111,9 +110,7 @@ def merge_coded(
             if sources is not None:
                 iterators.append(iter(sources[order]))
             else:
-                iterators.append(run.coded_rows(encode,
-                                                prefetch=read_ahead,
-                                                cutoff=cutoff))
+                iterators.append(run.coded_rows(encode, cutoff=cutoff))
         m = len(iterators)
         if m == 0:
             return

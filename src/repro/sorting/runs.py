@@ -99,34 +99,33 @@ class SortedRun:
         return self.file.rows(cutoff=cutoff)
 
     def keyed_rows(self, sort_key: Callable[[tuple], Any],
-                   prefetch: int = 0, start_page: int = 0,
+                   start_page: int = 0,
                    cutoff: Any = None) -> Iterator[tuple[Any, tuple]]:
         """Scan ``(key, row)`` pairs using the page-level key cache.
 
         Keys cached at write time are reused; otherwise they are computed
-        one page at a time.  ``prefetch`` enables background read-ahead
-        on backends with real I/O, in which case both page decode and key
-        computation happen on the read-ahead thread.  ``cutoff`` (binary
-        keys only) enables zone-map pruning: the scan stops at the first
-        page whose min key exceeds it, before decoding the page.
+        one page at a time.  This is the merge's scan, so it reads ahead
+        on backends with real I/O: both page decode and key computation
+        happen on the read-ahead thread.  ``cutoff`` (binary keys only)
+        enables zone-map pruning: the scan stops at the first page whose
+        min key exceeds it, before decoding the page.
         """
         transform = _ensure_keys(sort_key)
         for page in self.file.pages(start_page=start_page,
-                                    prefetch=prefetch,
+                                    prefetch=True,
                                     transform=transform,
                                     cutoff=cutoff):
             yield from zip(page.keys, page.rows)
 
     def coded_rows(self, encode: Callable[[tuple], bytes],
-                   prefetch: int = 0, start_page: int = 0,
-                   cutoff: Any = None
+                   start_page: int = 0, cutoff: Any = None
                    ) -> Iterator[tuple[bytes, tuple, int]]:
         """Scan ``(key, row, code)`` triples for the OVC merge.
 
-        Codes persisted at write time (typed codec, or the in-memory
+        Codes persisted at write time (the page codec, or the in-memory
         backend's page objects) are reused; otherwise they are recovered
-        page-at-a-time alongside the keys — on the read-ahead thread
-        when prefetching.  When the scan starts mid-file
+        page-at-a-time alongside the keys — on the read-ahead thread, as
+        in :meth:`keyed_rows`.  When the scan starts mid-file
         (``start_page > 0``), the first delivered row's stored code is
         relative to a row the caller never saw, so it is replaced by
         :data:`~repro.sorting.ovc.INITIAL_CODE`.  ``cutoff`` as in
@@ -135,7 +134,7 @@ class SortedRun:
         transform = _ensure_coded(encode)
         first = start_page > 0
         for page in self.file.pages(start_page=start_page,
-                                    prefetch=prefetch,
+                                    prefetch=True,
                                     transform=transform,
                                     cutoff=cutoff):
             if first and page.rows:
@@ -164,21 +163,21 @@ class SortedRun:
 
     def keyed_rows_skipping(
         self, sort_key: Callable[[tuple], Any], skip_key: Any,
-        prefetch: int = 0, cutoff: Any = None,
+        cutoff: Any = None,
     ) -> tuple[int, Iterator[tuple[Any, tuple]]]:
         """Keyed variant of :meth:`rows_skipping` (same skip rule)."""
         start, skipped = self._skip_start(skip_key)
-        return skipped, self.keyed_rows(sort_key, prefetch=prefetch,
-                                        start_page=start, cutoff=cutoff)
+        return skipped, self.keyed_rows(sort_key, start_page=start,
+                                        cutoff=cutoff)
 
     def coded_rows_skipping(
         self, encode: Callable[[tuple], bytes], skip_key: Any,
-        prefetch: int = 0, cutoff: Any = None,
+        cutoff: Any = None,
     ) -> tuple[int, Iterator[tuple[bytes, tuple, int]]]:
         """Coded variant of :meth:`rows_skipping` (same skip rule)."""
         start, skipped = self._skip_start(skip_key)
-        return skipped, self.coded_rows(encode, prefetch=prefetch,
-                                        start_page=start, cutoff=cutoff)
+        return skipped, self.coded_rows(encode, start_page=start,
+                                        cutoff=cutoff)
 
     def rows_skipping(self, skip_key: Any, cutoff: Any = None
                       ) -> tuple[int, Iterator[tuple]]:

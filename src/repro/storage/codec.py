@@ -1,67 +1,55 @@
-"""Typed page codecs: the spill wire format.
+"""The typed page codec: the spill wire format.
 
-Every page that reaches real storage passes through a codec.  The paper's
-algorithm already minimizes *how many* rows spill; this module minimizes
-what each surviving row costs on the wire and on the CPU:
+Every page that reaches real storage passes through
+:class:`TypedPageCodec`.  The paper's algorithm already minimizes *how
+many* rows spill; this module minimizes what each surviving row costs on
+the wire and on the CPU.
 
-* :class:`PickleCodec` — the compatibility format: one pickled row list
-  per page.  Always correct for any payload, but the hot path pays
-  ``pickle.dumps`` per page and the bytes carry pickle's framing.
-* :class:`TypedPageCodec` — a schema-driven columnar format: each column
-  is packed as a contiguous little-endian vector (``struct`` for fixed
-  widths, offset+blob for strings) with an optional NULL bitmap.  Pages
-  whose values defeat the declared types (an ``int`` in a FLOAT64
-  column, a ``datetime`` in a DATE column, an out-of-range integer)
-  fall back to the pickle format *per page*, so the codec is exact for
-  arbitrary payloads while the common, well-typed case never pickles.
+A page is one self-describing record: a fixed header, the optional
+sections its flags announce, then the row payload.
 
-Two outer wrappers make the format *page-skippable* and *payload-lazy*
-when the engine runs on order-preserving binary keys
-(:mod:`repro.sorting.keycodec`):
+* The **payload** is schema-driven columnar: each column is packed as a
+  contiguous little-endian vector (``struct`` for fixed widths,
+  offset+blob for strings) with an optional NULL bitmap.  A page whose
+  values defeat the declared types (an ``int`` in a FLOAT64 column, a
+  ``datetime`` in a DATE column, an out-of-range integer, a row of the
+  wrong length) pickles its rows instead, as does every page of a codec
+  built without a schema, so the round trip is exact for arbitrary
+  payloads while the common, well-typed case never pickles.
+* A **zone map** holds the page's min/max encoded sort key and its null
+  count.  A reader holding a cutoff key compares the min against it —
+  one ``bytes`` comparison, no decoding — and skips the page entirely
+  when ``min > cutoff`` (:func:`read_zone_map` peeks without decoding).
+* **Offset-value codes** (:mod:`repro.sorting.ovc`) are stored with the
+  rows, so the merge read path never recomputes them: recomputation
+  would re-touch exactly the key bytes the codes exist to skip.
+* A **key section** stores the encoded sort keys apart from the payload,
+  so a merge can decode only the keys and carry ``(file, page, slot)``
+  skeleton references instead of wide rows
+  (:func:`decode_page_skeleton`); the payload is decoded only for the
+  final winners, by the late-materialization stitch.
 
-* **Zone maps** (version 3) prepend the page's min/max encoded sort key
-  and its null count.  A reader holding a cutoff key compares the header
-  min against it — one ``bytes`` comparison, no decoding — and skips the
-  page body entirely when ``min > cutoff`` (:func:`read_zone_map` peeks
-  without decoding).
-* **Key/payload split** (version 4) stores the encoded sort keys (and
-  offset-value codes) *separated* from the row payload, so a merge can
-  decode only the key section and carry ``(file, page, slot)`` skeleton
-  references instead of wide rows (:func:`decode_page_skeleton`); the
-  payload section is decoded only for the final winners, by the
-  late-materialization stitch.
+Zone maps and key sections need one memcomparable ``bytes`` sort key per
+row (:mod:`repro.sorting.keycodec`); pages with tuple keys or no keys
+carry neither.
 
 Wire format (one page)::
 
-    byte 0        format version (0 = pickle, 1 = typed columnar,
-                  2 = offset-value-code wrapper, 3 = zone-map wrapper,
-                  4 = key/payload split)
-    --- version 0 ---------------------------------------------------
+    u8            version (PAGE_VERSION)
     u32           stated byte size (the page's accounting size)
-    ...           pickle.dumps(rows)
-    --- version 2 ---------------------------------------------------
-    u32           stated byte size
     u32           row count
-    rows x u64    offset-value codes (little-endian; see
-                  :mod:`repro.sorting.ovc`)
-    ...           a complete embedded page (any other version)
-    --- version 3 ---------------------------------------------------
-    u32           stated byte size
-    u32           row count
+    u8            section flags (FLAG_*)
+    --- FLAG_ZONE_MAP ------------------------------------------------
     u32           null count (rows whose leading sort column is NULL)
     u16 + bytes   min encoded sort key of the page
     u16 + bytes   max encoded sort key of the page
-    ...           a complete embedded page (any other version)
-    --- version 4 ---------------------------------------------------
-    u32           stated byte size
-    u32           row count
-    u8            1 when offset-value codes follow
-    [rows x u64]  offset-value codes, when flagged
+    --- FLAG_CODES ---------------------------------------------------
+    rows x u64    offset-value codes
+    --- FLAG_KEYS ----------------------------------------------------
     (rows+1)xu32  key offsets, then the key blob
-    ...           a complete embedded *payload* page (version 0 or 1)
-    --- version 1 ---------------------------------------------------
-    u32           stated byte size
-    u32           row count
+    --- payload, FLAG_PICKLED ----------------------------------------
+    ...           pickle.dumps(rows)
+    --- payload, otherwise (typed columnar) --------------------------
     u16           column count
     per column:   u8 type code, u8 flags (bit 0: NULL bitmap present)
     per column:   [ceil(rows/8) bitmap bytes]   when flag bit 0
@@ -71,14 +59,17 @@ Wire format (one page)::
                   STRING                        (rows+1) x u32 offsets,
                                                 then the UTF-8 blob
 
-The *stated byte size* carries the page's accounting size (estimated row
-bytes) through the round trip so that :class:`~repro.storage.stats.IOStats`
-counters stay identical across storage backends and codecs; the physical
-payload length is tracked separately as ``bytes_encoded``/``bytes_decoded``.
+All integers are little-endian.  The *stated byte size* carries the
+page's accounting size (estimated row bytes) through the round trip so
+that :class:`~repro.storage.stats.IOStats` counters stay identical
+across storage backends; the physical payload length is tracked
+separately as ``bytes_encoded``/``bytes_decoded``.
 
-Decoding is self-describing: :func:`decode_page` dispatches on the
-version byte alone, so one spill file may mix typed and fallback pages.
-An unknown version byte (a corrupted or foreign file) raises
+Decoding needs no schema: :func:`decode_page`,
+:func:`decode_page_skeleton` and :func:`read_zone_map` share one header
+parse, and one spill file may mix typed and pickled pages.  A corrupted
+or foreign page — unknown version byte or flags, truncated sections, a
+body that disagrees with its row count — raises
 :class:`~repro.errors.SpillError` instead of unpickling garbage.
 """
 
@@ -94,24 +85,21 @@ from repro.errors import SpillError
 from repro.rows.schema import ColumnType, Schema
 from repro.storage.pages import Page
 
-#: Version byte of the pickle (fallback) page format.
-FORMAT_PICKLE = 0
-#: Version byte of the typed columnar page format.
-FORMAT_TYPED = 1
-#: Version byte of the offset-value-code wrapper: a u64 LE code vector
-#: followed by a complete embedded page in any other format.
-FORMAT_OVC = 2
-#: Version byte of the zone-map wrapper: min/max encoded sort key and
-#: null count, followed by a complete embedded page in any other format.
-FORMAT_ZONEMAP = 3
-#: Version byte of the key/payload split page: sort keys (and optional
-#: offset-value codes) stored apart from an embedded payload page, so
-#: readers can decode keys without touching the payload.
-FORMAT_SPLIT = 4
+#: Version byte of the page layout.
+PAGE_VERSION = 1
+#: Fixed page header: version, stated byte size, row count, section flags.
+PAGE_HEADER = struct.Struct("<BIIB")
+
+#: Section flags (header byte 9).
+FLAG_ZONE_MAP = 1
+FLAG_CODES = 2
+FLAG_KEYS = 4
+#: The payload is ``pickle.dumps(rows)`` rather than typed columns.
+FLAG_PICKLED = 8
+_ALL_FLAGS = FLAG_ZONE_MAP | FLAG_CODES | FLAG_KEYS | FLAG_PICKLED
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_PREFIX = struct.Struct("<BI")  # version byte + stated byte size
 
 #: On-wire type codes (stable; append-only).
 _TYPE_CODES = {
@@ -129,44 +117,37 @@ _INT64_MAX = (1 << 63) - 1
 
 
 class _Fallback(Exception):
-    """Internal: this page cannot be encoded in the typed format."""
-
-
-class PickleCodec:
-    """The always-correct fallback format (version byte 0)."""
-
-    def encode(self, page: Page) -> bytes:
-        return (_PREFIX.pack(FORMAT_PICKLE, page.byte_size)
-                + pickle.dumps(page.rows, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def decode(self, payload: bytes) -> Page:
-        return decode_page(payload)
+    """Internal: this page's rows cannot be encoded as typed columns."""
 
 
 class TypedPageCodec:
-    """Schema-driven columnar codec with per-page pickle fallback.
+    """Schema-driven columnar page codec with a per-page pickle fallback.
 
     Args:
         schema: Declared column types; drives the per-column packers.
-        zone_maps: Wrap pages carrying binary (``bytes``) sort keys in a
-            zone-map header so readers can skip them against a cutoff
+            Without one, every payload pickles (still exact for any
+            rows); the sections below work the same either way.
+        zone_maps: Give pages carrying binary (``bytes``) sort keys a
+            zone-map section so readers can skip them against a cutoff
             without decoding.
-        late_materialization: Write key/payload-split pages so merges can
-            decode only the key section (skeleton reads); requires the
-            reader side to stitch payloads back for the winners.
+        late_materialization: Give pages carrying binary sort keys a key
+            section so merges can decode only the keys (skeleton reads);
+            requires the reader side to stitch payloads back for the
+            winners.
         null_key_prefix: The byte prefix the key encoding uses for a NULL
             leading sort column (``b"\\x01"`` for the nullable encoding of
             :mod:`repro.sorting.keycodec`); drives the zone-map null
             count.  ``None`` means no nullable prefix — null count 0.
 
     Attributes:
-        fallback_pages: Pages that fell back to the pickle format because
-            a value defeated its declared type — the ablation counter for
-            "pickle retained only as the fallback".
-        typed_pages: Pages encoded in the columnar format.
+        fallback_pages: Pages whose payload pickled — every page without
+            a schema, otherwise only pages where a value defeated its
+            declared type.
+        typed_pages: Pages whose payload is typed columns.
     """
 
-    def __init__(self, schema: Schema, *, zone_maps: bool = True,
+    def __init__(self, schema: Schema | None = None, *,
+                 zone_maps: bool = True,
                  late_materialization: bool = False,
                  null_key_prefix: bytes | None = None):
         self.schema = schema
@@ -175,144 +156,82 @@ class TypedPageCodec:
         self.null_key_prefix = null_key_prefix
         self.fallback_pages = 0
         self.typed_pages = 0
-        self._pickle = PickleCodec()
-        self._encoders: list[tuple[int, bool, Callable]] = [
-            (_TYPE_CODES[column.type], column.nullable,
-             _COLUMN_ENCODERS[column.type])
-            for column in schema.columns
-        ]
+        self._encoders: list[tuple[int, bool, Callable]] | None = None
+        if schema is not None:
+            self._encoders = [
+                (_TYPE_CODES[column.type], column.nullable,
+                 _COLUMN_ENCODERS[column.type])
+                for column in schema.columns
+            ]
 
     def encode(self, page: Page) -> bytes:
+        rows = page.rows
+        count = len(rows)
         keys = page.keys
-        # Both wrappers require one memcomparable ``bytes`` key per row;
-        # tuple keys (or absent keys) take the original formats.
-        keyed = (keys is not None and len(keys) == len(page.rows)
-                 and len(page.rows) > 0 and type(keys[0]) is bytes)
-        if self.late_materialization and keyed:
-            # The split header carries the codes itself — no OVC wrapper.
-            payload = self._encode_split(page)
-        else:
-            payload = self._encode_rows(page)
-            if page.codes is not None and len(page.codes) == len(page.rows):
-                # Persist the offset-value codes in front of the page so
-                # the merge read path never recomputes them (recomputation
-                # would re-touch exactly the key bytes the codes exist to
-                # skip).
-                payload = (_PREFIX.pack(FORMAT_OVC, page.byte_size)
-                           + _U32.pack(len(page.codes))
-                           + struct.pack(f"<{len(page.codes)}Q", *page.codes)
-                           + payload)
+        keyed = (keys is not None and len(keys) == count and count > 0
+                 and type(keys[0]) is bytes)
+        flags = 0
+        sections = []
         if self.zone_maps and keyed:
-            wrapped = self._zone_wrap(page, keys, payload)
-            if wrapped is not None:
-                return wrapped
-        return payload
+            zone_map = self._zone_map_section(keys)
+            if zone_map is not None:
+                flags |= FLAG_ZONE_MAP
+                sections.append(zone_map)
+        codes = page.codes
+        if codes is not None and len(codes) == count:
+            flags |= FLAG_CODES
+            sections.append(struct.pack(f"<{count}Q", *codes))
+        if self.late_materialization and keyed:
+            flags |= FLAG_KEYS
+            sections.append(_pack_blobs(keys))
+        try:
+            payload = self._typed_payload(rows)
+            self.typed_pages += 1
+        except _Fallback:
+            flags |= FLAG_PICKLED
+            payload = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+            self.fallback_pages += 1
+        return b"".join([
+            PAGE_HEADER.pack(PAGE_VERSION, page.byte_size, count, flags),
+            *sections, payload])
 
-    def _zone_wrap(self, page: Page, keys: list,
-                   payload: bytes) -> bytes | None:
+    def _zone_map_section(self, keys: list[bytes]) -> bytes | None:
         low, high = min(keys), max(keys)
         if len(low) > 0xFFFF or len(high) > 0xFFFF:
             # A u16-overflowing boundary key cannot be stored exactly, and
-            # truncating ``max`` would be unsound — skip the wrapper.
+            # truncating ``max`` would be unsound — write no zone map.
             return None
         nulls = 0
         if self.null_key_prefix:
             nulls = sum(1 for key in keys
                         if key.startswith(self.null_key_prefix))
-        return (_PREFIX.pack(FORMAT_ZONEMAP, page.byte_size)
-                + _U32.pack(len(keys)) + _U32.pack(nulls)
-                + _U16.pack(len(low)) + low
-                + _U16.pack(len(high)) + high
-                + payload)
+        return (_U32.pack(nulls) + _U16.pack(len(low)) + low
+                + _U16.pack(len(high)) + high)
 
-    def _encode_split(self, page: Page) -> bytes:
-        keys = page.keys
-        codes = (page.codes if page.codes is not None
-                 and len(page.codes) == len(page.rows) else None)
-        parts = [
-            _PREFIX.pack(FORMAT_SPLIT, page.byte_size),
-            _U32.pack(len(keys)),
-            b"\x01" if codes is not None else b"\x00",
-        ]
-        if codes is not None:
-            parts.append(struct.pack(f"<{len(codes)}Q", *codes))
-        offsets = [0]
-        total = 0
-        for key in keys:
-            total += len(key)
-            offsets.append(total)
-        parts.append(struct.pack(f"<{len(offsets)}I", *offsets))
-        parts.extend(keys)
-        parts.append(self._encode_rows(page))
+    def _typed_payload(self, rows: list[tuple]) -> bytes:
+        encoders = self._encoders
+        if encoders is None:
+            raise _Fallback
+        width = len(encoders)
+        if rows and set(map(len, rows)) != {width}:
+            # Rows of another arity (a projection upstream, or ragged
+            # outside input) would lose or misplace values as columns.
+            raise _Fallback
+        parts = [_U16.pack(width)]
+        for code, nullable, _encoder in encoders:
+            parts.append(struct.pack("<BB", code, 1 if nullable else 0))
+        columns = list(zip(*rows)) if rows else [()] * width
+        for column, (code, nullable, encoder) in zip(columns, encoders):
+            if nullable:
+                parts.append(_null_bitmap(column))
+                column = [_DEFAULTS[code] if value is None else value
+                          for value in column]
+            parts.append(encoder(column))
         return b"".join(parts)
 
-    def _encode_rows(self, page: Page) -> bytes:
-        rows = page.rows
-        if rows and len(rows[0]) != len(self._encoders):
-            # Arity drift (projection upstream): not this schema's pages.
-            self.fallback_pages += 1
-            return self._pickle.encode(page)
-        try:
-            parts = [
-                _PREFIX.pack(FORMAT_TYPED, page.byte_size),
-                _U32.pack(len(rows)),
-                _U16.pack(len(self._encoders)),
-            ]
-            for code, nullable, _encoder in self._encoders:
-                parts.append(struct.pack("<BB", code, 1 if nullable else 0))
-            for position, (code, nullable, encoder) in \
-                    enumerate(self._encoders):
-                column = [row[position] for row in rows]
-                if nullable:
-                    parts.append(_null_bitmap(column))
-                    column = [_DEFAULTS[code] if value is None else value
-                              for value in column]
-                parts.append(encoder(column))
-        except _Fallback:
-            self.fallback_pages += 1
-            return self._pickle.encode(page)
-        self.typed_pages += 1
-        return b"".join(parts)
 
-    def decode(self, payload: bytes) -> Page:
-        return decode_page(payload)
-
-
-# -- column packers ------------------------------------------------------
-
-
-def _null_bitmap(column: list) -> bytes:
-    bitmap = bytearray((len(column) + 7) // 8)
-    for position, value in enumerate(column):
-        if value is None:
-            bitmap[position >> 3] |= 1 << (position & 7)
-    return bytes(bitmap)
-
-
-def _encode_int64(column: list) -> bytes:
-    for value in column:
-        if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
-            raise _Fallback
-    return struct.pack(f"<{len(column)}q", *column)
-
-
-def _encode_float64(column: list) -> bytes:
-    # ``struct`` would silently coerce ints to floats; strictness keeps
-    # the round trip type-exact (an int payload falls back to pickle).
-    for value in column:
-        if type(value) is not float:
-            raise _Fallback
-    return struct.pack(f"<{len(column)}d", *column)
-
-
-def _encode_string(column: list) -> bytes:
-    try:
-        blobs = [value.encode("utf-8", "surrogatepass") for value in column]
-    except AttributeError:
-        raise _Fallback from None
-    for value in column:
-        if type(value) is not str:
-            raise _Fallback
+def _pack_blobs(blobs) -> bytes:
+    """``(n+1) x u32`` end offsets, then the concatenated blobs."""
     offsets = [0]
     total = 0
     for blob in blobs:
@@ -321,7 +240,42 @@ def _encode_string(column: list) -> bytes:
     return struct.pack(f"<{len(offsets)}I", *offsets) + b"".join(blobs)
 
 
-def _encode_date(column: list) -> bytes:
+# -- column packers ------------------------------------------------------
+
+
+def _null_bitmap(column) -> bytes:
+    bitmap = bytearray((len(column) + 7) // 8)
+    for position, value in enumerate(column):
+        if value is None:
+            bitmap[position >> 3] |= 1 << (position & 7)
+    return bytes(bitmap)
+
+
+def _encode_int64(column) -> bytes:
+    for value in column:
+        if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
+            raise _Fallback
+    return struct.pack(f"<{len(column)}q", *column)
+
+
+def _encode_float64(column) -> bytes:
+    # ``struct`` would silently coerce ints to floats; strictness keeps
+    # the round trip type-exact (an int payload falls back to pickle).
+    for value in column:
+        if type(value) is not float:
+            raise _Fallback
+    return struct.pack(f"<{len(column)}d", *column)
+
+
+def _encode_string(column) -> bytes:
+    for value in column:
+        if type(value) is not str:
+            raise _Fallback
+    return _pack_blobs([value.encode("utf-8", "surrogatepass")
+                        for value in column])
+
+
+def _encode_date(column) -> bytes:
     # ``datetime.datetime`` is a ``date`` subclass whose time-of-day an
     # ordinal would silently drop — strict type identity is required.
     for value in column:
@@ -331,7 +285,7 @@ def _encode_date(column: list) -> bytes:
                        *[value.toordinal() for value in column])
 
 
-def _encode_bool(column: list) -> bytes:
+def _encode_bool(column) -> bytes:
     for value in column:
         if type(value) is not bool:
             raise _Fallback
@@ -362,7 +316,7 @@ _DEFAULTS = {
 
 @dataclass(frozen=True)
 class ZoneMap:
-    """The peekable summary a zone-map wrapper carries for one page."""
+    """The peekable summary a page's zone-map section carries."""
 
     row_count: int
     null_count: int
@@ -373,171 +327,138 @@ class ZoneMap:
 def read_zone_map(payload: bytes) -> ZoneMap | None:
     """Peek a page's zone map without decoding its body.
 
-    Returns ``None`` for pages written without the wrapper (pre-zone-map
-    files, tuple-keyed pages, oversized boundary keys), so callers fall
-    back to decoding.  Raises :class:`SpillError` only when the payload
-    claims to be a zone-mapped page but its header is truncated.
+    Returns ``None`` for pages written without one (tuple-keyed or
+    unkeyed pages, oversized boundary keys, zone maps off), so callers
+    fall back to decoding.  Needs only the header and the zone-map
+    section, so a prefix of the page suffices; raises
+    :class:`SpillError` when that prefix is truncated or corrupted.
     """
-    if len(payload) < _PREFIX.size or payload[0] != FORMAT_ZONEMAP:
-        return None
-    zone_map, _body = _read_zone_map(payload)
-    return zone_map
-
-
-def _read_zone_map(payload: bytes) -> tuple[ZoneMap, int]:
-    """Parse a zone-map header; return the summary and the body offset."""
-    try:
-        offset = _PREFIX.size
-        row_count, null_count = struct.unpack_from("<II", payload, offset)
-        offset += 8
-        (low_len,) = _U16.unpack_from(payload, offset)
-        offset += _U16.size
-        low = bytes(payload[offset:offset + low_len])
-        offset += low_len
-        (high_len,) = _U16.unpack_from(payload, offset)
-        offset += _U16.size
-        high = bytes(payload[offset:offset + high_len])
-        offset += high_len
-        if len(low) != low_len or len(high) != high_len:
-            raise SpillError("truncated zone-map header in spill page")
-    except SpillError:
-        raise
-    except Exception as exc:
-        raise SpillError(
-            f"corrupted zone-map spill page header: {exc}") from exc
-    return ZoneMap(row_count, null_count, low, high), offset
+    return _read_header(payload)[3]
 
 
 def decode_page(payload: bytes) -> Page:
-    """Reconstruct a page from any codec's output (version-dispatched).
+    """Reconstruct a page, with any stored keys and codes attached.
 
     Raises:
-        SpillError: on an unknown version byte, a truncated payload, or
-            a corrupted pickle body.
+        SpillError: on an unknown version byte or flags, a truncated
+            section, or a corrupted payload.
     """
-    if len(payload) < _PREFIX.size:
+    return _decode(payload, None)[0]
+
+
+def decode_page_skeleton(payload: bytes, file_id: int,
+                         page_index: int) -> tuple[Page, int]:
+    """Decode only the key section of a page that stores one.
+
+    Returns ``(page, payload_bytes_not_decoded)``.  For a page with a key
+    section the page's rows are ``(file_id, page_index, slot)`` skeleton
+    references — the late-materialization stitch resolves them back to
+    real rows via :meth:`~repro.storage.spill.SpillFile.read_page` — and
+    the second element counts the payload bytes left undecoded.  Any
+    other page decodes in full (second element 0), so skeleton reads
+    degrade gracefully on mixed files.
+    """
+    return _decode(payload, (file_id, page_index))
+
+
+def _read_header(payload) -> tuple[int, int, int, ZoneMap | None, int]:
+    """Parse the fixed header and zone-map section.
+
+    Returns ``(stated_size, row_count, flags, zone_map, offset)``, where
+    ``offset`` is the first byte after the zone-map section.
+    """
+    if len(payload) < PAGE_HEADER.size:
         raise SpillError(
             f"spill page too short ({len(payload)} bytes): truncated or "
             f"corrupted")
-    version, stated_size = _PREFIX.unpack_from(payload, 0)
-    if version == FORMAT_PICKLE:
+    version, stated_size, row_count, flags = PAGE_HEADER.unpack_from(
+        payload, 0)
+    if version != PAGE_VERSION:
+        raise SpillError(
+            f"unknown spill page format version {version}; the file is "
+            f"corrupted or written by an incompatible codec")
+    if flags & ~_ALL_FLAGS:
+        raise SpillError(f"unknown spill page section flags {flags:#04x}; "
+                         f"the file is corrupted")
+    offset = PAGE_HEADER.size
+    zone_map = None
+    if flags & FLAG_ZONE_MAP:
         try:
-            rows = pickle.loads(payload[_PREFIX.size:])
+            (nulls,) = _U32.unpack_from(payload, offset)
+            offset += _U32.size
+            (low_len,) = _U16.unpack_from(payload, offset)
+            offset += _U16.size
+            low = bytes(payload[offset:offset + low_len])
+            offset += low_len
+            (high_len,) = _U16.unpack_from(payload, offset)
+            offset += _U16.size
+            high = bytes(payload[offset:offset + high_len])
+            offset += high_len
+        except struct.error as exc:
+            raise SpillError(
+                f"corrupted zone-map spill page header: {exc}") from exc
+        if len(high) != high_len:
+            raise SpillError(
+                "corrupted zone-map spill page header: truncated max key")
+        zone_map = ZoneMap(row_count, nulls, low, high)
+    return stated_size, row_count, flags, zone_map, offset
+
+
+def _decode(payload: bytes,
+            skeleton: tuple[int, int] | None) -> tuple[Page, int]:
+    stated_size, row_count, flags, _zone_map, offset = _read_header(payload)
+    view = memoryview(payload)
+    codes = keys = None
+    try:
+        if flags & FLAG_CODES:
+            codes = list(struct.unpack_from(f"<{row_count}Q", view, offset))
+            offset += 8 * row_count
+        if flags & FLAG_KEYS:
+            bounds, blob, offset = _read_blobs(view, offset, row_count)
+            keys = [blob[bounds[i]:bounds[i + 1]]
+                    for i in range(row_count)]
+    except (struct.error, ValueError) as exc:
+        raise SpillError(
+            f"corrupted code or key section in spill page: {exc}") from exc
+    if skeleton is not None and keys is not None:
+        file_id, page_index = skeleton
+        rows = [(file_id, page_index, slot) for slot in range(row_count)]
+        return (Page(rows=rows, byte_size=stated_size, keys=keys,
+                     codes=codes), len(payload) - offset)
+    if flags & FLAG_PICKLED:
+        try:
+            rows = pickle.loads(view[offset:])
         except Exception as exc:  # corrupted spill file
             raise SpillError(f"cannot deserialize page: {exc}") from exc
-        return Page(rows=rows, byte_size=stated_size)
-    if version == FORMAT_TYPED:
+        if len(rows) != row_count:
+            raise SpillError(
+                f"pickled page holds {len(rows)} rows, header states "
+                f"{row_count}: corrupted spill page")
+    else:
         try:
-            rows = _decode_typed(payload)
+            rows = _decode_typed(view, offset, row_count)
         except SpillError:
             raise
         except Exception as exc:
             raise SpillError(
                 f"corrupted typed spill page: {exc}") from exc
-        return Page(rows=rows, byte_size=stated_size)
-    if version == FORMAT_OVC:
-        try:
-            (count,) = _U32.unpack_from(payload, _PREFIX.size)
-            body = _PREFIX.size + _U32.size
-            codes = list(struct.unpack_from(f"<{count}Q", payload, body))
-            inner = decode_page(payload[body + 8 * count:])
-        except SpillError:
-            raise
-        except Exception as exc:
-            raise SpillError(
-                f"corrupted offset-value-code spill page: {exc}") from exc
-        if count != len(inner.rows):
-            raise SpillError(
-                f"offset-value-code vector length {count} does not match "
-                f"{len(inner.rows)} page rows: corrupted spill page")
-        inner.codes = codes
-        return inner
-    if version == FORMAT_ZONEMAP:
-        zone_map, body = _read_zone_map(payload)
-        inner = decode_page(payload[body:])
-        if zone_map.row_count != len(inner.rows):
-            raise SpillError(
-                f"zone-map row count {zone_map.row_count} does not match "
-                f"{len(inner.rows)} page rows: corrupted spill page")
-        return inner
-    if version == FORMAT_SPLIT:
-        try:
-            keys, codes, body = _read_split_header(payload)
-            inner = decode_page(payload[body:])
-        except SpillError:
-            raise
-        except Exception as exc:
-            raise SpillError(
-                f"corrupted key-split spill page: {exc}") from exc
-        if len(keys) != len(inner.rows):
-            raise SpillError(
-                f"key vector length {len(keys)} does not match "
-                f"{len(inner.rows)} page rows: corrupted spill page")
-        inner.keys = keys
-        inner.codes = codes
-        return inner
-    raise SpillError(
-        f"unknown spill page format version {version}; the file is "
-        f"corrupted or written by an incompatible codec")
+    return Page(rows=rows, byte_size=stated_size, keys=keys,
+                codes=codes), 0
 
 
-def _read_split_header(payload: bytes) -> tuple[list[bytes],
-                                                list[int] | None, int]:
-    """Parse a split page's key section; return keys, codes, body offset."""
-    offset = _PREFIX.size
-    (count,) = _U32.unpack_from(payload, offset)
-    offset += _U32.size
-    has_codes = payload[offset]
-    offset += 1
-    codes = None
-    if has_codes:
-        codes = list(struct.unpack_from(f"<{count}Q", payload, offset))
-        offset += 8 * count
-    offsets = struct.unpack_from(f"<{count + 1}I", payload, offset)
+def _read_blobs(view, offset: int, count: int
+                ) -> tuple[tuple[int, ...], bytes, int]:
+    """Inverse of :func:`_pack_blobs`: ``(offsets, blob, end offset)``."""
+    offsets = struct.unpack_from(f"<{count + 1}I", view, offset)
     offset += (count + 1) * _U32.size
-    blob = payload[offset:offset + offsets[-1]]
+    end = offset + offsets[-1]
+    blob = bytes(view[offset:end])
     if len(blob) != offsets[-1]:
-        raise SpillError("truncated key blob in key-split spill page")
-    keys = [bytes(blob[offsets[i]:offsets[i + 1]]) for i in range(count)]
-    return keys, codes, offset + offsets[-1]
+        raise ValueError("blob runs past the end of the page")
+    return offsets, blob, end
 
 
-def decode_page_skeleton(payload: bytes, file_id: int,
-                         page_index: int) -> tuple[Page, int]:
-    """Decode only the key section of a key/payload-split page.
-
-    Returns ``(page, payload_bytes_not_decoded)``.  For a split page the
-    page's rows are ``(file_id, page_index, slot)`` skeleton references —
-    the late-materialization stitch resolves them back to real rows via
-    :meth:`~repro.storage.spill.SpillFile.read_page` — and the second
-    element counts the payload-section bytes left undecoded.  Any other
-    format decodes in full (second element 0), so skeleton reads degrade
-    gracefully on mixed files.
-    """
-    body = payload
-    if len(payload) >= _PREFIX.size and payload[0] == FORMAT_ZONEMAP:
-        _zone, offset = _read_zone_map(payload)
-        body = payload[offset:]
-    if len(body) < _PREFIX.size or body[0] != FORMAT_SPLIT:
-        return decode_page(payload), 0
-    _version, stated_size = _PREFIX.unpack_from(body, 0)
-    try:
-        keys, codes, payload_start = _read_split_header(body)
-    except SpillError:
-        raise
-    except Exception as exc:
-        raise SpillError(
-            f"corrupted key-split spill page: {exc}") from exc
-    rows = [(file_id, page_index, slot) for slot in range(len(keys))]
-    page = Page(rows=rows, byte_size=stated_size, keys=keys, codes=codes)
-    return page, len(body) - payload_start
-
-
-def _decode_typed(payload: bytes) -> list[tuple]:
-    view = memoryview(payload)
-    offset = _PREFIX.size
-    (row_count,) = _U32.unpack_from(view, offset)
-    offset += _U32.size
+def _decode_typed(view, offset: int, row_count: int) -> list[tuple]:
     (column_count,) = _U16.unpack_from(view, offset)
     offset += _U16.size
     layout = []
@@ -562,8 +483,10 @@ def _decode_typed(payload: bytes) -> list[tuple]:
             for position in nulls:
                 column[position] = None
         columns.append(column)
-    if offset > len(payload):
-        raise SpillError("truncated typed spill page body")
+    if offset != len(view):
+        raise SpillError(
+            f"corrupted typed spill page: body holds {len(view)} bytes, "
+            f"its columns {offset}")
     if column_count == 0:
         return [() for _ in range(row_count)]
     return list(zip(*columns))
@@ -581,18 +504,16 @@ def _decode_fixed(format_char: str, width: int, convert=None):
 
 
 def _decode_string(view, offset: int, count: int):
-    offsets = struct.unpack_from(f"<{count + 1}I", view, offset)
-    offset += (count + 1) * _U32.size
-    blob = view[offset:offset + offsets[-1]]
-    text = bytes(blob).decode("utf-8", "surrogatepass")
+    offsets, blob, end = _read_blobs(view, offset, count)
+    text = blob.decode("utf-8", "surrogatepass")
     # Offsets index bytes, not code points: decode per-slice instead
     # when the blob is not pure ASCII.
     if len(text) == offsets[-1]:
         values = [text[offsets[i]:offsets[i + 1]] for i in range(count)]
     else:
-        values = [bytes(blob[offsets[i]:offsets[i + 1]])
+        values = [blob[offsets[i]:offsets[i + 1]]
                   .decode("utf-8", "surrogatepass") for i in range(count)]
-    return values, offset + offsets[-1]
+    return values, end
 
 
 _DECODERS: dict[int, Any] = {

@@ -6,12 +6,13 @@ Two interchangeable backends implement the same small interface:
   accounting bytes and requests.  This is the default for experiments: it
   makes multi-million-row simulations fast and deterministic while the cost
   model still charges for every byte "written".
-* :class:`DiskSpillBackend` — writes length-prefixed encoded pages to real
-  temporary files through a pluggable page codec (see
-  :mod:`repro.storage.codec`).  Used to validate that the abstraction is
-  honest and for workloads that genuinely exceed process memory.
+* :class:`DiskSpillBackend` — writes length-prefixed pages to real
+  temporary files through a :class:`~repro.storage.codec.TypedPageCodec`
+  (see :mod:`repro.storage.codec`).  Used to validate that the
+  abstraction is honest and for workloads that genuinely exceed process
+  memory.
 
-The disk backend's fast path is asynchronous on both sides:
+The disk backend is asynchronous on both sides:
 
 * **Writes** go through a per-file background writer thread fed by a
   bounded two-slot queue (double buffering): run generation encodes the
@@ -21,9 +22,9 @@ The disk backend's fast path is asynchronous on both sides:
   releases the GIL, so the overlap is real.  ``seal()`` flushes the
   coalescing buffer, drains the queue, and re-raises any deferred I/O
   error on the producing thread.
-* **Reads** (:meth:`SpillFile.pages` with ``prefetch > 0``) decode pages
-  on a bounded read-ahead thread so the merge overlaps page decode with
-  heap work.
+* **Reads** (:meth:`SpillFile.pages` with ``prefetch=True``, which every
+  merge scan sets) decode up to :data:`READ_AHEAD_PAGES` pages ahead on
+  a background thread, so the merge overlaps page decode with heap work.
 
 Accounting stays deterministic: the *accounting* counters
 (``bytes_written``/``bytes_read``/requests/rows) are charged on the
@@ -46,7 +47,7 @@ from typing import Callable, Iterator, Sequence
 
 from repro.errors import SpillError
 from repro.obs.trace import NULL_TRACER
-from repro.storage.codec import (FORMAT_ZONEMAP, PickleCodec, decode_page,
+from repro.storage.codec import (TypedPageCodec, decode_page,
                                  decode_page_skeleton, read_zone_map)
 from repro.storage.pages import DEFAULT_PAGE_BYTES, Page, PageBuilder
 from repro.storage.stats import IOStats
@@ -61,6 +62,10 @@ _ZONE_PEEK_BYTES = 4096
 #: Queue slots for the background writer: one chunk on disk, one encoded
 #: and waiting — classic double buffering.
 WRITER_QUEUE_DEPTH = 2
+
+#: Pages a prefetching scan keeps decoded ahead of its consumer: one
+#: being merged, one ready — double buffering on the read side.
+READ_AHEAD_PAGES = 2
 
 #: Encoded pages are batched into chunks of roughly this size before
 #: being handed to the writer thread, so the per-handoff cost (queue and
@@ -219,17 +224,17 @@ class SpillFile:
     of sequential ``pages()`` scans, then ``delete``.
     """
 
-    #: Whether ``pages(prefetch=...)`` may spawn a read-ahead thread —
+    #: Whether ``pages(prefetch=True)`` spawns a read-ahead thread —
     #: only worthwhile on backends with real I/O.
     supports_prefetch = False
 
     #: Whether this file's pages can be read as key-only skeletons
-    #: (key/payload-split wire format; see :mod:`repro.storage.codec`).
+    #: (pages with a key section; see :mod:`repro.storage.codec`).
     supports_lazy = False
 
-    #: When True, sequential scans decode only the key section of split
-    #: pages and deliver ``(file_id, page_index, slot)`` skeleton rows;
-    #: the late-materialization stitch resolves winners via
+    #: When True, sequential scans decode only the key section of pages
+    #: that store one and deliver ``(file_id, page_index, slot)``
+    #: skeleton rows; the late-materialization stitch resolves winners via
     #: :meth:`read_page`.  Set per file by the consumer — only on
     #: original run files, never on intermediate merge output (whose
     #: rows are already skeleton references).
@@ -275,18 +280,18 @@ class SpillFile:
 
     # -- read side -------------------------------------------------------
 
-    def pages(self, start_page: int = 0, prefetch: int = 0,
+    def pages(self, start_page: int = 0, prefetch: bool = False,
               transform: Callable[[Page], Page] | None = None,
               cutoff: bytes | None = None) -> Iterator[Page]:
         """Sequentially scan pages from ``start_page``; charges read
         requests and bytes only for the pages actually delivered.
 
-        ``prefetch > 0`` overlaps page load/decode with consumer work on
-        backends with real I/O (a bounded read-ahead thread; ignored
-        elsewhere).  ``transform`` is applied to each page before
-        delivery — on the read-ahead thread when one is active, so
-        per-page work such as building the merge key cache overlaps with
-        downstream heap work as well.
+        ``prefetch`` overlaps page load/decode with consumer work on
+        backends with real I/O (a read-ahead thread holding
+        :data:`READ_AHEAD_PAGES` pages; ignored elsewhere).  ``transform``
+        is applied to each page before delivery — on the read-ahead
+        thread when one is active, so per-page work such as building the
+        merge key cache overlaps with downstream heap work as well.
 
         ``cutoff`` (an encoded binary sort key) enables zone-map
         pruning: the scan ends at the first page whose min key exceeds
@@ -304,8 +309,8 @@ class SpillFile:
         if transform is not None:
             source = map(transform, source)
         reader = None
-        if prefetch > 0 and self.supports_prefetch:
-            reader = _ReadAhead(source, prefetch, self._stats)
+        if prefetch and self.supports_prefetch:
+            reader = _ReadAhead(source, READ_AHEAD_PAGES, self._stats)
             source = reader
         try:
             for page in source:
@@ -409,16 +414,15 @@ class _DiskSpillFile(SpillFile):
     supports_prefetch = True
 
     def __init__(self, file_id: int, stats: IOStats, directory: str,
-                 codec=None, background: bool = True):
+                 codec: TypedPageCodec):
         super().__init__(file_id, stats)
-        self._codec = codec if codec is not None else PickleCodec()
+        self._codec = codec
         fd, self._path = tempfile.mkstemp(
             prefix=f"run{file_id:06d}_", suffix=".spill", dir=directory)
         self._handle = os.fdopen(fd, "wb")
         self._page_offsets: list[int] = []
         self._bytes_on_disk = 0
-        self._writer = (_BackgroundPageWriter(self._handle, stats)
-                        if background else None)
+        self._writer = _BackgroundPageWriter(self._handle, stats)
         self._pending: list[bytes] = []
         self._pending_bytes = 0
         self._deleted = False
@@ -432,15 +436,10 @@ class _DiskSpillFile(SpillFile):
         blob = _LENGTH_HEADER.pack(len(payload)) + payload
         self._page_offsets.append(self._bytes_on_disk)
         self._bytes_on_disk += len(blob)
-        if self._writer is not None:
-            self._pending.append(blob)
-            self._pending_bytes += len(blob)
-            if self._pending_bytes >= WRITE_COALESCE_BYTES:
-                self._flush_pending()
-        else:
-            started = time.perf_counter()
-            self._handle.write(blob)
-            stats.write_seconds += time.perf_counter() - started
+        self._pending.append(blob)
+        self._pending_bytes += len(blob)
+        if self._pending_bytes >= WRITE_COALESCE_BYTES:
+            self._flush_pending()
 
     def _flush_pending(self) -> None:
         if not self._pending:
@@ -454,16 +453,15 @@ class _DiskSpillFile(SpillFile):
     def seal(self) -> None:
         if not self._sealed:
             try:
-                if self._writer is not None:
-                    self._flush_pending()
-                    self._writer.close()
+                self._flush_pending()
+                self._writer.close()
             finally:
                 self._handle.close()
         super().seal()
 
     @property
     def supports_lazy(self) -> bool:
-        return bool(getattr(self._codec, "late_materialization", False))
+        return self._codec.late_materialization
 
     def _load_pages(self, start_page: int = 0,
                     cutoff: bytes | None = None) -> Iterator[Page]:
@@ -483,28 +481,25 @@ class _DiskSpillFile(SpillFile):
                     raise SpillError(f"truncated page header in {self._path}")
                 (length,) = _LENGTH_HEADER.unpack(header)
                 if cutoff is not None:
-                    # Peek only the zone-map header before committing to
+                    # Peek only the zone-map section before committing to
                     # the body read: the first skipped page costs at most
                     # the peek window, every later page costs nothing —
                     # they are never read off disk at all.
                     peek = handle.read(min(length, _ZONE_PEEK_BYTES))
-                    if peek[:1] == bytes([FORMAT_ZONEMAP]):
-                        try:
-                            zone_map = read_zone_map(peek)
-                        except SpillError:
-                            # Header larger than the peek window (or
-                            # corrupt — the full decode below reports it
-                            # with page context).
-                            zone_map = None
-                        if (zone_map is not None
-                                and zone_map.min_key > cutoff):
-                            pages = self.page_count - index
-                            span = (self._bytes_on_disk
-                                    - self._page_offsets[index])
-                            self._charge_skip(
-                                pages,
-                                span - _LENGTH_HEADER.size * pages)
-                            return
+                    try:
+                        zone_map = read_zone_map(peek)
+                    except SpillError:
+                        # Section larger than the peek window (or corrupt
+                        # — the full decode below reports it with page
+                        # context).
+                        zone_map = None
+                    if zone_map is not None and zone_map.min_key > cutoff:
+                        pages = self.page_count - index
+                        span = (self._bytes_on_disk
+                                - self._page_offsets[index])
+                        self._charge_skip(
+                            pages, span - _LENGTH_HEADER.size * pages)
+                        return
                     payload = peek
                     if len(peek) < length:
                         payload = peek + handle.read(length - len(peek))
@@ -555,8 +550,7 @@ class _DiskSpillFile(SpillFile):
         if self._deleted:
             return
         self._deleted = True
-        if self._writer is not None:
-            self._writer.close(timeout=_JOIN_TIMEOUT, reraise=False)
+        self._writer.close(timeout=_JOIN_TIMEOUT, reraise=False)
         if not self._handle.closed:
             self._handle.close()
         if os.path.exists(self._path):
@@ -579,12 +573,9 @@ class DiskSpillBackend:
     Args:
         directory: Spill directory; a private temporary one is created
             (and later removed) when omitted.
-        codec: Page codec (:class:`~repro.storage.codec.TypedPageCodec`
-            for schema-typed fast encoding, or the default
-            :class:`~repro.storage.codec.PickleCodec`).
-        background_writes: Write pages on a per-file background thread
-            fed by a bounded double-buffer queue (the default); ``False``
-            restores fully synchronous writes (the ablation baseline).
+        codec: The :class:`~repro.storage.codec.TypedPageCodec` that
+            encodes every page; give it the rows' schema for typed
+            columns.  The default has no schema, so its payloads pickle.
 
     The backend tracks every file it creates so that :meth:`close` can
     remove them all — including files that were never sealed (a query
@@ -594,27 +585,25 @@ class DiskSpillBackend:
     ``with`` it.
     """
 
-    def __init__(self, directory: str | None = None, codec=None,
-                 background_writes: bool = True):
+    def __init__(self, directory: str | None = None,
+                 codec: TypedPageCodec | None = None):
         self._own_directory = directory is None
         self._directory = directory or tempfile.mkdtemp(prefix="repro_spill_")
-        self._codec = codec
-        self._background = background_writes
+        self._codec = codec if codec is not None else TypedPageCodec()
         self._files: list[_DiskSpillFile] = []
         self._closed = False
 
     @property
     def supports_late_materialization(self) -> bool:
-        """True when the configured codec writes key/payload-split pages
-        (so the planner may choose a lazy-materialization plan)."""
-        return bool(getattr(self._codec, "late_materialization", False))
+        """True when the configured codec stores key sections (so the
+        planner may choose a lazy-materialization plan)."""
+        return self._codec.late_materialization
 
     def create_file(self, file_id: int, stats: IOStats) -> SpillFile:
         if self._closed:
             raise SpillError("spill backend is closed")
         spill_file = _DiskSpillFile(file_id, stats, self._directory,
-                                    codec=self._codec,
-                                    background=self._background)
+                                    self._codec)
         self._files.append(spill_file)
         return spill_file
 

@@ -13,15 +13,12 @@ file whose body is the raw little-endian key (and row-id) vectors —
 no per-row materialization.  Writes are double-buffered through one
 background thread; a per-run completion event gives read-after-write
 ordering for the (rare) case where the merge starts before the last run
-hits the disk.  A ``pickle_rows`` mode re-encodes each run as a pickled
-list of row tuples — the ablation baseline for what a row-at-a-time
-serializer would pay on the same data.
+hits the disk.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import queue
 import struct
 import tempfile
@@ -35,8 +32,7 @@ from repro.errors import SpillError
 from repro.storage.stats import IOStats
 
 _VRUN_HEADER = struct.Struct("<BQB")  # version, row count, has-ids flag
-_VRUN_PICKLE = 0
-_VRUN_TYPED = 1
+_VRUN_VERSION = 1
 
 _JOIN_TIMEOUT = 30.0
 
@@ -96,39 +92,28 @@ class VectorRunDisk:
     Args:
         directory: Spill directory; a private temporary one is created
             (and later removed) when omitted.
-        background_writes: Encode on the caller thread, write on a
-            background thread fed by a two-slot queue (the default);
-            ``False`` restores synchronous writes (the ablation
-            baseline).
-        pickle_rows: Encode each run as a pickled list of row tuples
-            instead of raw array bytes — the ablation baseline for
-            row-at-a-time serialization on the same data.
 
-    Read-after-write ordering comes from a per-run completion event: a
-    read (or delete) of a run still in the writer queue waits for its
-    file to land.  Write errors are captured on the writer thread and
-    re-raised on the caller thread at the next write/read/close.
+    Runs are encoded on the caller thread and written on a background
+    thread fed by a two-slot queue.  Read-after-write ordering comes
+    from a per-run completion event: a read (or delete) of a run still
+    in the writer queue waits for its file to land.  Write errors are
+    captured on the writer thread and re-raised on the caller thread at
+    the next write/read/close.
     """
 
     _SENTINEL = object()
 
-    def __init__(self, directory: str | None = None,
-                 background_writes: bool = True,
-                 pickle_rows: bool = False):
+    def __init__(self, directory: str | None = None):
         self._own_directory = directory is None
         self._directory = directory or tempfile.mkdtemp(prefix="repro_vrun_")
-        self._pickle_rows = pickle_rows
         self._done: dict[str, threading.Event] = {}
         self._error: BaseException | None = None
         self._closed = False
-        self._queue: queue.Queue | None = None
-        self._thread: threading.Thread | None = None
-        if background_writes:
-            self._queue = queue.Queue(maxsize=2)
-            self._thread = threading.Thread(target=self._drain,
-                                            name="vector-spill-writer",
-                                            daemon=True)
-            self._thread.start()
+        self._queue: queue.Queue = queue.Queue(maxsize=2)
+        self._thread = threading.Thread(target=self._drain,
+                                        name="vector-spill-writer",
+                                        daemon=True)
+        self._thread.start()
 
     # -- writer thread ---------------------------------------------------
 
@@ -158,23 +143,12 @@ class VectorRunDisk:
     def _encode(self, keys: np.ndarray, row_ids: np.ndarray | None,
                 stats: IOStats) -> bytes:
         started = time.perf_counter()
-        header = _VRUN_HEADER.pack(
-            _VRUN_PICKLE if self._pickle_rows else _VRUN_TYPED,
-            int(keys.size), 1 if row_ids is not None else 0)
-        if self._pickle_rows:
-            if row_ids is not None:
-                rows = list(zip(keys.tolist(), row_ids.tolist()))
-            else:
-                rows = [(key,) for key in keys.tolist()]
-            payload = header + pickle.dumps(
-                rows, protocol=pickle.HIGHEST_PROTOCOL)
-        else:
-            parts = [header,
-                     np.ascontiguousarray(keys, dtype="<f8").tobytes()]
-            if row_ids is not None:
-                parts.append(
-                    np.ascontiguousarray(row_ids, dtype="<i8").tobytes())
-            payload = b"".join(parts)
+        parts = [_VRUN_HEADER.pack(_VRUN_VERSION, int(keys.size),
+                                   1 if row_ids is not None else 0),
+                 np.ascontiguousarray(keys, dtype="<f8").tobytes()]
+        if row_ids is not None:
+            parts.append(np.ascontiguousarray(row_ids, dtype="<i8").tobytes())
+        payload = b"".join(parts)
         stats.encode_seconds += time.perf_counter() - started
         stats.bytes_encoded += len(payload)
         return payload
@@ -185,27 +159,16 @@ class VectorRunDisk:
         if len(payload) < _VRUN_HEADER.size:
             raise SpillError(f"truncated vector run file {path}")
         version, count, has_ids = _VRUN_HEADER.unpack_from(payload, 0)
+        if version != _VRUN_VERSION:
+            raise SpillError(f"unknown vector run format version {version} "
+                             f"in {path}")
         body = payload[_VRUN_HEADER.size:]
-        if version == _VRUN_TYPED:
-            expected = count * 8 * (2 if has_ids else 1)
-            if len(body) != expected:
-                raise SpillError(f"truncated vector run file {path}")
-            keys = np.frombuffer(body, dtype="<f8", count=count)
-            ids = (np.frombuffer(body, dtype="<i8", count=count,
-                                 offset=count * 8) if has_ids else None)
-            return keys, ids
-        if version == _VRUN_PICKLE:
-            try:
-                rows = pickle.loads(body)
-            except Exception as exc:
-                raise SpillError(
-                    f"corrupted vector run file {path}: {exc}") from exc
-            keys = np.array([row[0] for row in rows], dtype=np.float64)
-            ids = (np.array([row[1] for row in rows], dtype=np.int64)
-                   if has_ids else None)
-            return keys, ids
-        raise SpillError(f"unknown vector run format version {version} "
-                         f"in {path}")
+        if len(body) != count * 8 * (2 if has_ids else 1):
+            raise SpillError(f"truncated vector run file {path}")
+        keys = np.frombuffer(body, dtype="<f8", count=count)
+        ids = (np.frombuffer(body, dtype="<i8", count=count,
+                             offset=count * 8) if has_ids else None)
+        return keys, ids
 
     # -- store interface -------------------------------------------------
 
@@ -221,21 +184,15 @@ class VectorRunDisk:
             has_ids=row_ids is not None,
             first_key=float(keys[0]) if keys.size else None,
             last_key=float(keys[-1]) if keys.size else None)
-        if self._queue is not None:
-            event = threading.Event()
-            self._done[path] = event
-            try:
-                self._queue.put_nowait((path, payload, event, stats))
-            except queue.Full:
-                stats.writer_stalls += 1
-                started = time.perf_counter()
-                self._queue.put((path, payload, event, stats))
-                stats.stall_seconds += time.perf_counter() - started
-        else:
+        event = threading.Event()
+        self._done[path] = event
+        try:
+            self._queue.put_nowait((path, payload, event, stats))
+        except queue.Full:
+            stats.writer_stalls += 1
             started = time.perf_counter()
-            with open(path, "wb") as handle:
-                handle.write(payload)
-            stats.write_seconds += time.perf_counter() - started
+            self._queue.put((path, payload, event, stats))
+            stats.stall_seconds += time.perf_counter() - started
         return run
 
     def _wait_for(self, run: DiskVectorRun, stats: IOStats | None) -> None:
@@ -254,13 +211,10 @@ class VectorRunDisk:
              limit: int | None = None
              ) -> tuple[np.ndarray, np.ndarray | None]:
         """Read a run back; ``limit`` reads only the first ``limit``
-        rows of the typed format (header + key prefix + id prefix),
-        leaving the tail bytes unread on disk.  The pickled ablation
-        format has no addressable layout and falls back to a full read
-        followed by slicing."""
+        rows (header + key prefix + id prefix), leaving the tail bytes
+        unread on disk."""
         self._wait_for(run, stats)
-        if (limit is not None and not self._pickle_rows
-                and 0 <= limit < run.count):
+        if limit is not None and 0 <= limit < run.count:
             header_size = _VRUN_HEADER.size
             started = time.perf_counter()
             with open(run.path, "rb") as handle:
@@ -269,7 +223,7 @@ class VectorRunDisk:
                     raise SpillError(
                         f"truncated vector run file {run.path}")
                 version, count, has_ids = _VRUN_HEADER.unpack(head)
-                if version != _VRUN_TYPED:
+                if version != _VRUN_VERSION:
                     raise SpillError(
                         f"unknown vector run format version {version} "
                         f"in {run.path}")
@@ -293,9 +247,6 @@ class VectorRunDisk:
         keys, ids = self._decode(payload, run.path)
         stats.decode_seconds += time.perf_counter() - started
         stats.bytes_decoded += len(payload)
-        if limit is not None and limit < keys.size:
-            keys = keys[:limit]
-            ids = ids[:limit] if ids is not None else None
         return keys, ids
 
     def delete(self, run: DiskVectorRun) -> None:
@@ -311,7 +262,7 @@ class VectorRunDisk:
         if self._closed:
             return
         self._closed = True
-        if self._thread is not None and self._thread.is_alive():
+        if self._thread.is_alive():
             self._queue.put(self._SENTINEL)
             self._thread.join(_JOIN_TIMEOUT)
         self._done.clear()

@@ -4,7 +4,9 @@ The codec is the spill wire format: every disk page round-trips through
 it, so the round trip must be *exact* — every value comes back with the
 same type and bit pattern (NaN and signed zeros included), NULLs stay
 NULL, and pages whose values defeat the declared schema fall back to
-pickle without losing anything.
+pickle without losing anything.  Every combination of the page's
+optional sections (zone map, offset-value codes, keys) and payload kind
+(typed or pickled) must round-trip the same way.
 """
 
 import datetime
@@ -14,23 +16,31 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.topk import HistogramTopK
 from repro.errors import SpillError
 from repro.rows.schema import Column, ColumnType, Schema
+from repro.rows.sortspec import SortColumn, SortSpec
 from repro.storage.codec import (
-    FORMAT_PICKLE,
-    FORMAT_SPLIT,
-    FORMAT_TYPED,
-    FORMAT_ZONEMAP,
-    PickleCodec,
+    FLAG_CODES,
+    FLAG_KEYS,
+    FLAG_PICKLED,
+    FLAG_ZONE_MAP,
+    PAGE_HEADER,
     TypedPageCodec,
     decode_page,
     decode_page_skeleton,
     read_zone_map,
 )
 from repro.storage.pages import Page
+from repro.storage.spill import DiskSpillBackend, SpillManager
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+
+def _flags(payload):
+    """The section flags byte of an encoded page's header."""
+    return PAGE_HEADER.unpack_from(payload)[3]
 
 
 def _bits(value):
@@ -101,7 +111,9 @@ class TestTypedRoundTripProperties:
     def test_pickle_round_trip_is_exact(self, case):
         _schema, rows = case
         page = Page(rows=rows, byte_size=777)
-        restored = decode_page(PickleCodec().encode(page))
+        payload = TypedPageCodec().encode(page)
+        assert _flags(payload) & FLAG_PICKLED
+        restored = decode_page(payload)
         _assert_exact(restored.rows, rows)
         assert restored.byte_size == 777
 
@@ -111,7 +123,7 @@ class TestTypedRoundTripProperties:
         schema, rows = case
         codec = TypedPageCodec(schema)
         payload = codec.encode(Page(rows=rows, byte_size=1))
-        assert payload[0] == FORMAT_TYPED
+        assert not _flags(payload) & FLAG_PICKLED
         assert codec.typed_pages == 1
         assert codec.fallback_pages == 0
 
@@ -176,7 +188,7 @@ class TestFallback:
     def _expect_fallback(self, schema, rows):
         codec = TypedPageCodec(schema)
         payload = codec.encode(Page(rows=rows, byte_size=3))
-        assert payload[0] == FORMAT_PICKLE
+        assert _flags(payload) & FLAG_PICKLED
         assert codec.fallback_pages == 1
         _assert_exact(decode_page(payload).rows, rows)
 
@@ -206,6 +218,31 @@ class TestFallback:
         schema = Schema([Column("i", ColumnType.INT64)])
         self._expect_fallback(schema, [(1, 2)])
 
+    def test_ragged_rows(self):
+        # Only a later row has the wrong length: a longer one would lose
+        # its extra value as columns, a shorter one cannot fill them.
+        schema = Schema([Column("i", ColumnType.INT64),
+                         Column("s", ColumnType.STRING)])
+        self._expect_fallback(schema, [(1, "a"), (2, "b", "extra")])
+        self._expect_fallback(schema, [(1, "a"), (2,)])
+
+    def test_ragged_rows_survive_disk_spill(self):
+        schema = Schema([Column("K", ColumnType.INT64),
+                         Column("S", ColumnType.STRING)])
+        keys = [(i * 7919) % 2_000 for i in range(2_000)]  # a permutation
+        rows = [(key, f"v{key}", "extra") if key % 7 == 0
+                else (key, f"v{key}") for key in keys]
+        spec = SortSpec(schema, [SortColumn("K")])
+        memory = HistogramTopK(spec, 300, 50)
+        expected = list(memory.execute(iter(rows)))
+        assert sum(len(row) == 3 for row in expected) == 43
+        codec = TypedPageCodec(schema)
+        with DiskSpillBackend(codec=codec) as backend:
+            disk = HistogramTopK(spec, 300, 50,
+                                 spill_manager=SpillManager(backend=backend))
+            assert list(disk.execute(iter(rows))) == expected
+        assert codec.fallback_pages > 0
+
 
 NULL_PREFIX = b"\x01"
 
@@ -216,75 +253,101 @@ _KEY = st.binary(min_size=0, max_size=24).map(
 
 
 @st.composite
-def _keyed_page(draw, allow_fallback=True):
-    """A page whose rows carry parallel binary sort keys (and codes)."""
+def _keyed_page(draw):
+    """``(codec, page)`` over every section combination of the layout.
+
+    Axes: zone maps on/off, late materialization on/off, offset-value
+    codes present/absent, typed or pickled payload, and ``bytes``,
+    tuple or absent sort keys.
+    """
     schema = Schema([Column("i", ColumnType.INT64),
                      Column("s", ColumnType.STRING)])
     n = draw(st.integers(min_value=1, max_value=20))
-    rows = [(draw(st.integers(-1000, 1000))
-             if not allow_fallback or draw(st.integers(0, 9))
-             else draw(st.booleans()),  # bool defeats INT64 -> pickle
-             draw(st.text(max_size=12)))
+    rows = [(draw(st.integers(-1000, 1000)), draw(st.text(max_size=12)))
             for _ in range(n)]
-    keys = [draw(_KEY) for _ in range(n)]
-    codes = (list(range(n)) if draw(st.booleans()) else None)
-    return schema, Page(rows=rows, byte_size=4242, keys=keys, codes=codes)
+    if draw(st.booleans()):
+        slot = draw(st.integers(0, n - 1))
+        # A bool defeats INT64, so the payload pickles.
+        rows[slot] = (draw(st.booleans()), rows[slot][1])
+    keys = draw(st.sampled_from(["bytes", "tuple", None]))
+    if keys == "bytes":
+        keys = [draw(_KEY) for _ in range(n)]
+    elif keys == "tuple":
+        keys = [(row[0],) for row in rows]
+    codes = list(range(n)) if draw(st.booleans()) else None
+    codec = TypedPageCodec(schema, zone_maps=draw(st.booleans()),
+                           late_materialization=draw(st.booleans()),
+                           null_key_prefix=NULL_PREFIX)
+    return codec, Page(rows=rows, byte_size=4242, keys=keys, codes=codes)
+
+
+def _binary_keys(page):
+    return page.keys is not None and type(page.keys[0]) is bytes
+
+
+def _typed_rows(page):
+    return all(type(row[0]) is int for row in page.rows)
 
 
 class TestZoneMapProperties:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_keyed_page())
     def test_header_carries_exact_bounds_and_null_count(self, case):
-        schema, page = case
-        codec = TypedPageCodec(schema, zone_maps=True,
-                               null_key_prefix=NULL_PREFIX)
+        codec, page = case
         payload = codec.encode(page)
-        assert payload[0] == FORMAT_ZONEMAP
         zone = read_zone_map(payload)
-        assert zone is not None
+        zoned = codec.zone_maps and _binary_keys(page)
+        assert bool(_flags(payload) & FLAG_ZONE_MAP) == zoned
+        if not zoned:
+            assert zone is None
+            return
         assert zone.row_count == len(page.rows)
         assert zone.min_key == min(page.keys)
         assert zone.max_key == max(page.keys)
         assert zone.null_count == sum(
             1 for key in page.keys if key.startswith(NULL_PREFIX))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_keyed_page())
     def test_round_trip_through_zone_wrapper_is_exact(self, case):
-        schema, page = case
-        codec = TypedPageCodec(schema, zone_maps=True,
-                               null_key_prefix=NULL_PREFIX)
-        restored = decode_page(codec.encode(page))
+        codec, page = case
+        payload = codec.encode(page)
+        assert bool(_flags(payload) & FLAG_PICKLED) != _typed_rows(page)
+        restored = decode_page(payload)
         _assert_exact(restored.rows, page.rows)
         assert restored.byte_size == page.byte_size
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_keyed_page())
     def test_split_round_trip_attaches_keys_and_codes(self, case):
-        schema, page = case
-        codec = TypedPageCodec(schema, zone_maps=False,
-                               late_materialization=True)
+        codec, page = case
         payload = codec.encode(page)
-        assert payload[0] == FORMAT_SPLIT
+        stored = codec.late_materialization and _binary_keys(page)
+        assert bool(_flags(payload) & FLAG_KEYS) == stored
+        assert bool(_flags(payload) & FLAG_CODES) == (
+            page.codes is not None)
         restored = decode_page(payload)
         _assert_exact(restored.rows, page.rows)
-        assert restored.keys == page.keys
+        assert restored.keys == (page.keys if stored else None)
         assert restored.codes == page.codes
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(_keyed_page())
     def test_skeleton_decode_yields_row_refs_not_payload(self, case):
-        schema, page = case
-        codec = TypedPageCodec(schema, zone_maps=True,
-                               late_materialization=True,
-                               null_key_prefix=NULL_PREFIX)
+        codec, page = case
         payload = codec.encode(page)
         skeleton, undecoded = decode_page_skeleton(payload, 7, 3)
-        assert undecoded > 0
-        assert skeleton.keys == page.keys
+        assert skeleton.byte_size == page.byte_size
         assert skeleton.codes == page.codes
-        assert skeleton.rows == [(7, 3, slot)
-                                 for slot in range(len(page.rows))]
+        if codec.late_materialization and _binary_keys(page):
+            assert undecoded > 0
+            assert skeleton.keys == page.keys
+            assert skeleton.rows == [(7, 3, slot)
+                                     for slot in range(len(page.rows))]
+        else:
+            assert undecoded == 0
+            assert skeleton.keys is None
+            _assert_exact(skeleton.rows, page.rows)
         # The same payload decodes eagerly to the full rows.
         _assert_exact(decode_page(payload).rows, page.rows)
 
@@ -293,23 +356,26 @@ class TestZoneMapProperties:
         codec = TypedPageCodec(schema, zone_maps=True,
                                late_materialization=True)
         payload = codec.encode(Page(rows=[(1,), (2,)], byte_size=8))
-        assert payload[0] == FORMAT_TYPED
+        assert _flags(payload) == 0
 
     def test_tuple_keys_get_no_wrapper(self):
         schema = Schema([Column("i", ColumnType.INT64)])
-        codec = TypedPageCodec(schema, zone_maps=True)
+        codec = TypedPageCodec(schema, zone_maps=True,
+                               late_materialization=True)
         payload = codec.encode(Page(rows=[(1,)], byte_size=8,
                                     keys=[(1,)]))
-        assert payload[0] == FORMAT_TYPED
+        assert _flags(payload) == 0
 
     def test_oversized_boundary_key_omits_wrapper(self):
         # A u16 length cannot state a >64KiB key; truncating the max
-        # would be unsound, so the page is written unwrapped.
+        # would be unsound, so the page is written without a zone map.
         schema = Schema([Column("i", ColumnType.INT64)])
         codec = TypedPageCodec(schema, zone_maps=True)
-        payload = codec.encode(Page(rows=[(1,)], byte_size=8,
-                                    keys=[b"\x00" * 70_000]))
-        assert payload[0] == FORMAT_TYPED
+        page = Page(rows=[(1,)], byte_size=8, keys=[b"\x00" * 70_000])
+        payload = codec.encode(page)
+        assert _flags(payload) == 0
+        assert read_zone_map(payload) is None
+        assert decode_page(payload).rows == page.rows
 
     def test_read_zone_map_rejects_other_formats(self):
         schema = Schema([Column("i", ColumnType.INT64)])
@@ -326,14 +392,25 @@ class TestZoneMapCorruption:
                                  keys=[b"\x00a", b"\x00b"]))
 
     def test_truncated_zone_header(self):
+        payload = self._zone_payload()
+        with pytest.raises(SpillError, match="too short"):
+            read_zone_map(payload[:7])
+        # Cut inside the zone-map section, after the fixed header.
         with pytest.raises(SpillError, match="zone-map spill page header"):
-            read_zone_map(self._zone_payload()[:7])
+            read_zone_map(payload[:PAGE_HEADER.size + 3])
 
     def test_row_count_mismatch_detected(self):
-        payload = bytearray(self._zone_payload())
         position = struct.calcsize("<BI")  # row count field
-        payload[position:position + 4] = struct.pack("<I", 99)
-        with pytest.raises(SpillError, match="zone-map row count"):
+        for poisoned in (99, 1):  # more rows than the body, then fewer
+            payload = bytearray(self._zone_payload())
+            payload[position:position + 4] = struct.pack("<I", poisoned)
+            with pytest.raises(SpillError,
+                               match="corrupted typed spill page"):
+                decode_page(bytes(payload))
+        payload = bytearray(TypedPageCodec().encode(
+            Page(rows=[(1,), (2,)], byte_size=8)))
+        payload[position:position + 4] = struct.pack("<I", 1)
+        with pytest.raises(SpillError, match="header states 1"):
             decode_page(bytes(payload))
 
     def test_truncated_split_page(self):
@@ -342,14 +419,12 @@ class TestZoneMapCorruption:
                                late_materialization=True)
         payload = codec.encode(Page(rows=[("hello world",)], byte_size=8,
                                     keys=[b"\x00key"]))
-        assert payload[0] == FORMAT_SPLIT
-        with pytest.raises(SpillError, match="key-split spill page"):
+        assert _flags(payload) == FLAG_KEYS
+        with pytest.raises(SpillError, match="key section"):
             decode_page(payload[:12])
 
     def test_disk_read_errors_carry_page_position(self):
         """Satellite: corruption reports page index and byte offset."""
-        from repro.storage.spill import DiskSpillBackend, SpillManager
-
         schema = Schema([Column("i", ColumnType.INT64)])
         with DiskSpillBackend(codec=TypedPageCodec(schema)) as backend:
             manager = SpillManager(backend=backend)
@@ -381,8 +456,15 @@ class TestCorruption:
         with pytest.raises(SpillError, match="too short"):
             decode_page(b"\x01\x00")
 
+    def test_unknown_section_flags(self):
+        good = bytearray(TypedPageCodec().encode(
+            Page(rows=[(1,)], byte_size=8)))
+        good[PAGE_HEADER.size - 1] |= 0x80
+        with pytest.raises(SpillError, match="section flags"):
+            decode_page(bytes(good))
+
     def test_corrupted_pickle_body(self):
-        good = PickleCodec().encode(Page(rows=[(1,)], byte_size=8))
+        good = TypedPageCodec().encode(Page(rows=[(1,)], byte_size=8))
         with pytest.raises(SpillError, match="cannot deserialize"):
             decode_page(good[:-2])
 
@@ -397,9 +479,9 @@ class TestCorruption:
         schema = Schema([Column("i", ColumnType.INT64)])
         good = bytearray(TypedPageCodec(schema).encode(
             Page(rows=[(7,)], byte_size=8)))
-        # Column descriptors sit right after prefix + row count + column
+        # Column descriptors sit right after the header and the column
         # count; poison the type code.
-        position = struct.calcsize("<BI") + 4 + 2
+        position = PAGE_HEADER.size + 2
         good[position] = 99
         with pytest.raises(SpillError, match="unknown column type code"):
             decode_page(bytes(good))

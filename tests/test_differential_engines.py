@@ -279,49 +279,49 @@ def test_heavy_duplicates_agree(keys, k, memory, batch_rows):
 @given(keys=st.lists(finite_floats, min_size=0, max_size=250),
        k=st.integers(1, 40),
        memory=st.integers(2, 48),
-       batch_rows=st.integers(1, 64),
-       background=st.booleans())
+       batch_rows=st.integers(1, 64))
 @settings(max_examples=40, deadline=None)
-def test_disk_backend_typed_codec_agrees(keys, k, memory, batch_rows,
-                                         background):
-    """Real files + typed codec produce byte-identical results and
-    identical *accounting* traffic to the in-memory backend, on all
-    three paths (row, batch, vectorized), with and without background
-    writers."""
+def test_disk_backend_typed_codec_agrees(keys, k, memory, batch_rows):
+    """Real files produce byte-identical results and identical
+    *accounting* traffic to the in-memory backend, on all three paths
+    (row, batch, vectorized), with the typed codec and with the
+    default schemaless one."""
     rows = make_rows(keys)
     spec = make_spec(True)
     oracle = sorted(rows, key=spec.key)[:k]
 
     baseline = HistogramTopK(spec, k, memory)
     assert list(baseline.execute(iter(rows))) == oracle
+    base_io = baseline.stats.io
 
-    # Row engine on disk with the typed columnar codec.
-    with DiskSpillBackend(codec=TypedPageCodec(SCHEMA),
-                          background_writes=background) as backend:
-        manager = SpillManager(backend=backend)
-        disk = HistogramTopK(spec, k, memory, spill_manager=manager)
-        assert list(disk.execute(iter(rows))) == oracle
-        io = disk.stats.io
-        base_io = baseline.stats.io
+    def assert_same_accounting(io):
         assert io.rows_spilled == base_io.rows_spilled
         assert io.bytes_written == base_io.bytes_written
         assert io.bytes_read == base_io.bytes_read
         assert io.write_requests == base_io.write_requests
+        assert io.read_requests == base_io.read_requests
+        assert io.rows_read == base_io.rows_read
         if io.rows_spilled:
             # Physical codec traffic exists and is consistent: reads can
             # only decode pages that were encoded.
             assert io.bytes_encoded > 0
             assert io.bytes_decoded <= io.bytes_encoded
+
+    # Row engine on disk with the typed columnar codec.
+    with DiskSpillBackend(codec=TypedPageCodec(SCHEMA)) as backend:
+        manager = SpillManager(backend=backend)
+        disk = HistogramTopK(spec, k, memory, spill_manager=manager)
+        assert list(disk.execute(iter(rows))) == oracle
+        assert_same_accounting(disk.stats.io)
         manager.close()
 
-    # Batch path on disk with the default (pickle) codec.
-    with DiskSpillBackend(background_writes=background) as backend:
+    # Batch path on disk with the default (schemaless) codec.
+    with DiskSpillBackend() as backend:
         manager = SpillManager(backend=backend)
         disk_batch = HistogramTopK(spec, k, memory, spill_manager=manager)
         assert list(disk_batch.execute_batches(
             batches_from_rows(rows, SCHEMA, batch_rows))) == oracle
-        assert disk_batch.stats.io.rows_spilled == \
-            baseline.stats.io.rows_spilled
+        assert_same_accounting(disk_batch.stats.io)
         manager.close()
 
     # Vectorized kernel with real run files.
@@ -333,7 +333,7 @@ def test_disk_backend_typed_codec_agrees(keys, k, memory, batch_rows,
 
     mem_kernel = VectorizedHistogramTopK(k, memory)
     mem_keys, _ = mem_kernel.execute(chunks())
-    with VectorRunDisk(background_writes=background) as storage:
+    with VectorRunDisk() as storage:
         disk_kernel = VectorizedHistogramTopK(
             k, memory, store=VectorRunStore(storage=storage))
         disk_keys, _ = disk_kernel.execute(chunks())

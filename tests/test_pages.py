@@ -15,11 +15,12 @@ class TestPage:
 
     def test_round_trip_through_codec(self):
         # Serialization lives in repro.storage.codec; the default
-        # (pickle) codec must round-trip any page exactly.
-        from repro.storage.codec import PickleCodec, decode_page
+        # (schemaless, pickled-payload) codec must round-trip any page
+        # exactly.
+        from repro.storage.codec import TypedPageCodec, decode_page
 
         page = Page(rows=[(1, "a"), (2, "b")], byte_size=64)
-        restored = decode_page(PickleCodec().encode(page))
+        restored = decode_page(TypedPageCodec().encode(page))
         assert restored.rows == page.rows
         assert restored.byte_size == page.byte_size
 

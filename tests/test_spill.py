@@ -163,3 +163,20 @@ class TestDiskBackendCleanup:
         with DiskSpillBackend(str(tmp_path)) as backend:
             backend.create_file(0, IOStats())
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_spill_layer_has_no_ablation_switches(tmp_path):
+    """Writes are always background, run files always typed, and the
+    merge read-ahead depth is one constant: the old switches are gone."""
+    from repro.core.topk import HistogramTopK
+    from repro.sorting.merge import Merger
+    from repro.vectorized.runs import VectorRunDisk
+
+    with pytest.raises(TypeError):
+        HistogramTopK(lambda row: row, 5, 10, merge_read_ahead=2)
+    with pytest.raises(TypeError):
+        Merger(lambda row: row, read_ahead=2)
+    with pytest.raises(TypeError):
+        DiskSpillBackend(str(tmp_path), background_writes=False)
+    with pytest.raises(TypeError):
+        VectorRunDisk(str(tmp_path), pickle_rows=True)
