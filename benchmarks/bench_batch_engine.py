@@ -4,8 +4,9 @@
 Runs the same keys-only top-k workload through the two single-process
 execution paths the engine offers and reports rows/sec for each:
 
-* ``batch``      — ``HistogramTopK.execute_batches`` (RowBatch pipeline,
-  vectorized arrival prefilter);
+* ``batch``      — ``HistogramTopK.execute_batches`` (RowBatch pipeline;
+  load-sort-store run generation, whose arrival test compares each flush
+  segment's keys with the cutoff in C);
 * ``vectorized`` — the planner's :class:`VectorizedTopK` lowering (numpy
   kernels with late-binding row ids).
 

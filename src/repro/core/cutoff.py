@@ -23,8 +23,8 @@ boundary key.  Invariants:
 
 from __future__ import annotations
 
-import heapq
 import logging
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -100,7 +100,13 @@ class CutoffFilter:
             raise ConfigurationError("k must be positive")
         if self.bucket_capacity is not None and self.bucket_capacity < 1:
             raise ConfigurationError("bucket_capacity must be >= 1")
-        self._heap: list[tuple[_ReverseKey, int, int]] = []
+        # The priority queue: ``(boundary_key, -seq, size)`` entries kept
+        # sorted, so the top -- the largest boundary and, among equal
+        # boundaries, the earliest inserted -- is the last entry.  Plain
+        # tuples keep every comparison in C.  Up to about a thousand
+        # resident buckets (k over the bucket stride), ``insort``'s move
+        # of the tail costs no more than an interpreted heap sift.
+        self._queue: list[tuple[Any, int, int]] = []
         self._seq = 0
         self._coverage = 0
         self._cutoff: Any = None
@@ -127,7 +133,16 @@ class CutoffFilter:
     @property
     def bucket_count(self) -> int:
         """Buckets currently resident in the priority queue."""
-        return len(self._heap)
+        return len(self._queue)
+
+    @property
+    def top_bucket(self) -> Bucket | None:
+        """The bucket with the largest boundary (the next to pop), or
+        ``None`` when the queue is empty."""
+        if not self._queue:
+            return None
+        key, _seq, size = self._queue[-1]
+        return Bucket(boundary_key=key, size=size)
 
     @property
     def seed_key(self) -> Any:
@@ -175,20 +190,18 @@ class CutoffFilter:
         if bucket.size <= 0:
             raise ConfigurationError("bucket size must be positive")
         self._seq += 1
-        heapq.heappush(
-            self._heap, (_ReverseKey(bucket.boundary_key), self._seq,
-                         bucket.size))
+        queue = self._queue
+        insort(queue, (bucket.boundary_key, -self._seq, bucket.size))
         self._coverage += bucket.size
         self.stats.buckets_inserted += 1
 
         # Sharpen: drop the largest boundaries while coverage allows.
-        while self._heap and self._coverage - self._heap[0][2] >= self.k:
-            _key, _seq, size = heapq.heappop(self._heap)
-            self._coverage -= size
+        while queue and self._coverage - queue[-1][2] >= self.k:
+            self._coverage -= queue.pop()[2]
             self.stats.buckets_popped += 1
 
         if self._coverage >= self.k:
-            new_cutoff = self._heap[0][0].key
+            new_cutoff = queue[-1][0]
             if self._cutoff is None or new_cutoff < self._cutoff:
                 if self._cutoff is None and \
                         logger.isEnabledFor(logging.DEBUG):
@@ -204,7 +217,7 @@ class CutoffFilter:
                     self.on_refine(new_cutoff)
 
         if (self.bucket_capacity is not None
-                and len(self._heap) > self.bucket_capacity):
+                and len(self._queue) > self.bucket_capacity):
             self._consolidate()
 
     def _consolidate(self) -> None:
@@ -213,15 +226,15 @@ class CutoffFilter:
         The new bucket's boundary is the current top's boundary, its size
         the sum of all sizes; the established cutoff is unchanged.
         """
-        top_key: _ReverseKey = self._heap[0][0]
+        top_key = self._queue[-1][0]
         total = self._coverage
-        dropped = len(self._heap) - 1
+        dropped = len(self._queue) - 1
         self._seq += 1
-        self._heap = [(top_key, self._seq, total)]
+        self._queue = [(top_key, -self._seq, total)]
         self.stats.consolidations += 1
         logger.debug(
             "consolidated %d buckets into one (boundary %r, size %d)",
-            dropped + 1, top_key.key, total)
+            dropped + 1, top_key, total)
 
     def admit_batch(self, keys) -> Any:
         """Vectorized :meth:`eliminate` over a whole batch of keys.
@@ -241,9 +254,7 @@ class CutoffFilter:
         mask = keys <= self._cutoff
         dropped = int(keys.size) - int(mask.sum())
         if dropped:
-            self.stats.rows_eliminated += dropped
-            if self._cutoff_from_seed:
-                self.stats.rows_eliminated_by_seed += dropped
+            self.count_eliminated(dropped)
         return mask
 
     def eliminate(self, key: Any) -> bool:
@@ -262,6 +273,14 @@ class CutoffFilter:
             return True
         return False
 
+    def count_eliminated(self, rows: int) -> None:
+        """Record ``rows`` eliminated against the current cutoff by a
+        caller that compared them itself (the batch form of
+        :meth:`eliminate`'s bookkeeping)."""
+        self.stats.rows_eliminated += rows
+        if self._cutoff_from_seed:
+            self.stats.rows_eliminated_by_seed += rows
+
     def describe(self) -> str:
         """Debug/report summary of the filter state."""
         seeded = (f" seed={self._seed_key!r}"
@@ -269,7 +288,7 @@ class CutoffFilter:
         return (
             f"cutoff={self._cutoff!r}{seeded} "
             f"coverage={self._coverage}/{self.k} "
-            f"buckets={len(self._heap)} "
+            f"buckets={len(self._queue)} "
             f"(ins={self.stats.buckets_inserted} "
             f"pop={self.stats.buckets_popped} "
             f"cons={self.stats.consolidations})"

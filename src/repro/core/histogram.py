@@ -34,9 +34,12 @@ class Bucket:
 class RunHistogramBuilder:
     """Builds a histogram incrementally from one run's spilled rows.
 
-    The builder is fed every written row via :meth:`add` (wired to the run
-    writer's ``on_spill`` hook) and emits finished buckets to ``sink`` —
-    in practice :meth:`repro.core.cutoff.CutoffFilter.insert`.
+    The builder is fed every written row — one at a time via :meth:`add`
+    (replacement selection wires it to the run writer's ``on_spill``
+    hook), or a sorted segment at a time via :meth:`extend` (load-sort-
+    store ends each segment where :meth:`rows_to_bucket` says the next
+    bucket falls) — and emits finished buckets to ``sink``, in practice
+    :meth:`repro.core.cutoff.CutoffFilter.insert`.
 
     Args:
         policy: Sizing policy deciding the bucket stride and cap.
@@ -73,6 +76,30 @@ class RunHistogramBuilder:
         self._rows_since_boundary += 1
         if self._rows_since_boundary >= self._stride:
             self._sink(Bucket(boundary_key=key, size=self._rows_since_boundary))
+            self._rows_since_boundary = 0
+            self._emitted += 1
+
+    def rows_to_bucket(self) -> int | None:
+        """Spilled rows until the next bucket is emitted, counting the row
+        that emits it; ``None`` when this run emits no more buckets."""
+        if self._stride is None or (self._cap is not None
+                                    and self._emitted >= self._cap):
+            return None
+        return self._stride - self._rows_since_boundary
+
+    def extend(self, keys: list, start: int, stop: int) -> None:
+        """Record the spilled rows keyed ``keys[start:stop]``: :meth:`add`
+        for each key in turn, emitting every bucket whose boundary the
+        segment crosses."""
+        while start < stop:
+            step = self.rows_to_bucket()
+            if step is None:
+                return
+            if start + step > stop:
+                self._rows_since_boundary += stop - start
+                return
+            start += step
+            self._sink(Bucket(boundary_key=keys[start - 1], size=self._stride))
             self._rows_since_boundary = 0
             self._emitted += 1
 

@@ -75,8 +75,10 @@ class HistogramTopK:
             target of ~50 buckets per run).
         offset: Rows to skip before producing output (``OFFSET``); the
             filter preserves ``offset + k`` rows (Section 2.7).
-        run_generation: ``"replacement_selection"`` (production default) or
-            ``"quicksort"`` (the analysis model / PostgreSQL style).
+        run_generation: ``"quicksort"`` (the default: batch-native
+            load-sort-store, see :mod:`repro.sorting.quicksort_runs`) or
+            ``"replacement_selection"`` (the paper's configuration,
+            Section 5.1.2).
         run_size_limit: Per-run row cap; defaults to ``offset + k`` per the
             paper's production implementation.  Pass ``None`` explicitly
             for unlimited runs.
@@ -139,7 +141,7 @@ class HistogramTopK:
         spill_manager: SpillManager | None = None,
         sizing_policy: SizingPolicy | None = None,
         offset: int = 0,
-        run_generation: str = "replacement_selection",
+        run_generation: str = "quicksort",
         run_size_limit: int | None | object = _AUTO,
         fan_in: int | None = None,
         merge_policy: MergePolicy = MergePolicy.LOWEST_KEYS_FIRST,
@@ -440,25 +442,6 @@ class HistogramTopK:
 
     # -- external regime -----------------------------------------------------
 
-    def _make_run_generator(self, on_spill, on_run_closed):
-        cls = (QuicksortRunGenerator if self.run_generation == "quicksort"
-               else ReplacementSelectionRunGenerator)
-        return cls(
-            sort_key=self.sort_key,
-            memory_rows=self.memory_rows,
-            spill_manager=self.spill_manager,
-            run_size_limit=self.run_size_limit,
-            spill_filter=self._spill_eliminate if self.double_filter
-            else None,
-            on_spill=on_spill,
-            on_run_closed=on_run_closed,
-            memory_bytes=self.memory_bytes,
-            row_size=self.row_size if self.memory_bytes is not None
-            else None,
-            stats=self.stats,
-            compute_codes=self.key_codec is not None,
-        )
-
     def _spill_eliminate(self, key: Any) -> bool:
         """Algorithm 1 line 11: re-check a row right before spilling it."""
         return self.cutoff_filter.eliminate(key)
@@ -498,18 +481,42 @@ class HistogramTopK:
             sink=sink,
         )
 
-        def on_spill(key: Any, _row: tuple) -> None:
-            histogram_builder.add(key)
-
         def on_run_closed(run: SortedRun) -> None:
-            histogram_builder.close()
             if self.rank_index is not None:
                 self.rank_index.end_run(run.row_count)
             if self.tracer.enabled:
                 self.tracer.event("run.closed", run_id=run.run_id,
                                   rows=run.row_count)
 
-        return self._make_run_generator(on_spill, on_run_closed)
+        common = dict(
+            sort_key=self.sort_key,
+            memory_rows=self.memory_rows,
+            spill_manager=self.spill_manager,
+            run_size_limit=self.run_size_limit,
+            memory_bytes=self.memory_bytes,
+            row_size=self.row_size if self.memory_bytes is not None
+            else None,
+            stats=self.stats,
+            compute_codes=self.key_codec is not None,
+        )
+        if self.run_generation == "quicksort":
+            return QuicksortRunGenerator(
+                spill_filter=self.cutoff_filter if self.double_filter
+                else None,
+                histogram=histogram_builder,
+                on_run_closed=on_run_closed,
+                **common)
+
+        def on_replacement_run_closed(run: SortedRun) -> None:
+            histogram_builder.close()
+            on_run_closed(run)
+
+        return ReplacementSelectionRunGenerator(
+            spill_filter=self._spill_eliminate if self.double_filter
+            else None,
+            on_spill=lambda key, _row: histogram_builder.add(key),
+            on_run_closed=on_replacement_run_closed,
+            **common)
 
     def _external_finish(self, generator) -> Iterator[tuple]:
         """Close run generation, validate any seed, and merge the runs."""
@@ -633,12 +640,20 @@ class HistogramTopK:
         generator = self._external_machinery()
         with self.tracer.span("topk.run_generation",
                               algorithm=self.run_generation) as span:
+            # The first load was buffered before the regime was known, so
+            # it enters without the arrival test.
             generator.consume_batch(buffered)
             del buffered
             stream = itertools.chain(
                 pending, ((batch, 0) for batch in batches))
-            for batch, start in stream:
-                self._admit_batch(generator, batch, start)
+            if self.run_generation == "quicksort":
+                for batch, start in stream:
+                    generator.consume_batch(
+                        batch.rows[start:] if start else batch.rows,
+                        arrival_filter=self.cutoff_filter)
+            else:
+                for batch, start in stream:
+                    self._admit_batch(generator, batch, start)
             if self.tracer.enabled:
                 span.set_attribute("rows_consumed", stats.rows_consumed)
                 span.set_attribute("rows_eliminated_on_arrival",
@@ -646,8 +661,10 @@ class HistogramTopK:
         yield from self._external_finish(generator)
 
     def _admit_batch(self, generator, batch: RowBatch, start: int) -> None:
-        """Algorithm 1 line 4 over ``batch.rows[start:]``: eager
-        elimination on arrival, interleaved with run generation.
+        """Algorithm 1 line 4 over ``batch.rows[start:]`` for replacement
+        selection: eager elimination on arrival, interleaved with run
+        generation.  (Load-sort-store runs the test inside
+        :meth:`~repro.sorting.quicksort_runs.QuicksortRunGenerator.consume_batch`.)
 
         Survivors reach the generator through a lazy ``(key, row)``
         stream, so each row is tested against the cutoff as sharpened by

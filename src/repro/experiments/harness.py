@@ -124,6 +124,9 @@ def _build_algorithm(name: str, workload: Workload,
     common["memory_rows"] = workload.memory_rows
     common["spill_manager"] = spill_manager
     if name == "histogram":
+        # The paper's configuration (Section 5.1.2), whatever the
+        # engine's default generator is.
+        options.setdefault("run_generation", "replacement_selection")
         return HistogramTopK(workload.sort_spec, **common, **options)
     if name == "optimized":
         return OptimizedMergeSortTopK(workload.sort_spec, **common, **options)

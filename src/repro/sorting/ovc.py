@@ -33,7 +33,10 @@ this eliminates the vast majority of full-key comparisons — the
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterator
+
+import numpy as np
 
 #: Offset bias: offsets are subtracted from KMAX so deeper agreement
 #: yields smaller codes.  32 bits bounds key length at ~4 GiB.
@@ -76,6 +79,51 @@ def code_between(base: bytes | None, key: bytes) -> int:
     d = first_diff(base, key)
     value = key[d] + 1 if d < len(key) else 0
     return ((KMAX - d) << _SHIFT) | value
+
+
+#: Below this many keys, coding them one by one beats numpy's fixed cost
+#: of about 30 µs a call (break-even measured at 16-32 keys of 16-29
+#: bytes; at 80 keys the numpy pass takes under half the time).
+_VECTOR_MIN_KEYS = 24
+
+
+def code_sequence(base: bytes | None, keys: list[bytes]) -> list[int]:
+    """The codes of ``keys``, each relative to the key before it — the
+    first one relative to ``base`` (:data:`INITIAL_CODE` when ``None``).
+
+    Equal to ``code_between`` pair by pair, in one pass: the keys become
+    the rows of a byte matrix (zero-padded to the longest key), and one
+    comparison of every row with the row above finds each first
+    differing byte.  A pair whose difference falls in the padding (one
+    key a proper prefix of the other) is recoded by :func:`code_between`.
+    """
+    count = len(keys)
+    if count < _VECTOR_MIN_KEYS:
+        return list(map(code_between, chain((base,), keys), keys))
+    lengths = np.fromiter(map(len, keys), dtype=np.int64, count=count)
+    width = int(lengths.max())
+    if not width or width * count > 2 * int(lengths.sum()):
+        # Bound the matrix at twice the key bytes: a few long keys among
+        # short ones would inflate it by their length ratio.  Code pair
+        # by pair instead.
+        return list(map(code_between, chain((base,), keys), keys))
+    matrix = np.frombuffer(
+        b"".join(key.ljust(width, b"\0") for key in keys),
+        dtype=np.uint8).reshape(count, width)
+    differs = matrix[1:] != matrix[:-1]
+    offsets = differs.argmax(axis=1).astype(np.int64)
+    values = matrix[1:][np.arange(count - 1), offsets].astype(np.int64)
+    codes = ((KMAX - offsets) << _SHIFT) | (values + 1)
+    equal = ~differs.any(axis=1)
+    codes[equal] = 0
+    unequal_lengths = lengths[1:] != lengths[:-1]
+    in_padding = offsets >= np.minimum(lengths[1:], lengths[:-1])
+    result = [code_between(base, keys[0])]
+    result.extend(codes.tolist())
+    for pair in np.flatnonzero(np.where(equal, unequal_lengths,
+                                        in_padding)).tolist():
+        result[pair + 1] = code_between(keys[pair], keys[pair + 1])
+    return result
 
 
 def merge_coded(

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import lt
 from typing import Any, Callable, Iterator
 
 from repro.errors import SpillError
-from repro.sorting.ovc import INITIAL_CODE, code_between
+from repro.sorting.ovc import INITIAL_CODE, code_between, code_sequence
 from repro.storage.pages import Page, PageBuilder
 from repro.storage.spill import SpillFile, SpillManager
 
@@ -68,13 +70,7 @@ def _ensure_coded(encode: Callable[[tuple], bytes]
         if keys is None:
             keys = page.keys = [encode(row) for row in page.rows]
         if page.codes is None:
-            codes = []
-            append = codes.append
-            previous = state[0]
-            for key in keys:
-                append(code_between(previous, key))
-                previous = key
-            page.codes = codes
+            page.codes = code_sequence(state[0], keys)
         if keys:
             state[0] = keys[-1]
         return page
@@ -204,8 +200,8 @@ class RunWriter:
     Args:
         spill_manager: Storage substrate providing the file and accounting.
         run_id: Identifier recorded in the resulting :class:`SortedRun`.
-        on_spill: Optional callback ``(key, row)`` fired after each row is
-            appended — the paper's ``rowSpilled`` hook.
+        on_spill: Optional callback ``(key, row)`` fired after each row
+            :meth:`write` appends — the paper's ``rowSpilled`` hook.
         check_order: Verify keys are non-decreasing (cheap; on by default).
         compute_codes: Compute and store each row's offset-value code
             against the previous row (binary-key engines only; keys must
@@ -274,31 +270,30 @@ class RunWriter:
     def write_batch(self, keys: list, rows: list[tuple]) -> None:
         """Append one sorted batch of rows (the batch form of :meth:`write`).
 
-        ``keys`` parallels ``rows`` and must be non-decreasing — callers
-        hand over slices of an already-sorted memory load, so only the
-        batch's first key is checked against the run's order invariant,
-        and run metadata is updated once per batch instead of once per
-        row.  Page boundaries, the page-first-key index, and ``on_spill``
-        firing order are identical to per-row writes.
+        ``keys`` parallels ``rows`` and must be non-decreasing, also
+        against the run's last key; the whole batch is checked, pairwise
+        in C.  Run metadata is updated once per batch instead of once per
+        row, and the codes come from one pass over the keys.  Page
+        boundaries and the page-first-key index are identical to per-row
+        writes.  ``on_spill`` is a per-row hook, so a writer that has one
+        takes rows through :meth:`write` only.
         """
         count = len(rows)
         if count == 0:
             return
         if self._closed:
             raise SpillError("run writer is already closed")
+        if self._on_spill is not None:
+            raise SpillError("a writer with on_spill takes rows one by one")
         first = keys[0]
-        if self._check_order and self.row_count and first < self.last_key:
-            raise SpillError(
-                f"run #{self.run_id} order violation: {first!r} after "
-                f"{self.last_key!r}"
-            )
+        if self._check_order and (
+                (self.row_count and first < self.last_key)
+                or any(map(lt, islice(keys, 1, None), keys))):
+            self._raise_order_violation(keys)
         codes = None
         if self._compute_codes:
-            codes = [0] * count
-            previous = self.last_key if self.row_count else None
-            for position, key in enumerate(keys):
-                codes[position] = code_between(previous, key)
-                previous = key
+            codes = code_sequence(self.last_key if self.row_count else None,
+                                  keys)
         # ``boundary`` walks the page-opening positions in batch-local
         # coordinates; a carried partial page opened before this batch
         # (negative start) was already indexed.
@@ -315,9 +310,16 @@ class RunWriter:
             self.first_key = first
         self.last_key = keys[count - 1]
         self.row_count += count
-        if self._on_spill is not None:
-            for key, row in zip(keys, rows):
-                self._on_spill(key, row)
+
+    def _raise_order_violation(self, keys: list) -> None:
+        pairs = zip(keys, islice(keys, 1, None))
+        if self.row_count:
+            pairs = chain(((self.last_key, keys[0]),), pairs)
+        for earlier, key in pairs:
+            if key < earlier:
+                raise SpillError(
+                    f"run #{self.run_id} order violation: {key!r} after "
+                    f"{earlier!r}")
 
     def close(self) -> SortedRun:
         """Flush, seal and return the finished :class:`SortedRun`."""

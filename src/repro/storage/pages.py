@@ -19,7 +19,9 @@ precomputed keys instead of invoking the comparator once per row.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 from repro.errors import SpillError
@@ -114,31 +116,29 @@ class PageBuilder:
         spill batch.  A trailing partial page stays buffered as usual.
         ``keys`` and ``codes``, when given, parallel ``rows``.
         """
+        # ``running[i]``: bytes of the open page plus the first ``i`` rows.
+        # A page ends at the first row that brings its bytes to the
+        # capacity, found by bisection; whole slices move into it.
+        running = list(accumulate(map(self.row_size, rows),
+                                  initial=self._bytes))
+        total = len(rows)
         pages: list[Page] = []
-        row_size = self.row_size
-        if keys is not None:
+        opened = 0  # ``running`` value where the open page began
+        start = 0
+        while True:
+            end = bisect_left(running, opened + self.page_bytes, start + 1)
+            self._rows.extend(rows[start:end])
+            if keys is not None:
+                self._keys.extend(keys[start:end])
             if codes is not None:
-                for row, key, code in zip(rows, keys, codes):
-                    self._rows.append(row)
-                    self._keys.append(key)
-                    self._codes.append(code)
-                    self._bytes += row_size(row)
-                    if self._bytes >= self.page_bytes:
-                        pages.append(self.flush())
+                self._codes.extend(codes[start:end])
+            if end > total:
+                self._bytes = running[total] - opened
                 return pages
-            for row, key in zip(rows, keys):
-                self._rows.append(row)
-                self._keys.append(key)
-                self._bytes += row_size(row)
-                if self._bytes >= self.page_bytes:
-                    pages.append(self.flush())
-            return pages
-        for row in rows:
-            self._rows.append(row)
-            self._bytes += row_size(row)
-            if self._bytes >= self.page_bytes:
-                pages.append(self.flush())
-        return pages
+            self._bytes = running[end] - opened
+            pages.append(self.flush())
+            opened = running[end]
+            start = end
 
     def flush(self) -> Page | None:
         """Emit whatever is buffered as a page, or ``None`` if empty."""

@@ -1,6 +1,7 @@
 """Tests for the cutoff filter — the paper's core mechanism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cutoff import CutoffFilter, _ReverseKey
 from repro.core.histogram import Bucket
@@ -155,9 +156,9 @@ class TestConsolidation:
         assert filt.bucket_count == 1
         # The surviving bucket carries the old top's boundary (0.9) and
         # the combined size of everything consolidated.
-        top_key, _seq, size = filt._heap[0]
-        assert top_key.key == 0.9
-        assert size == 20
+        top = filt.top_bucket
+        assert top.boundary_key == 0.9
+        assert top.size == 20
         assert filt.coverage == 20
 
     def test_consolidation_preserves_established_cutoff(self):
@@ -191,3 +192,42 @@ class TestConsolidation:
         text = filt.describe()
         assert "cutoff=0.5" in text
         assert "coverage=5/5" in text
+
+
+class TestAgainstSortedListModel:
+    """Every insert against a plain model: a list kept sorted by boundary
+    (largest first) and, among equal boundaries, by insertion order."""
+
+    @given(k=st.integers(1, 30),
+           capacity=st.one_of(st.none(), st.integers(1, 6)),
+           buckets=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 6)),
+                            max_size=60),
+           byte_keys=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_model_after_every_insert(self, k, capacity, buckets,
+                                              byte_keys):
+        filt = CutoffFilter(k=k, bucket_capacity=capacity)
+        model: list[tuple] = []  # (boundary, insertion order, size)
+        coverage = 0
+        cutoff = None
+        order = 0
+        for boundary, size in buckets:
+            key = bytes([boundary]) if byte_keys else boundary
+            filt.insert(Bucket(key, size))
+            order += 1
+            model.append((key, order, size))
+            coverage += size
+            model.sort(key=lambda entry: entry[1])
+            model.sort(key=lambda entry: entry[0], reverse=True)
+            while model and coverage - model[0][2] >= k:
+                coverage -= model.pop(0)[2]
+            if coverage >= k and (cutoff is None or model[0][0] < cutoff):
+                cutoff = model[0][0]
+            if capacity is not None and len(model) > capacity:
+                order += 1
+                model = [(model[0][0], order, coverage)]
+            assert filt.cutoff_key == cutoff
+            assert filt.coverage == coverage
+            assert filt.bucket_count == len(model)
+            assert filt.top_bucket == (Bucket(model[0][0], model[0][2])
+                                       if model else None)

@@ -31,6 +31,7 @@ from repro.sorting.merge import merge_keyed
 from repro.sorting.ovc import (
     INITIAL_CODE,
     code_between,
+    code_sequence,
     first_diff,
     merge_coded,
 )
@@ -232,6 +233,30 @@ def test_codes_relative_to_first_row_never_decrease(keys):
     base = keys[0]
     codes = [code_between(base, key) for key in keys]
     assert codes == sorted(codes)
+
+
+def _small_alphabet_keys(min_size: int):
+    return st.lists(st.sampled_from((0, 1, 255)), min_size=min_size,
+                    max_size=5).map(bytes)
+
+
+@given(keys=st.tuples(st.sampled_from((0, 3)), st.integers(0, 80)).flatmap(
+           lambda shape: st.lists(_small_alphabet_keys(shape[0]),
+                                  min_size=shape[1], max_size=shape[1])),
+       base=st.one_of(st.none(), _small_alphabet_keys(0)),
+       sort=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_code_sequence_is_code_between_pair_by_pair(keys, base, sort):
+    """Ties, proper prefixes, trailing zero bytes and empty keys code
+    exactly as one ``code_between`` per pair, whether the batch takes the
+    vectorized path (enough keys of similar length) or not."""
+    if sort:
+        keys.sort()
+    expected, previous = [], base
+    for key in keys:
+        expected.append(code_between(previous, key))
+        previous = key
+    assert code_sequence(base, keys) == expected
 
 
 @given(a=st.binary(max_size=8), b=st.binary(max_size=8))

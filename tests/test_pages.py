@@ -1,6 +1,7 @@
 """Tests for page layout and the page builder."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SpillError
 from repro.storage.pages import DEFAULT_PAGE_BYTES, Page, PageBuilder
@@ -110,3 +111,24 @@ class TestPageKeyCache:
         assert [p.rows for p in pages_one] == [p.rows for p in pages_two]
         assert [p.keys for p in pages_one] == [p.keys for p in pages_two]
         assert all(p.keys is not None for p in pages_two)
+
+
+@given(batches=st.lists(st.lists(st.integers(0, 40), max_size=30),
+                        max_size=6),
+       page_bytes=st.integers(1, 90))
+@settings(max_examples=200, deadline=None)
+def test_extend_pages_like_repeated_add(batches, page_bytes):
+    """Variable row sizes, rows larger than a page and pages carried
+    across batches: every page and the open remainder match ``add``."""
+    size = lambda row: row[0]  # noqa: E731
+    one = PageBuilder(page_bytes=page_bytes, row_size=size)
+    two = PageBuilder(page_bytes=page_bytes, row_size=size)
+    for batch in batches:
+        rows = [(row_size, index) for index, row_size in enumerate(batch)]
+        codes = list(range(len(rows)))
+        pages_one = [page for row, code in zip(rows, codes)
+                     if (page := one.add(row, row[1], code)) is not None]
+        pages_two = two.extend(rows, [row[1] for row in rows], codes)
+        assert pages_one == pages_two
+        assert one.pending_rows == two.pending_rows
+    assert one.flush() == two.flush()

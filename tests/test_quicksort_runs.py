@@ -2,10 +2,20 @@
 
 import pytest
 
+from repro.core.cutoff import CutoffFilter
+from repro.core.histogram import RunHistogramBuilder
+from repro.core.policies import FixedStridePolicy
 from repro.errors import ConfigurationError
 from repro.sorting.quicksort_runs import QuicksortRunGenerator
 
 KEY = lambda row: row[0]  # noqa: E731
+
+
+def _static_cutoff(key: float) -> CutoffFilter:
+    """A cutoff filter pinned at ``key`` (a seed no bucket refines)."""
+    cutoff_filter = CutoffFilter(k=1)
+    cutoff_filter.seed(key)
+    return cutoff_filter
 
 
 class TestBasics:
@@ -51,7 +61,7 @@ class TestTruncation:
     def test_static_filter_truncates_tail(self, spill):
         rows = [((i % 100) / 100.0,) for i in range(100)]
         generator = QuicksortRunGenerator(
-            KEY, 100, spill, spill_filter=lambda key: key > 0.49)
+            KEY, 100, spill, spill_filter=_static_cutoff(0.49))
         runs = generator.generate(rows)
         assert len(runs) == 1
         kept = list(runs[0].rows())
@@ -60,25 +70,23 @@ class TestTruncation:
 
     def test_truncation_counts_whole_tail(self, spill):
         rows = [(i / 10.0,) for i in range(10)]
+        spill_filter = _static_cutoff(0.35)
         generator = QuicksortRunGenerator(
-            KEY, 10, spill, spill_filter=lambda key: key > 0.35)
+            KEY, 10, spill, spill_filter=spill_filter)
         generator.generate(rows)
         assert generator._stats.rows_eliminated_at_spill == 6
+        assert spill_filter.stats.rows_eliminated == 6
 
     def test_filter_sharpened_by_on_spill_truncates_same_run(self, spill):
-        # The cutoff drops to 0.3 after the 4th written row: the run must
+        # The histogram fed by the written rows (the paper's rowSpilled
+        # hook) drops the cutoff to 0.3 after the 4th row: the run must
         # end early even though every row passed the filter on entry.
-        state = {"written": 0}
-
-        def filter_(key):
-            return state["written"] >= 4 and key > 0.3
-
-        def on_spill(_key, _row):
-            state["written"] += 1
-
+        cutoff_filter = CutoffFilter(k=4)
+        histogram = RunHistogramBuilder(FixedStridePolicy(4), 10,
+                                        cutoff_filter.insert)
         rows = [(i / 10.0,) for i in range(10)]
         generator = QuicksortRunGenerator(
-            KEY, 10, spill, spill_filter=filter_, on_spill=on_spill)
+            KEY, 10, spill, spill_filter=cutoff_filter, histogram=histogram)
         runs = generator.generate(rows)
         assert [row[0] for row in runs[0].rows()] == [0.0, 0.1, 0.2, 0.3]
 

@@ -23,6 +23,19 @@ class TestRunWriter:
         with pytest.raises(SpillError, match="order violation"):
             writer.write(4.0, (4.0,))
 
+    @pytest.mark.parametrize("previous, keys, message", [
+        (None, [1.0, 3.0, 2.0, 4.0], "2.0 after 3.0"),
+        (5.0, [4.0, 6.0], "4.0 after 5.0"),
+        (None, [1.0, 1.0, 0.5], "0.5 after 1.0"),
+    ])
+    def test_batch_order_violation_detected_anywhere(self, spill, previous,
+                                                     keys, message):
+        writer = RunWriter(spill, run_id=0)
+        if previous is not None:
+            writer.write(previous, (previous,))
+        with pytest.raises(SpillError, match=message):
+            writer.write_batch(keys, [(key,) for key in keys])
+
     def test_equal_keys_allowed(self, spill):
         writer = RunWriter(spill, run_id=0)
         writer.write(1.0, (1.0,))
@@ -54,6 +67,11 @@ class TestRunWriter:
         writer.write(1.0, (1.0,))
         writer.write(2.0, (2.0,))
         assert seen == [1.0, 2.0]
+
+    def test_batch_write_rejects_on_spill(self, spill):
+        writer = RunWriter(spill, run_id=0, on_spill=lambda key, row: None)
+        with pytest.raises(SpillError, match="one by one"):
+            writer.write_batch([1.0], [(1.0,)])
 
     def test_abandon_reclaims_storage(self, spill):
         writer = RunWriter(spill, run_id=0)
