@@ -14,7 +14,6 @@ import pytest
 
 from conftest import bench_workload
 from repro.core.topk import HistogramTopK
-from repro.shard.partition import boundaries_from_sample
 from repro.storage.costmodel import CostModel
 from repro.storage.spill import SpillManager
 from repro.strategies import (
@@ -22,6 +21,7 @@ from repro.strategies import (
     RangePartitionTopK,
     ZoneMapTopK,
 )
+from repro.strategies.range_partition import boundaries_from_sample
 
 DISAGGREGATED = CostModel(random_read_s=0.010)
 

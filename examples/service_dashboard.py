@@ -99,31 +99,6 @@ def main() -> None:
         print(f"   seeded re-run spilled {warm.stats.rows_spilled} rows "
               f"(seed eliminated {warm.stats.rows_filtered_by_seed})")
 
-    # Large panels can run sharded: the service forwards ``shards`` to
-    # every execution, worker processes exchange cutoffs through the
-    # shared-memory slot, and the exchange shows up as
-    # ``service.shard.*`` metrics.
-    print()
-    print("-- sharded execution (2 worker processes) --")
-    sharded_db = Database(
-        memory_rows=512, shards=2,
-        shard_options={"min_rows_per_shard": 1000})
-    sharded_db.register_table("requests", SCHEMA, make_rows(seed=3),
-                              row_count=ROWS)
-    with QueryService(sharded_db, workers=2) as service:
-        result = service.execute(
-            "SELECT request_id, latency_ms FROM requests "
-            "ORDER BY latency_ms LIMIT 1000")
-        print(f"   {len(result.rows)} rows across "
-              f"{result.stats.shards} shards, "
-              f"{result.stats.shard_cutoff_publications} cutoff "
-              f"publications, {result.stats.shard_cutoff_adoptions} "
-              f"adoptions")
-        metrics = service.metrics_snapshot()
-        for name, instrument in metrics.items():
-            if name.startswith("service.shard."):
-                print(f"   {name} = {instrument['value']}")
-
 
 if __name__ == "__main__":
     main()

@@ -24,7 +24,6 @@ import random
 from repro.core.topk import HistogramTopK
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
-from repro.shard.partition import boundaries_from_sample
 from repro.storage.codec import TypedPageCodec
 from repro.storage.costmodel import CostModel
 from repro.storage.spill import DiskSpillBackend, SpillManager
@@ -33,6 +32,7 @@ from repro.strategies import (
     RangePartitionTopK,
     ZoneMapTopK,
 )
+from repro.strategies.range_partition import boundaries_from_sample
 
 DISAGGREGATED = CostModel(random_read_s=0.010)   # network + shared disk
 LOCAL_NVME = CostModel(random_read_s=0.00002)    # ~50k IOPS flash

@@ -3,22 +3,19 @@
 Plans are intentionally simple — scan, optional filter, then either a
 top-k, a full sort, or a plain limit, then a projection.  The paper
 makes the top-k *algorithm* choice moot (the histogram operator adapts
-at runtime, Section 5.2), but everything *around* the operator is a
-genuine optimization problem: batch vs vectorized vs sharded
-execution, merge fan-in, and worker count.  Those choices are made here
-by enumerating the eligible candidates and costing each with the
+at runtime, Section 5.2), but the physical path around it is a genuine
+choice: the batch operator or the vectorized numpy kernels.  It is made
+here by costing each eligible path with the
 :class:`~repro.storage.costmodel.CostModel`, fed by the statistics
-catalog (:mod:`repro.stats`) when one is attached — with every historic
-knob (``vectorize=``, ``shards=``, ``fan_in``, ``path=``) retained as an
-override that pins the decision.  The key substrate is not a choice: it
-follows from the sort spec
+catalog (:mod:`repro.stats`) when one is attached — with ``vectorize=``
+and ``path=`` retained as overrides that pin the decision.  The key
+substrate is not a choice: it follows from the sort spec
 (:func:`~repro.sorting.keycodec.binary_key_codec`).
 """
 
 from __future__ import annotations
 
 import operator as _operator
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -68,12 +65,6 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
 #: knows (callable sources before their first scan).
 DEFAULT_ROW_ESTIMATE = 100_000
 
-#: Explicit merge fan-ins swept as a costed candidate dimension when no
-#: ``fan_in`` option is pinned.  Bounded to a small ladder so the
-#: candidate count stays flat — each candidate keeps only its cheapest
-#: rung (or the unbounded default).
-MERGE_FAN_IN_LADDER = (8, 16, 64)
-
 #: Fallback selectivities when no column sketch is available (the
 #: textbook System-R defaults).
 _DEFAULT_SELECTIVITY = {"=": 0.1, "!=": 0.9}
@@ -97,8 +88,6 @@ def vectorized_lowering_eligible(
 ) -> bool:
     """Whether a plain top-k may lower onto the numpy kernels.
 
-    The single shared predicate for both the vectorized and the sharded
-    lowering (the sharded executor runs the same kernel per worker).
     Lowering requires every condition the kernels assume:
 
     * the paper's histogram algorithm with no ablation options;
@@ -147,25 +136,13 @@ def _compile_predicates(schema: Schema,
 class Candidate:
     """One costed physical alternative for a plain top-k plan."""
 
-    path: str              # "batch" | "vectorized" | "sharded"
-    keys: str              # "tuple" | "ovc" | "-" (vectorized paths)
-    shards: int
+    path: str              # "batch" | "vectorized"
+    keys: str              # "tuple" | "ovc" | "-" (vectorized)
     cost: PlanCost
-    #: ``"eager"`` decodes full rows during the external merge;
-    #: ``"lazy"`` merges key/row-id skeletons from key-split spill pages
-    #: and stitches winner payloads afterwards (requires a spill backend
-    #: whose codec writes split pages).
-    materialization: str = "eager"
-    #: An explicit merge fan-in the sweep found cheaper than the
-    #: unbounded default (``None`` = merge all runs in one pass).
-    fan_in: int | None = None
 
     def label(self) -> str:
         encoding = "" if self.keys == "-" else f"/{self.keys}"
-        shards = f"x{self.shards}" if self.shards > 1 else ""
-        lazy = "+lazy" if self.materialization == "lazy" else ""
-        fan = f"@f{self.fan_in}" if self.fan_in is not None else ""
-        return f"{self.path}{encoding}{shards}{lazy}{fan}"
+        return f"{self.path}{encoding}"
 
 
 @dataclass(frozen=True)
@@ -184,7 +161,7 @@ class PlanDecision:
     #: feedback for this exact scope), ``"catalog"`` (column sketches),
     #: ``"table"`` (registered row count only), or ``"default"``.
     stats_source: str
-    #: Knobs that pinned (parts of) the decision, e.g. ``("shards",)``.
+    #: Knobs that pinned (parts of) the decision, e.g. ``("fan_in",)``.
     forced: tuple[str, ...] = field(default_factory=tuple)
 
     def describe(self) -> str:
@@ -193,7 +170,7 @@ class PlanDecision:
         lines = [
             (f"Planner: path={self.chosen.path} "
              f"keys={self.chosen.keys} "
-             f"fan_in={fan_in} shards={self.chosen.shards} "
+             f"fan_in={fan_in} "
              f"cost={cost.seconds:.4f}s [stats={self.stats_source}]"),
             (f"  estimated: rows_in={self.estimated_rows:.0f} "
              f"(selectivity {self.estimated_selectivity:.3f}) "
@@ -354,23 +331,14 @@ class Planner:
             vectorized numpy kernels (see
             :func:`vectorized_lowering_eligible`).  ``False`` pins every
             plan to the row-engine operator.
-        shards: Worker-process count for sharded execution.  ``1`` (the
-            default) keeps plans single-process; an integer ``>= 2`` is a
-            placement directive — eligible plans shard, exactly as
-            before the cost-based planner; ``"auto"`` lets the cost
-            model pick the count (including 1) up to the machine's CPUs.
-        shard_options: Extra keyword arguments for
-            :class:`~repro.shard.executor.ShardedTopKExecutor`
-            (``partition=``, ``exchange=``, ``spill=``, ...) plus the
-            planner-level ``min_rows_per_shard`` threshold.
         cost_model: The :class:`~repro.storage.costmodel.CostModel`
             pricing the candidates.
         stats_catalog: Optional :class:`~repro.stats.StatsCatalog`
             feeding cardinality/selectivity estimates (the session wires
             its own by default).
-        path: Force one physical path (``"batch"``, ``"vectorized"``,
-            ``"sharded"``) instead of costing; the benchmark harness's
-            hand-picking knob.
+        path: Force one physical path (``"batch"`` or ``"vectorized"``)
+            instead of costing; the benchmark harness's hand-picking
+            knob.
         join_method: Pin the physical join (``"hash"`` / ``"merge"``)
             instead of costing; ``"auto"`` (default) costs both.
         pushdown: Pin top-k cutoff pushdown below joins: ``True`` forces
@@ -387,8 +355,6 @@ class Planner:
         spill_manager_factory: Callable[[], SpillManager] | None = None,
         algorithm_options: dict | None = None,
         vectorize: bool = True,
-        shards: int | str = 1,
-        shard_options: dict | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         stats_catalog=None,
         path: str | None = None,
@@ -400,13 +366,9 @@ class Planner:
         self.spill_manager_factory = spill_manager_factory or SpillManager
         self.algorithm_options = algorithm_options or {}
         self.vectorize = vectorize
-        self.shards = shards
-        self.shard_options = dict(shard_options or {})
-        self.min_rows_per_shard = self.shard_options.pop(
-            "min_rows_per_shard", 50_000)
         self.cost_model = cost_model
         self.stats_catalog = stats_catalog
-        if path is not None and path not in ("batch", "vectorized", "sharded"):
+        if path is not None and path not in ("batch", "vectorized"):
             raise PlanError(f"unknown forced path {path!r}")
         self.path = path
         if join_method not in self.JOIN_METHODS:
@@ -415,22 +377,6 @@ class Planner:
                 f"choose from {self.JOIN_METHODS}")
         self.join_method = join_method
         self.pushdown = pushdown
-        self._lazy_capable: bool | None = None
-
-    def _supports_lazy_spill(self) -> bool:
-        """Whether the session's spill substrate writes pages with key
-        sections (the prerequisite for lazy-materialization candidates).
-
-        Probed once through the factory and cached.  The probe manager is
-        deliberately *not* closed: factories commonly share one
-        :class:`~repro.storage.spill.DiskSpillBackend`, whose ``close()``
-        would delete files belonging to every other query.
-        """
-        if self._lazy_capable is None:
-            manager = self.spill_manager_factory()
-            self._lazy_capable = bool(getattr(
-                manager.backend, "supports_late_materialization", False))
-        return self._lazy_capable
 
     # -- estimation ------------------------------------------------------
 
@@ -499,26 +445,9 @@ class Planner:
 
     # -- candidate enumeration / costing ---------------------------------
 
-    def _shard_counts(self, table: Table, shards: int | str) -> list[int]:
-        """Worker counts worth costing (gated on table size)."""
-        if shards == "auto":
-            cpus = os.cpu_count() or 1
-            counts = [n for n in (2, 4, 8, 16)
-                      if n <= cpus and self._large_enough(table, n)]
-            return counts
-        if isinstance(shards, int) and shards >= 2 \
-                and self._large_enough(table, shards):
-            return [shards]
-        return []
-
-    def _large_enough(self, table: Table | None, shards: int) -> bool:
-        row_count = getattr(table, "row_count", None)
-        return row_count is None or row_count >= shards \
-            * self.min_rows_per_shard
-
     def _decide_topk(self, spec: SortSpec, query: ParsedQuery,
-                     table: Table, memory_rows: int, cutoff_seed: Any,
-                     shards: int | str) -> PlanDecision:
+                     table: Table, memory_rows: int,
+                     cutoff_seed: Any) -> PlanDecision:
         """Estimate the input, then cost the eligible candidates."""
         stats = self._table_stats(table)
         rows, row_bytes, selectivity, source = self._estimate_input(
@@ -526,74 +455,38 @@ class Planner:
         return self._decide_topk_costed(
             spec, query, rows=rows, row_bytes=row_bytes,
             selectivity=selectivity, source=source,
-            memory_rows=memory_rows, cutoff_seed=cutoff_seed,
-            shards=shards, table=table)
+            memory_rows=memory_rows, cutoff_seed=cutoff_seed)
 
     def _decide_topk_costed(
         self, spec: SortSpec, query: ParsedQuery, *, rows: float,
         row_bytes: float, selectivity: float, source: str,
-        memory_rows: int, cutoff_seed: Any, shards: int | str,
-        table: Table | None = None,
+        memory_rows: int, cutoff_seed: Any,
     ) -> PlanDecision:
-        """Enumerate eligible candidates, cost each, pick the cheapest.
-
-        ``table`` gates shard eligibility; join plans pass ``None`` (and
-        ``shards=1``) since the sharded executor partitions base tables.
-        """
+        """Cost the eligible paths and pick the cheapest."""
         needed = query.limit + query.offset
-        key_columns = len(spec.columns)
         forced: list[str] = []
-        pinned_fan_in = self.algorithm_options.get("fan_in")
 
-        def cost(path: str, keys: str, n_shards: int = 1,
-                 materialization: str = "eager",
-                 fan_in: int | None = None) -> PlanCost:
-            return self.cost_model.topk_plan_cost(
+        def costed(path: str, keys: str) -> Candidate:
+            return Candidate(path, keys, self.cost_model.topk_plan_cost(
                 rows=rows, row_bytes=row_bytes, needed=needed,
                 memory_rows=memory_rows, path=path,
-                key_columns=key_columns, binary_keys=keys == "ovc",
-                fan_in=fan_in if fan_in is not None else pinned_fan_in,
-                shards=n_shards, materialization=materialization)
-
-        def costed(path: str, keys: str, n_shards: int = 1,
-                   materialization: str = "eager") -> Candidate:
-            """One candidate with merge fan-in swept as a costed
-            dimension: the unbounded default competes against a small
-            ladder and only the cheapest rung survives, keeping the
-            candidate count flat.  A pinned ``fan_in`` option skips
-            the sweep (it is a directive, not a hint)."""
-            best = cost(path, keys, n_shards, materialization)
-            best_fan: int | None = None
-            if pinned_fan_in is None and best.rows_spilled > 0:
-                for rung in MERGE_FAN_IN_LADDER:
-                    trial = cost(path, keys, n_shards,
-                                 materialization, fan_in=rung)
-                    if trial.seconds < best.seconds:
-                        best, best_fan = trial, rung
-            return Candidate(path, keys, n_shards, best,
-                             materialization, fan_in=best_fan)
+                key_columns=len(spec.columns), binary_keys=keys == "ovc",
+                fan_in=self.algorithm_options.get("fan_in")))
 
         # Enumeration order doubles as the cost tie-break (``min`` keeps
         # the first of equals): vectorized before batch, so degenerate
         # inputs (zero estimated rows) still get the vectorized plan.
         candidates: list[Candidate] = []
-        vector_ok = self.vectorize and vectorized_lowering_eligible(
-            spec, algorithm=self.algorithm,
-            algorithm_options=self.algorithm_options,
-            cutoff_seed=cutoff_seed)
-        if vector_ok:
+        if self.vectorize and vectorized_lowering_eligible(
+                spec, algorithm=self.algorithm,
+                algorithm_options=self.algorithm_options,
+                cutoff_seed=cutoff_seed):
             candidates.append(costed("vectorized", "-"))
-            for count in self._shard_counts(table, shards):
-                candidates.append(costed("sharded", "-", count))
         # The spec picks the row engine's key substrate (the baselines
-        # always sort tuple keys).  Lazy materialization needs ovc byte
-        # keys (the split pages store the encoded sort key next to each
-        # row id) and a spill backend whose codec writes split pages.
+        # always sort tuple keys).
         keys = ("ovc" if self.algorithm == "histogram"
                 and binary_key_codec(spec) is not None else "tuple")
         candidates.append(costed("batch", keys))
-        if keys == "ovc" and self._supports_lazy_spill():
-            candidates.append(costed("batch", keys, materialization="lazy"))
 
         eligible = candidates
         if self.path is not None:
@@ -604,13 +497,6 @@ class Planner:
                     f"forced path {self.path!r} is not eligible for this "
                     f"query (candidates: "
                     f"{sorted({c.path for c in candidates})})")
-        elif isinstance(shards, int) and shards >= 2:
-            # An explicit worker count is a placement directive, exactly
-            # as before the cost-based planner: eligible plans shard.
-            sharded = [c for c in eligible if c.path == "sharded"]
-            if sharded:
-                forced.append("shards")
-                eligible = sharded
         if not self.vectorize:
             forced.append("vectorize=False")
         if self.algorithm_options.get("fan_in") is not None:
@@ -630,21 +516,7 @@ class Planner:
                     spec: SortSpec, query: ParsedQuery, memory_rows: int,
                     cutoff_seed: Any, tracer) -> Operator:
         """Materialize the chosen candidate as a physical operator."""
-        chosen = decision.chosen
-        if chosen.path == "sharded":
-            from repro.shard.operator import ShardedVectorizedTopK
-
-            operator = ShardedVectorizedTopK(
-                node,
-                sort_spec=spec,
-                k=query.limit,
-                shards=chosen.shards,
-                offset=query.offset,
-                memory_rows=memory_rows,
-                tracer=tracer,
-                shard_options=dict(self.shard_options),
-            )
-        elif chosen.path == "vectorized":
+        if decision.chosen.path == "vectorized":
             operator = VectorizedTopK(
                 node,
                 sort_spec=spec,
@@ -654,11 +526,6 @@ class Planner:
                 tracer=tracer,
             )
         else:
-            options = dict(self.algorithm_options)
-            if chosen.materialization == "lazy":
-                options["late_materialization"] = True
-            if chosen.fan_in is not None:
-                options["fan_in"] = chosen.fan_in
             operator = TopK(
                 node,
                 sort_spec=spec,
@@ -667,7 +534,7 @@ class Planner:
                 algorithm=self.algorithm,
                 memory_rows=memory_rows,
                 spill_manager=self.spill_manager_factory(),
-                algorithm_options=options,
+                algorithm_options=dict(self.algorithm_options),
                 cutoff_seed=cutoff_seed,
                 tracer=tracer,
             )
@@ -694,7 +561,6 @@ class Planner:
         memory_rows: int | None = None,
         cutoff_seed: Any = None,
         tracer=None,
-        shards: int | str | None = None,
         join_table: Table | None = None,
     ) -> Operator:
         """Produce the physical plan for ``query`` over ``table``.
@@ -711,10 +577,6 @@ class Planner:
                 joins).
             tracer: Optional :class:`repro.obs.trace.Tracer` attached to
                 the plan's top-k operator (and its spill substrate).
-            shards: Per-query override of the planner's default worker
-                count for sharded execution (``None`` → the planner
-                default; ``1`` forces single-process; ``"auto"`` costs
-                the count).
             join_table: The resolved right-hand :class:`Table` when the
                 query has a JOIN clause (the session passes it).
         """
@@ -735,7 +597,8 @@ class Planner:
             node = Filter(node, predicate, description)
 
         if query.is_aggregate:
-            return self._plan_aggregate(query, node, table.schema)
+            return self._plan_aggregate(query, node, table.schema,
+                                        memory_rows)
 
         if query.order_by:
             sort_columns = [
@@ -777,8 +640,7 @@ class Planner:
                         if query.offset else segmented)
             elif query.limit is not None:
                 decision = self._decide_topk(
-                    spec, query, table, memory_rows, cutoff_seed,
-                    self.shards if shards is None else shards)
+                    spec, query, table, memory_rows, cutoff_seed)
                 node = self._build_topk(decision, node, spec, query,
                                         memory_rows, cutoff_seed, tracer)
             else:
@@ -797,7 +659,7 @@ class Planner:
     # -- aggregate planning ----------------------------------------------
 
     def _plan_aggregate(self, query: ParsedQuery, node: Operator,
-                        schema: Schema,
+                        schema: Schema, memory_rows: int,
                         ns: "_JoinNamespace | None" = None) -> Operator:
         """GROUP BY / aggregate lowering: hash aggregation, then ORDER
         BY / LIMIT over the (small, already materialized) aggregate
@@ -827,11 +689,11 @@ class Planner:
         if group_columns:
             # Memory-governed grouping: duplicate group keys collapse
             # into in-buffer partial aggregates during run generation,
-            # bounded by the session's memory budget.  Global aggregates
+            # bounded by the query's memory budget.  Global aggregates
             # (one group) never need it.
             node = GroupedAggregate(
                 node, group_columns, aggregates, select,
-                memory_rows=self.memory_rows,
+                memory_rows=memory_rows,
                 spill_manager=self.spill_manager_factory())
         else:
             node = GroupedAggregate(node, group_columns, aggregates,
@@ -1008,7 +870,7 @@ class Planner:
         cutoffs.
         """
         spec = SortSpec(source_schema, sort_columns)
-        if chosen.path in ("vectorized", "sharded"):
+        if chosen.path == "vectorized":
             numeric = numeric_key_column(spec)
             if numeric is None:  # pragma: no cover - eligibility gated
                 raise PlanError(
@@ -1135,12 +997,10 @@ class Planner:
                 spec, query, rows=out_rows,
                 row_bytes=self._schema_row_bytes(ns.schema),
                 selectivity=1.0, source=stats_source,
-                memory_rows=memory_rows, cutoff_seed=None, shards=1,
-                table=None)
+                memory_rows=memory_rows, cutoff_seed=None)
             consumer_row_s = {
                 "batch": self.cost_model.plan_row_s_batch,
                 "vectorized": self.cost_model.plan_row_s_vectorized,
-                "sharded": self.cost_model.plan_row_s_vectorized,
             }[topk_decision.chosen.path]
 
         filter_row_s = self.cost_model.plan_compare_base_s
@@ -1216,7 +1076,8 @@ class Planner:
             node = Filter(node, test, description)
 
         if query.is_aggregate:
-            return self._plan_aggregate(query, node, ns.schema, ns=ns)
+            return self._plan_aggregate(query, node, ns.schema,
+                                        memory_rows, ns=ns)
 
         if query.order_by:
             if grouped:

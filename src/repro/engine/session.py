@@ -88,11 +88,6 @@ class Database:
         memory_rows: Memory budget (rows) for each sorting operator.
         algorithm: Default top-k algorithm (``"histogram"``).
         algorithm_options: Extra options forwarded to the top-k algorithm.
-        shards: Default worker-process count for sharded top-k execution
-            (``1`` = single-process; ``"auto"`` lets the cost model pick;
-            see :mod:`repro.shard`).
-        shard_options: Extra options for the shard executor
-            (``partition=``, ``exchange=``, ``spill=``, ...).
         stats_catalog: Inject a pre-built
             :class:`~repro.stats.StatsCatalog`; ``None`` builds one
             (persisting under ``stats_path`` when given).  The catalog
@@ -102,9 +97,8 @@ class Database:
         stats_path: Directory for the default catalog's per-table JSON
             files; statistics then survive process restarts.
         force_path: Pin every plain top-k plan to one physical path
-            (``"batch"``, ``"vectorized"``, ``"sharded"``)
-            instead of costing — the benchmark harness's hand-picking
-            knob.
+            (``"batch"`` or ``"vectorized"``) instead of costing — the
+            benchmark harness's hand-picking knob.
         join_method: Pin the physical join operator (``"hash"`` /
             ``"merge"``); ``"auto"`` (default) costs both.
         pushdown: Pin top-k cutoff pushdown below joins (``True`` on
@@ -116,8 +110,6 @@ class Database:
         memory_rows: int = 100_000,
         algorithm: str = "histogram",
         algorithm_options: dict | None = None,
-        shards: int | str = 1,
-        shard_options: dict | None = None,
         stats_catalog: StatsCatalog | None = None,
         stats_path=None,
         force_path: str | None = None,
@@ -131,8 +123,6 @@ class Database:
             memory_rows=memory_rows,
             algorithm=algorithm,
             algorithm_options=algorithm_options,
-            shards=shards,
-            shard_options=shard_options,
             stats_catalog=self.stats_catalog,
             path=force_path,
             join_method=join_method,
@@ -214,7 +204,6 @@ class Database:
         cutoff_seed: Any = None,
         explain_analyze: bool = False,
         tracer: Tracer | None = None,
-        shards: int | None = None,
     ) -> QueryResult:
         """Parse, plan and execute ``sql_text``; results are materialized.
 
@@ -233,27 +222,23 @@ class Database:
                 renders the classic text tree.  Implies a tracer.
             tracer: Optional :class:`~repro.obs.trace.Tracer` observing
                 the execution (phase spans, cutoff refinement events).
-            shards: Per-query worker-process count for sharded top-k
-                execution (``None`` → session default; ``1`` forces
-                single-process).
         """
         query = parse(sql_text)
         return self._execute(query, memory_rows=memory_rows,
                              cutoff_seed=cutoff_seed,
                              explain_analyze=explain_analyze,
-                             tracer=tracer, shards=shards)
+                             tracer=tracer)
 
     def _execute(self, query: ParsedQuery, *, memory_rows: int | None,
                  cutoff_seed: Any, explain_analyze: bool = False,
-                 tracer: Tracer | None = None,
-                 shards: int | str | None = None) -> QueryResult:
+                 tracer: Tracer | None = None) -> QueryResult:
         if explain_analyze and tracer is None:
             tracer = Tracer()
         table = self.table(query.table)
         plan = self.planner.plan(query, table,
                                  memory_rows=memory_rows,
                                  cutoff_seed=cutoff_seed,
-                                 tracer=tracer, shards=shards,
+                                 tracer=tracer,
                                  join_table=self._join_table(query))
         topk = _plan_topk_node(plan)
         harvest = (self._attach_harvest(topk, query)
@@ -272,7 +257,7 @@ class Database:
             return self._execute(query, memory_rows=memory_rows,
                                  cutoff_seed=None,
                                  explain_analyze=explain_analyze,
-                                 tracer=tracer, shards=shards)
+                                 tracer=tracer)
         except BaseException:
             # Failed queries must not leak spill files (or pages).
             release_plan_storage(plan)
@@ -414,7 +399,7 @@ class _ProjectedPaginator:
 
 
 def _plan_topk_node(plan: Operator) -> Operator | None:
-    """The plan's plain top-k node (row, vectorized, or sharded), if any."""
+    """The plan's plain top-k node (batch or vectorized), if any."""
     stack = [plan]
     while stack:
         node = stack.pop()

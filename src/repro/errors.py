@@ -75,12 +75,3 @@ class ServiceOverloadedError(ServiceError):
 class QueryTimeoutError(ServiceError):
     """A query missed its deadline (in the queue or during execution)."""
 
-
-class ShardError(ReproError):
-    """Sharded execution failed (a worker process died or reported an
-    error, or the coordinator lost contact with its workers).
-
-    The coordinator guarantees shared-memory segments and per-shard spill
-    directories are reclaimed before this propagates, so a crashed worker
-    costs the query, never the host.
-    """

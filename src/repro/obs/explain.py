@@ -279,16 +279,6 @@ class PlanProbe:
             if cutoff_filter is not None \
                     and cutoff_filter.cutoff_key is not None:
                 details["cutoff_key"] = cutoff_filter.cutoff_key
-            summaries = getattr(impl, "shard_summaries", None)
-            if summaries is not None:
-                details["shards"] = len(summaries)
-                details["shard_merge"] = impl.merge_mode_used
-                details["cutoff_publications"] = impl.publications
-                details["cutoff_adoptions"] = impl.adoptions
-                details["rows_dropped_by_remote_cutoff"] = \
-                    impl.rows_dropped_remote
-                for summary in summaries:
-                    details[f"shard[{summary.shard}]"] = summary.describe()
         return AnalyzedNode(
             label=node.label(),
             wall_seconds=measurement.seconds,

@@ -44,7 +44,6 @@ class WorkerSession:
         memory_rows: int | None = None,
         cutoff_seed: Any = None,
         keep_storage: bool = False,
-        shards: int | None = None,
     ) -> QueryResult:
         """Run one query, account for it, and release its spill storage.
 
@@ -55,7 +54,7 @@ class WorkerSession:
         it).
         """
         result = self.database.sql(sql_text, memory_rows=memory_rows,
-                                   cutoff_seed=cutoff_seed, shards=shards)
+                                   cutoff_seed=cutoff_seed)
         self.queries_served += 1
         self.stats.merge(result.stats)
         if not keep_storage:

@@ -149,9 +149,6 @@ class QueryService:
         metrics: Inject a shared :class:`MetricsRegistry` (e.g. one
             registry scraped across several services); ``None`` builds
             a private one.  Snapshot via :meth:`metrics_snapshot`.
-        shards: Per-query worker-process count forwarded to every
-            execution (``None`` → the database's own default).  Sharded
-            queries surface as ``service.shard.*`` counters.
     """
 
     def __init__(
@@ -166,7 +163,6 @@ class QueryService:
         cache: ResultCache | None = None,
         default_deadline: float | None = None,
         metrics: MetricsRegistry | None = None,
-        shards: int | None = None,
     ):
         if workers <= 0:
             raise ConfigurationError("workers must be positive")
@@ -182,7 +178,6 @@ class QueryService:
             total_memory_rows or workers * per_query)
         self.cache = cache if cache is not None else ResultCache()
         self.default_deadline = default_deadline
-        self.shards = shards
         self.pool = SessionPool(database, workers)
         self.stats = ServiceStatsAggregator()
         #: Fleet-wide metrics: per-query observations aggregate here and
@@ -211,13 +206,6 @@ class QueryService:
         self._m_comparisons = {
             kind: m.counter(f"sort.comparisons.{kind}")
             for kind in ("full", "code_only")}
-        # Sharded execution: cross-process cutoff traffic and its payoff
-        # (all zero while every plan stays single-process).
-        self._m_shard = {
-            kind: m.counter(f"service.shard.{kind}")
-            for kind in ("queries", "cutoff_publications",
-                         "cutoff_adoptions",
-                         "rows_dropped_by_remote_cutoff")}
         # Rank-aware joins: per-side input cardinalities and the output,
         # plus the streaming merge join's sort-side spill volume.
         self._m_join = {
@@ -383,8 +371,7 @@ class QueryService:
                 try:
                     result = session.execute(sql_text,
                                              memory_rows=lease.rows,
-                                             cutoff_seed=seed,
-                                             shards=self.shards)
+                                             cutoff_seed=seed)
                 finally:
                     self._m_inflight.dec()
                 record.execution_seconds = time.monotonic() - started
@@ -392,7 +379,6 @@ class QueryService:
         record.rows_spilled = result.stats.io.rows_spilled
         record.rows_filtered = result.stats.rows_eliminated
         record.rows_filtered_by_seed = self._seed_eliminations(result)
-        self._record_shard_stats(result, record)
         self._record_join_stats(result, record)
 
         if scope is not None and result.final_cutoff is not None:
@@ -420,14 +406,6 @@ class QueryService:
         self._m_spill["pages_skipped"].inc(io.pages_skipped_zone_map)
         self._m_comparisons["full"].inc(result.stats.full_key_comparisons)
         self._m_comparisons["code_only"].inc(result.stats.code_comparisons)
-        if record.shards > 1:
-            self._m_shard["queries"].inc()
-            self._m_shard["cutoff_publications"].inc(
-                record.shard_cutoff_publications)
-            self._m_shard["cutoff_adoptions"].inc(
-                record.shard_cutoff_adoptions)
-            self._m_shard["rows_dropped_by_remote_cutoff"].inc(
-                record.shard_rows_dropped_remote)
         if record.joined:
             self._m_join["queries"].inc()
             self._m_join["rows_build"].inc(record.join_rows_build)
@@ -523,23 +501,6 @@ class QueryService:
                     return cutoff_filter.stats.rows_eliminated_by_seed
             stack.extend(node.children())
         return 0
-
-    @staticmethod
-    def _record_shard_stats(result, record: ServiceStats) -> None:
-        """Fill the record's shard fields off the plan's sharded top-k
-        node, when the planner chose one (no-op otherwise)."""
-        stack = [result.plan]
-        while stack:
-            node = stack.pop()
-            impl = node.__dict__.get("last_impl")
-            if impl is not None \
-                    and getattr(impl, "shard_summaries", None) is not None:
-                record.shards = impl.shards
-                record.shard_cutoff_publications = impl.publications
-                record.shard_cutoff_adoptions = impl.adoptions
-                record.shard_rows_dropped_remote = impl.rows_dropped_remote
-                return
-            stack.extend(node.children())
 
     @staticmethod
     def _record_join_stats(result, record: ServiceStats) -> None:

@@ -58,15 +58,6 @@ class ServiceStats:
     rows_spilled: int = 0
     #: Worker session that served the query (-1 before assignment).
     session_id: int = -1
-    #: Worker processes the plan executed across (1 = single-process).
-    shards: int = 1
-    #: Cross-shard cutoff publications the query performed.
-    shard_cutoff_publications: int = 0
-    #: Cutoff adoptions (a shard tightened its bound from the slot).
-    shard_cutoff_adoptions: int = 0
-    #: Rows dropped because a *remote* shard's cutoff was tighter than
-    #: anything known locally.
-    shard_rows_dropped_remote: int = 0
     #: Whether the plan contained a join operator.
     joined: bool = False
     #: Rows the join(s) built hash/sorted state from (right side).
@@ -107,10 +98,6 @@ class ServiceSnapshot:
     cache_misses: int = 0
     lease_shrinks: int = 0
     rows_filtered_by_seed: int = 0
-    queries_sharded: int = 0
-    shard_cutoff_publications: int = 0
-    shard_cutoff_adoptions: int = 0
-    shard_rows_dropped_remote: int = 0
     queries_joined: int = 0
     join_rows_build: int = 0
     join_rows_probe: int = 0
@@ -180,11 +167,6 @@ class ServiceStatsAggregator:
             if stats.lease_shrunk:
                 snap.lease_shrinks += 1
             snap.rows_filtered_by_seed += stats.rows_filtered_by_seed
-            if stats.shards > 1:
-                snap.queries_sharded += 1
-            snap.shard_cutoff_publications += stats.shard_cutoff_publications
-            snap.shard_cutoff_adoptions += stats.shard_cutoff_adoptions
-            snap.shard_rows_dropped_remote += stats.shard_rows_dropped_remote
             if stats.joined:
                 snap.queries_joined += 1
             snap.join_rows_build += stats.join_rows_build
@@ -217,10 +199,6 @@ class ServiceStatsAggregator:
                 cache_misses=snap.cache_misses,
                 lease_shrinks=snap.lease_shrinks,
                 rows_filtered_by_seed=snap.rows_filtered_by_seed,
-                queries_sharded=snap.queries_sharded,
-                shard_cutoff_publications=snap.shard_cutoff_publications,
-                shard_cutoff_adoptions=snap.shard_cutoff_adoptions,
-                shard_rows_dropped_remote=snap.shard_rows_dropped_remote,
                 queries_joined=snap.queries_joined,
                 join_rows_build=snap.join_rows_build,
                 join_rows_probe=snap.join_rows_probe,

@@ -130,28 +130,6 @@ def _make_float_encoder(ascending: bool) -> Callable:
     return encode_float
 
 
-#: Scalar encoder for *normalized* float sort keys, ascending byte order.
-#: The vectorized engine always works in normalized key space (descending
-#: numeric orders arrive pre-negated, per ``SortSpec``), so cross-process
-#: cutoff exchange — which ships the cutoff as an order-preserving binary
-#: key through a shared-memory slot — only ever needs this flavor.
-encode_float_key: Callable[[float], bytes] = _make_float_encoder(True)
-
-
-def decode_float_key(data: bytes) -> float:
-    """Invert :func:`encode_float_key` (8 encoded bytes → float).
-
-    Exact at the bit level except for the deliberate ``-0.0 → 0.0``
-    collapse in the encoder; NaN round-trips to the canonical quiet NaN.
-    This is *not* a general ``KeyCodec.decode`` (still unsupported by
-    design): it exists solely so a process receiving a published cutoff
-    key can recover the float the histogram filter works with.
-    """
-    bits = int.from_bytes(data, "big")
-    bits = (bits ^ _SIGN) if bits & _SIGN else (bits ^ _ALL64)
-    return _PACK_D.unpack(bits.to_bytes(8, "big"))[0]
-
-
 def _make_string_encoder(ascending: bool) -> Callable:
     # ORDER BY strings are typically low-cardinality (tags, categories,
     # names), so the encoded form is memoized: repeats cost one dict

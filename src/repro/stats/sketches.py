@@ -7,7 +7,7 @@ Three small, mergeable, serializable summaries:
   ever seen; with the k-th smallest at normalized position ``U`` the
   distinct count is ``(k - 1) / U``.  Merging two sketches is the union
   of their hash sets re-truncated to ``k`` — commutative, associative,
-  and idempotent, so sketches built per run / per shard fold cleanly.
+  and idempotent, so sketches built per run fold cleanly.
 * :class:`EquiDepthHistogram` — ordered bucket boundaries with (roughly)
   equal row counts per bucket.  Built either from a sorted sample
   (``ANALYZE``) or *for free* from the run-generation histogram buckets

@@ -67,11 +67,6 @@ class CostModel:
     plan_row_s_row: float = 4.3e-7
     plan_row_s_batch: float = 3.0e-7
     plan_row_s_vectorized: float = 7.6e-8
-    #: One-time cost per worker process of a sharded plan (fork + shared
-    #: memory segment setup + module import amortization).
-    plan_shard_startup_s: float = 0.08
-    #: Coordinator-side cost per row of feeding shard input queues.
-    plan_shard_feed_row_s: float = 4.0e-8
     #: Full key comparison: a base charge plus a per-column term (tuple
     #: comparisons walk the columns; byte-string keys do not).
     plan_compare_base_s: float = 8.0e-8
@@ -83,18 +78,6 @@ class CostModel:
     #: Fraction of merge comparisons an OVC tree resolves without a full
     #: key comparison (~20x reduction measured in ``BENCH_merge.json``).
     plan_ovc_code_fraction: float = 0.95
-    #: Rows of merge read buffer charged per run during a merge pass —
-    #: the Arge–Thorup ``M/B`` term bounding the practical fan-in.
-    plan_merge_buffer_rows: int = 1024
-    #: Bytes per row of a late-materialization *skeleton* (encoded sort
-    #: key + row reference + page framing) — what intermediate merge
-    #: passes move instead of the full payload.
-    plan_lazy_row_bytes: float = 48.0
-    #: Fraction of a merge pass's sequential read volume that zone-map
-    #: page skipping is expected to prune (pages whose min key exceeds
-    #: the sharpening cutoff).  Conservative: directed runs measure
-    #: more once the cutoff has tightened.
-    plan_zone_skip_fraction: float = 0.25
     #: Per-row costs of the two equi-join methods: inserting a build row
     #: into the hash table, probing it, and emitting one output row
     #: (tuple concatenation).  Interpreter-calibrated like the top-k
@@ -124,28 +107,6 @@ class CostModel:
     def total_seconds(self, stats: OperatorStats) -> float:
         """Simulated end-to-end operator time (CPU + I/O)."""
         return self.cpu_seconds(stats) + self.io_seconds(stats.io)
-
-    def sharded_seconds(
-        self,
-        shard_stats: "list[OperatorStats]",
-        coordinator_stats: OperatorStats | None = None,
-    ) -> float:
-        """Simulated time of a sharded execution: the critical path.
-
-        Shards run concurrently, so the parallel phase costs as much as
-        its slowest shard; the coordinator's own work (partitioning feed
-        plus final merge) is serial and adds on top.  This is the
-        standard parallel external-memory accounting (max over
-        processors + sequential remainder) and the basis of the modeled
-        speedup in ``benchmarks/bench_shard.py`` — wall-clock speedups
-        require as many cores as shards, which a CI container rarely
-        has, while the critical path is machine-independent.
-        """
-        slowest = max((self.total_seconds(stats)
-                       for stats in shard_stats), default=0.0)
-        serial = (self.total_seconds(coordinator_stats)
-                  if coordinator_stats is not None else 0.0)
-        return slowest + serial
 
     # -- a-priori plan costing (the cost-based planner) ------------------
 
@@ -186,11 +147,6 @@ class CostModel:
         fan_in = max(2, fan_in)
         return max(1, math.ceil(math.log(runs) / math.log(fan_in)))
 
-    def max_fan_in(self, memory_rows: int) -> int:
-        """The Arge–Thorup memory-bounded fan-in ``M / B``: how many
-        run read-buffers fit in the operator's memory budget."""
-        return max(2, memory_rows // self.plan_merge_buffer_rows)
-
     def topk_plan_cost(
         self,
         *,
@@ -202,8 +158,6 @@ class CostModel:
         key_columns: int = 1,
         binary_keys: bool = False,
         fan_in: int | None = None,
-        shards: int = 1,
-        materialization: str = "eager",
     ) -> "PlanCost":
         """Estimated cost of one physical top-k plan, before execution.
 
@@ -212,44 +166,13 @@ class CostModel:
             row_bytes: Estimated bytes per row (spill volume term).
             needed: ``k + offset`` output rows.
             memory_rows: The operator's memory budget.
-            path: ``"batch"`` | ``"vectorized"`` | ``"sharded"``.
+            path: ``"batch"`` | ``"vectorized"``.
             key_columns: ORDER BY arity (tuple-comparison cost term).
             binary_keys: Whether the plan sorts order-preserving binary
                 keys merged by the OVC loser tree (else tuple keys).
             fan_in: Merge fan-in (``None`` = unbounded single pass).
-            shards: Worker processes (``"sharded"`` path only).
-            materialization: ``"eager"`` (full rows through every merge
-                pass) or ``"lazy"`` (key/payload-split storage: merge
-                passes after the first move skeletons, zone maps prune
-                sequential reads, and the stitch pays random reads for
-                the winners).
         """
-        if materialization not in ("eager", "lazy"):
-            raise ValueError(
-                f"unknown materialization {materialization!r}")
         rows = max(0.0, float(rows))
-        if path == "sharded":
-            shard_rows = rows / max(1, shards)
-            per_shard = self.topk_plan_cost(
-                rows=shard_rows, row_bytes=row_bytes, needed=needed,
-                memory_rows=memory_rows, path="vectorized",
-                key_columns=key_columns, binary_keys=binary_keys,
-                fan_in=fan_in, shards=1)
-            startup = self.plan_shard_startup_s * shards
-            feed = rows * self.plan_shard_feed_row_s
-            final_merge = (shards * needed) * self.plan_row_s_vectorized
-            cpu = startup + feed + final_merge + per_shard.cpu_seconds
-            return PlanCost(
-                seconds=cpu + per_shard.io_seconds,
-                cpu_seconds=cpu,
-                io_seconds=per_shard.io_seconds,
-                rows_in=rows,
-                rows_spilled=per_shard.rows_spilled * shards,
-                runs=per_shard.runs * shards,
-                merge_passes=per_shard.merge_passes,
-                fan_in=per_shard.fan_in,
-            )
-
         per_row = {
             "batch": self.plan_row_s_batch,
             "vectorized": self.plan_row_s_vectorized,
@@ -292,39 +215,6 @@ class CostModel:
 
         spill_bytes = spilled * row_bytes
         pages = math.ceil(spill_bytes / 65536) if spill_bytes else 0
-        if materialization == "lazy":
-            # Original runs are written full-width; the first merge pass
-            # reads them key-only, every later pass moves skeletons, and
-            # zone maps prune a fraction of each sequential read.  The
-            # stitch pays one random read per winner page at the end.
-            skeleton_bytes = spilled * self.plan_lazy_row_bytes
-            skeleton_pages = (math.ceil(skeleton_bytes / 65536)
-                              if skeleton_bytes else 0)
-            keep = 1.0 - self.plan_zone_skip_fraction
-            io = spill_bytes / self.write_bandwidth_bytes_per_s
-            if passes:
-                io += keep * spill_bytes \
-                    / self.read_bandwidth_bytes_per_s
-                io += (passes - 1) * (
-                    keep * skeleton_bytes
-                    / self.read_bandwidth_bytes_per_s
-                    + skeleton_bytes
-                    / self.write_bandwidth_bytes_per_s)
-            read_pages = pages + skeleton_pages * max(0, passes - 1)
-            io += (pages * (2 if passes else 1)
-                   + 2 * skeleton_pages * max(0, passes - 1)) \
-                * self.request_overhead_s
-            stitch_reads = min(float(needed),
-                               runs + needed * row_bytes / 65536.0)
-            io += stitch_reads * self.random_read_s
-            return PlanCost(
-                seconds=cpu + io, cpu_seconds=cpu, io_seconds=io,
-                rows_in=rows, rows_spilled=spilled, runs=runs,
-                merge_passes=passes, fan_in=effective_fan_in,
-                materialization="lazy",
-                pages_skipped=self.plan_zone_skip_fraction * read_pages,
-                bytes_not_decoded=max(0.0,
-                                      spill_bytes - skeleton_bytes))
         io = spill_bytes / self.write_bandwidth_bytes_per_s
         io += passes * spill_bytes * (
             1.0 / self.read_bandwidth_bytes_per_s
@@ -431,13 +321,6 @@ class PlanCost:
     #: The effective merge fan-in the estimate assumed (``None`` when
     #: nothing spills).
     fan_in: int | None = None
-    #: ``"eager"`` or ``"lazy"`` — how the plan moves spilled payloads.
-    materialization: str = "eager"
-    #: Estimated pages zone maps will prune from sequential merge reads.
-    pages_skipped: float = 0.0
-    #: Estimated payload bytes a lazy plan never decodes (skeleton reads
-    #: over the full-width original runs).
-    bytes_not_decoded: float = 0.0
 
 
 #: Model of the paper's workstation + disaggregated storage setup.

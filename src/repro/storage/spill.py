@@ -593,12 +593,6 @@ class DiskSpillBackend:
         self._files: list[_DiskSpillFile] = []
         self._closed = False
 
-    @property
-    def supports_late_materialization(self) -> bool:
-        """True when the configured codec stores key sections (so the
-        planner may choose a lazy-materialization plan)."""
-        return self._codec.late_materialization
-
     def create_file(self, file_id: int, stats: IOStats) -> SpillFile:
         if self._closed:
             raise SpillError("spill backend is closed")

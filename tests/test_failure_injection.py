@@ -215,6 +215,34 @@ class TestDiskSpillLifecycle:
         manager.close()
         assert list(tmp_path.iterdir()) == []
 
+    def test_planning_leaves_no_spill_directory(self, tmp_path,
+                                                monkeypatch):
+        """Every spill manager the planner creates belongs to a plan, so
+        releasing the plans removes every temp directory it made."""
+        import tempfile
+
+        from repro.engine.session import Database, release_plan_storage
+        from repro.rows.schema import Column, ColumnType, Schema
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        schema = Schema([Column("S", ColumnType.STRING),
+                         Column("K", ColumnType.FLOAT64)])
+        rng = random.Random(4)
+        table = [(f"s{rng.randrange(500):03d}", rng.random())
+                 for _ in range(2_000)]
+        for _ in range(2):
+            db = Database(memory_rows=100)
+            db.planner.spill_manager_factory = \
+                lambda: SpillManager(backend=DiskSpillBackend())
+            db.register_table("T", schema, table)
+            for limit in (50, 300, 500):
+                result = db.sql("SELECT * FROM T ORDER BY S, K "
+                                f"LIMIT {limit}")
+                assert result.rows == sorted(table)[:limit]
+                release_plan_storage(result.plan)
+        assert [entry.name for entry in tmp_path.iterdir()
+                if entry.name.startswith("repro_spill_")] == []
+
     def test_vector_run_write_fault_defers_to_caller(self, tmp_path):
         import numpy as np
 

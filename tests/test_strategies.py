@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.rows.schema import Column, ColumnType, Schema
-from repro.shard.partition import boundaries_from_sample
 from repro.storage.costmodel import CostModel, SCALED_COST_MODEL
 from repro.strategies import (
     LateMaterializationTopK,
@@ -18,6 +17,7 @@ from repro.strategies import (
     SimulatedRowStore,
     ZoneMapTopK,
 )
+from repro.strategies.range_partition import boundaries_from_sample
 
 KEY = lambda row: row[0]  # noqa: E731
 
