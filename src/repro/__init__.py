@@ -40,7 +40,6 @@ from repro.datagen import (
     keys_only_workload,
     lineitem_workload,
 )
-from repro.memory import MemoryBudget, byte_budget, row_budget
 from repro.obs import (
     AnalyzedPlan,
     CutoffTimeline,
@@ -100,10 +99,7 @@ __all__ = [
     "get_distribution",
     "keys_only_workload",
     "lineitem_workload",
-    # memory & storage
-    "MemoryBudget",
-    "row_budget",
-    "byte_budget",
+    # storage
     "SpillManager",
     "MemorySpillBackend",
     "DiskSpillBackend",

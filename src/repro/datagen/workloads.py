@@ -18,7 +18,6 @@ from typing import Callable, Iterator
 
 from repro.datagen.distributions import Distribution, UNIFORM, key_stream
 from repro.errors import ConfigurationError
-from repro.memory.budget import MemoryBudget, row_budget
 from repro.rows.lineitem import LINEITEM_SCHEMA, generate_lineitem
 from repro.rows.schema import Schema, single_key_schema
 from repro.rows.sortspec import SortSpec
@@ -55,10 +54,6 @@ class Workload:
             raise ConfigurationError("input_rows must be non-negative")
         if self.memory_rows <= 0:
             raise ConfigurationError("memory_rows must be positive")
-
-    def memory_budget(self) -> MemoryBudget:
-        """A fresh memory budget sized for this workload."""
-        return row_budget(self.memory_rows)
 
     @property
     def output_exceeds_memory(self) -> bool:

@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.baselines.optimized_topk import OptimizedMergeSortTopK
 from repro.baselines.priority_queue_topk import PriorityQueueTopK
 from repro.baselines.traditional_topk import TraditionalMergeSortTopK
+from repro.core.cutoff import _ReverseKey
 from repro.core.topk import HistogramTopK
 from repro.errors import ConfigurationError, PlanError
 from repro.obs.trace import NULL_TRACER
@@ -438,18 +439,6 @@ class CutoffPushdownFilter(Operator):
         return [self.child]
 
 
-class _ReverseKey:
-    """Inverts ``<`` so ``heapq``'s min-heap tracks a running maximum."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_ReverseKey") -> bool:
-        return other.value < self.value
-
-
 class MergePushdownPublisher:
     """Sharpens a :class:`SharedCutoffBound` from the *sort side* of a
     streaming merge join while that side's rows are still arriving.
@@ -537,11 +526,11 @@ class MergePushdownPublisher:
             heapq.heappush(heap, _ReverseKey(key))
             if len(heap) == self.needed:
                 self.publications += 1
-                self.bound.publish(heap[0].value)
-        elif key < heap[0].value:
+                self.bound.publish(heap[0].key)
+        elif key < heap[0].key:
             heapq.heapreplace(heap, _ReverseKey(key))
             self.publications += 1
-            self.bound.publish(heap[0].value)
+            self.bound.publish(heap[0].key)
 
 
 class _JoinBase(Operator):
@@ -1420,9 +1409,7 @@ class VectorizedTopK(TopK):
         k: int,
         offset: int = 0,
         memory_rows: int = 100_000,
-        buckets_per_run: int = 50,
         tracer=None,
-        store=None,
     ):
         super().__init__(child, sort_spec, k, offset=offset,
                          algorithm="histogram", memory_rows=memory_rows,
@@ -1433,12 +1420,6 @@ class VectorizedTopK(TopK):
                 "VectorizedTopK requires numpy and a single non-nullable "
                 "numeric ORDER BY column")
         self.key_index, self.negate = key
-        self.buckets_per_run = buckets_per_run
-        #: Optional :class:`~repro.vectorized.runs.VectorRunStore` — lets
-        #: callers route spilled runs to real storage
-        #: (:class:`~repro.vectorized.runs.VectorRunDisk`); lifecycle
-        #: (``close``) stays with the caller.
-        self.run_store = store
 
     def _batch_keys(self, batch: RowBatch):
         keys = batch.key_array(self.key_index)
@@ -1455,9 +1436,7 @@ class VectorizedTopK(TopK):
         impl = VectorizedHistogramTopK(
             k=self.k,
             memory_rows=self.memory_rows,
-            buckets_per_run=self.buckets_per_run,
             offset=self.offset,
-            store=self.run_store,
             stats=self.stats,
             tracer=self.tracer,
             histogram_sink=self.histogram_sink,

@@ -128,9 +128,10 @@ class CostModel:
                    needed * (1.0 + math.log(rows / needed)))
 
     def run_rows(self, needed: float, memory_rows: int) -> float:
-        """Expected rows per sorted run (replacement selection doubles
-        the memory load; the auto run-size limit caps at ``needed``)."""
-        return max(1.0, min(2.0 * memory_rows, needed))
+        """Expected rows per sorted run (load-sort-store writes one
+        memory load per run; the auto run-size limit caps at
+        ``needed``)."""
+        return max(1.0, min(memory_rows, needed))
 
     def merge_passes(self, runs: int, fan_in: int | None) -> int:
         """Merge passes for ``runs`` at ``fan_in`` (``None`` = single).

@@ -236,6 +236,27 @@ class TestExplainSurface:
         assert "rows_spilled_est_vs_actual=" in text
         assert "seconds_est_vs_actual=" in text
 
+    def test_run_estimate_counts_one_memory_load_per_run(self):
+        """Load-sort-store writes one memory load per run, so the
+        costed run count tracks the runs the query writes."""
+        schema = Schema([Column("A", ColumnType.INT64),
+                         Column("B", ColumnType.STRING),
+                         Column("C", ColumnType.FLOAT64)])
+        rng = random.Random(1)
+        table = [(rng.randrange(8), f"customer-{rng.randrange(64):02d}",
+                  rng.random()) for _ in range(20_000)]
+        db = Database(memory_rows=800)
+        db.register_table("C3", schema, table)
+        result = db.sql("SELECT * FROM C3 ORDER BY B DESC, A, C DESC "
+                        "LIMIT 5000")
+        topk = result.plan
+        while "decision" not in topk.__dict__:
+            topk = topk.child
+        written = topk.stats.io.runs_written
+        assert written > 1
+        assert topk.decision.chosen.cost.runs == pytest.approx(written,
+                                                               rel=0.25)
+
 
 class TestStatsFeedback:
     def test_execution_harvests_and_observes(self, rows):

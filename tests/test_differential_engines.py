@@ -33,7 +33,6 @@ tests prove they never perturb results.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,8 +48,6 @@ from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
 from repro.storage.codec import TypedPageCodec
 from repro.storage.spill import DiskSpillBackend, SpillManager
-from repro.vectorized.runs import VectorRunDisk, VectorRunStore
-from repro.vectorized.topk import VectorizedHistogramTopK
 
 SCHEMA = Schema([
     Column("K", ColumnType.FLOAT64),
@@ -283,9 +280,8 @@ def test_heavy_duplicates_agree(keys, k, memory, batch_rows):
 @settings(max_examples=40, deadline=None)
 def test_disk_backend_typed_codec_agrees(keys, k, memory, batch_rows):
     """Real files produce byte-identical results and identical
-    *accounting* traffic to the in-memory backend, on all three paths
-    (row, batch, vectorized), with the typed codec and with the
-    default schemaless one."""
+    *accounting* traffic to the in-memory backend, on the row and batch
+    paths, with the typed codec and with the default schemaless one."""
     rows = make_rows(keys)
     spec = make_spec(True)
     oracle = sorted(rows, key=spec.key)[:k]
@@ -323,25 +319,6 @@ def test_disk_backend_typed_codec_agrees(keys, k, memory, batch_rows):
             batches_from_rows(rows, SCHEMA, batch_rows))) == oracle
         assert_same_accounting(disk_batch.stats.io)
         manager.close()
-
-    # Vectorized kernel with real run files.
-    key_array = np.array([row[0] for row in rows], dtype=np.float64)
-
-    def chunks():
-        for start in range(0, len(key_array), batch_rows):
-            yield key_array[start:start + batch_rows], None
-
-    mem_kernel = VectorizedHistogramTopK(k, memory)
-    mem_keys, _ = mem_kernel.execute(chunks())
-    with VectorRunDisk() as storage:
-        disk_kernel = VectorizedHistogramTopK(
-            k, memory, store=VectorRunStore(storage=storage))
-        disk_keys, _ = disk_kernel.execute(chunks())
-    assert disk_keys.tolist() == mem_keys.tolist()
-    assert disk_kernel.stats.io.rows_spilled == \
-        mem_kernel.stats.io.rows_spilled
-    assert disk_kernel.stats.io.bytes_written == \
-        mem_kernel.stats.io.bytes_written
 
 
 @given(keys=st.lists(st.integers(-40, 40), min_size=0, max_size=300),

@@ -243,32 +243,56 @@ class TestDiskSpillLifecycle:
         assert [entry.name for entry in tmp_path.iterdir()
                 if entry.name.startswith("repro_spill_")] == []
 
-    def test_vector_run_write_fault_defers_to_caller(self, tmp_path):
-        import numpy as np
+    def test_disk_full_mid_query_surfaces_and_leaves_nothing(
+            self, tmp_path, monkeypatch):
+        """ENOSPC under the background writer, mid-query: the query
+        fails with a typed error and leaves no thread and no file."""
+        import errno
 
-        from repro.vectorized.runs import VectorRunDisk, VectorRunStore
+        import repro.storage.spill as spill_module
+        from repro.engine.session import Database
+        from repro.rows.schema import Column, ColumnType, Schema
 
-        storage = VectorRunDisk(directory=str(tmp_path / "missing"))
-        store = VectorRunStore(storage=storage)
-        run = store.write_run(np.array([1.0, 2.0]))
-        with pytest.raises(SpillError, match="background vector run"):
-            store.read_run(run)
-        store.close()
+        writes = itertools.count()
 
-    def test_vector_run_store_close_removes_files(self, tmp_path):
-        import numpy as np
+        class FullDisk:
+            """Spill file handle whose writes fail once two have landed."""
 
-        from repro.vectorized.runs import VectorRunDisk, VectorRunStore
+            def __init__(self, handle):
+                self._handle = handle
 
-        storage = VectorRunDisk(directory=str(tmp_path))
-        store = VectorRunStore(storage=storage)
-        run = store.write_run(np.array([1.0, 2.0, 3.0]))
-        keys, ids = store.read_run(run)
-        assert keys.tolist() == [1.0, 2.0, 3.0] and ids is None
-        store.close()
-        store.close()  # idempotent
-        assert not any(name.endswith(".spill")
-                       for name in os.listdir(tmp_path))
+            def write(self, blob):
+                if next(writes) >= 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self._handle.write(blob)
+
+        class FillingWriter(spill_module._BackgroundPageWriter):
+            def __init__(self, handle, stats):
+                super().__init__(FullDisk(handle), stats)
+
+        monkeypatch.setattr(spill_module, "_BackgroundPageWriter",
+                            FillingWriter)
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        schema = Schema([Column("S", ColumnType.STRING),
+                         Column("K", ColumnType.FLOAT64)])
+        rng = random.Random(9)
+        table = [(f"s{rng.randrange(500):03d}", rng.random())
+                 for _ in range(20_000)]
+        before = set(threading.enumerate())
+        db = Database(memory_rows=200)
+        db.planner.spill_manager_factory = lambda: SpillManager(
+            backend=DiskSpillBackend(directory=str(spill_dir)))
+        db.register_table("T", schema, table)
+        with pytest.raises(SpillError, match="background spill write") \
+                as raised:
+            db.sql("SELECT * FROM T ORDER BY S DESC, K LIMIT 1000")
+        assert raised.value.__cause__.errno == errno.ENOSPC
+        leaked = [thread for thread in set(threading.enumerate()) - before
+                  if thread.is_alive() and thread.name.startswith(
+                      ("spill-writer", "spill-reader"))]
+        assert leaked == []
+        assert list(spill_dir.iterdir()) == []
 
 
 class TestInputFaults:

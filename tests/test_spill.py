@@ -1,5 +1,6 @@
 """Tests for spill files and the spill manager (both backends)."""
 
+import importlib
 import os
 
 import pytest
@@ -166,11 +167,15 @@ class TestDiskBackendCleanup:
 
 
 def test_spill_layer_has_no_ablation_switches(tmp_path):
-    """Writes are always background, run files always typed, and the
-    merge read-ahead depth is one constant: the old switches are gone."""
+    """Writes are always background, run files always typed, the merge
+    read-ahead depth is one constant, vector runs stay in memory and no
+    memory-reservation API is left: the old switches are gone."""
     from repro.core.topk import HistogramTopK
+    from repro.engine.operators import Table, TableScan, VectorizedTopK
+    from repro.rows.schema import Column, ColumnType, Schema
+    from repro.rows.sortspec import SortSpec
     from repro.sorting.merge import Merger
-    from repro.vectorized.runs import VectorRunDisk
+    from repro.vectorized.runs import VectorRunStore
 
     with pytest.raises(TypeError):
         HistogramTopK(lambda row: row, 5, 10, merge_read_ahead=2)
@@ -179,4 +184,13 @@ def test_spill_layer_has_no_ablation_switches(tmp_path):
     with pytest.raises(TypeError):
         DiskSpillBackend(str(tmp_path), background_writes=False)
     with pytest.raises(TypeError):
-        VectorRunDisk(str(tmp_path), pickle_rows=True)
+        VectorRunStore(storage=None)
+    schema = Schema([Column("K", ColumnType.FLOAT64)])
+    scan = TableScan(Table("T", schema, [(1.0,)]))
+    spec = SortSpec(schema, ["K"])
+    with pytest.raises(TypeError):
+        VectorizedTopK(scan, spec, k=5, store=None)
+    with pytest.raises(TypeError):
+        VectorizedTopK(scan, spec, k=5, buckets_per_run=50)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(".memory", package="repro")

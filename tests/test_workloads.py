@@ -25,10 +25,6 @@ class TestKeysOnlyWorkload:
         assert workload.distribution_label == "lognormal"
         assert all(row[0] > 0 for row in workload.make_input())
 
-    def test_memory_budget(self):
-        workload = keys_only_workload(100, 10, 64)
-        assert workload.memory_budget().row_limit == 64
-
     def test_regime_flag(self):
         assert keys_only_workload(100, 200, 50).output_exceeds_memory
         assert not keys_only_workload(100, 20, 50).output_exceeds_memory
