@@ -59,6 +59,27 @@ def refresh_cycle(service: QueryService, cycle: int) -> None:
         print(line)
 
 
+def print_metrics(service: QueryService) -> None:
+    """Print the service's registry counters and check that every query
+    ended in exactly one outcome."""
+    snap = service.metrics_snapshot()
+
+    def value(name: str) -> int:
+        return snap[name]["value"]
+
+    outcomes = {name: value(f"service.queries.{name}")
+                for name in ("ok", "rejected", "timeout", "error")}
+    submitted = value("service.queries.submitted")
+    assert submitted == sum(outcomes.values()), (submitted, outcomes)
+    print(f"queries: submitted={submitted} " + " ".join(
+        f"{name}={count}" for name, count in outcomes.items()))
+    print("results: " + " ".join(
+        f"{kind}={value(f'service.cache.{kind}')}"
+        for kind in ("miss", "exact", "cutoff")))
+    print(f"rows:    spilled={value('service.rows.spilled')} "
+          f"filtered_by_seed={value('service.rows.filtered_by_seed')}")
+
+
 def main() -> None:
     db = Database(memory_rows=512)
     db.register_table("requests", SCHEMA, make_rows(seed=1))
@@ -78,7 +99,7 @@ def main() -> None:
         # cached again.
         refresh_cycle(service, 4)
 
-        print("service:", service.snapshot().describe())
+        print_metrics(service)
         print("cache:  ", service.cache.describe())
         print("memory: ", service.governor.describe())
 

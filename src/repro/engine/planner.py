@@ -7,8 +7,8 @@ at runtime, Section 5.2), but the physical path around it is a genuine
 choice: the batch operator or the vectorized numpy kernels.  It is made
 here by costing each eligible path with the
 :class:`~repro.storage.costmodel.CostModel`, fed by the statistics
-catalog (:mod:`repro.stats`) when one is attached — with ``vectorize=``
-and ``path=`` retained as overrides that pin the decision.  The key
+catalog (:mod:`repro.stats`) when one is attached — with ``path=``
+retained as the override that pins the decision.  The key
 substrate is not a choice: it follows from the sort spec
 (:func:`~repro.sorting.keycodec.binary_key_codec`).
 """
@@ -327,10 +327,6 @@ class Planner:
         algorithm_options: Extra keyword arguments for the top-k operator's
             algorithm (e.g. ``sizing_policy=...``).  Any option pins plans
             to the row engine, whose behavior the knobs configure.
-        vectorize: Allow lowering plain histogram top-k plans onto the
-            vectorized numpy kernels (see
-            :func:`vectorized_lowering_eligible`).  ``False`` pins every
-            plan to the row-engine operator.
         cost_model: The :class:`~repro.storage.costmodel.CostModel`
             pricing the candidates.
         stats_catalog: Optional :class:`~repro.stats.StatsCatalog`
@@ -354,7 +350,6 @@ class Planner:
         algorithm: str = "histogram",
         spill_manager_factory: Callable[[], SpillManager] | None = None,
         algorithm_options: dict | None = None,
-        vectorize: bool = True,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         stats_catalog=None,
         path: str | None = None,
@@ -365,7 +360,6 @@ class Planner:
         self.algorithm = algorithm
         self.spill_manager_factory = spill_manager_factory or SpillManager
         self.algorithm_options = algorithm_options or {}
-        self.vectorize = vectorize
         self.cost_model = cost_model
         self.stats_catalog = stats_catalog
         if path is not None and path not in ("batch", "vectorized"):
@@ -477,7 +471,7 @@ class Planner:
         # the first of equals): vectorized before batch, so degenerate
         # inputs (zero estimated rows) still get the vectorized plan.
         candidates: list[Candidate] = []
-        if self.vectorize and vectorized_lowering_eligible(
+        if vectorized_lowering_eligible(
                 spec, algorithm=self.algorithm,
                 algorithm_options=self.algorithm_options,
                 cutoff_seed=cutoff_seed):
@@ -497,8 +491,6 @@ class Planner:
                     f"forced path {self.path!r} is not eligible for this "
                     f"query (candidates: "
                     f"{sorted({c.path for c in candidates})})")
-        if not self.vectorize:
-            forced.append("vectorize=False")
         if self.algorithm_options.get("fan_in") is not None:
             forced.append("fan_in")
 

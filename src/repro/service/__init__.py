@@ -1,7 +1,7 @@
 """Concurrent top-k query service.
 
 A multi-tenant front end over the single-query engine: a
-:class:`QueryService` executes SQL on a bounded pool of worker sessions,
+:class:`QueryService` executes SQL on a bounded set of worker threads,
 a :class:`MemoryGovernor` arbitrates one global sort-memory budget
 (shrinking leases under pressure so queries spill earlier instead of
 failing), and a :class:`ResultCache` serves repeated queries — exactly
@@ -14,12 +14,11 @@ See ``docs/API.md`` ("Query service") for a worked example.
 
 from repro.service.cache import CachedResult, CutoffHint, ResultCache
 from repro.service.governor import MemoryGovernor, MemoryLease
-from repro.service.pool import SessionPool, WorkerSession
-from repro.service.service import QueryService, QueryTicket, ServiceResult
-from repro.service.stats import (
-    ServiceSnapshot,
+from repro.service.service import (
+    QueryService,
+    QueryTicket,
+    ServiceResult,
     ServiceStats,
-    ServiceStatsAggregator,
 )
 
 __all__ = [
@@ -31,9 +30,5 @@ __all__ = [
     "QueryTicket",
     "ResultCache",
     "ServiceResult",
-    "ServiceSnapshot",
     "ServiceStats",
-    "ServiceStatsAggregator",
-    "SessionPool",
-    "WorkerSession",
 ]

@@ -2,8 +2,8 @@
 
 Ties the subsystem together: SQL arrives at :meth:`QueryService.submit`
 (or the blocking :meth:`QueryService.execute`), passes a bounded
-admission gate, waits for a worker thread, and executes on a pooled
-session with
+admission gate, waits for a worker thread, and runs through
+:meth:`Database.sql <repro.engine.session.Database.sql>` with
 
 * a memory lease from the :class:`~repro.service.governor.MemoryGovernor`
   (shrunk under pressure → earlier, histogram-filtered spilling instead
@@ -11,8 +11,9 @@ session with
 * a cutoff seed from the :class:`~repro.service.cache.ResultCache` when
   an earlier query already proved a bound for the same scope (exact hits
   skip execution entirely), and
-* a per-query :class:`~repro.service.stats.ServiceStats` record folded
-  into the service-level snapshot.
+* a per-query :class:`ServiceStats` record returned with the rows, while
+  every aggregate is counted once in the service's
+  :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Saturation is explicit: when ``workers + queue_depth`` queries are in
 flight, :meth:`submit` raises
@@ -21,7 +22,10 @@ unboundedly.  Deadlines are cooperative: a query that exhausts its
 deadline while still queued is abandoned before execution; one that
 exceeds it mid-execution runs to completion (threads cannot be killed)
 but the waiting caller gets :class:`~repro.errors.QueryTimeoutError`
-immediately and the overrun is recorded.
+immediately.  Every admitted query ends in exactly one outcome
+(``ok``, ``timeout`` or ``error``; a refused one is ``rejected``), so
+once the service drains ``service.queries.submitted`` equals the sum of
+the four outcome counters.
 """
 
 from __future__ import annotations
@@ -35,14 +39,13 @@ from concurrent.futures import (
     TimeoutError as FutureTimeoutError,
 )
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.engine.session import Database
+from repro.engine.session import Database, release_plan_storage
 from repro.engine.sql import ParsedQuery, parse
 from repro.errors import (
     ConfigurationError,
     QueryTimeoutError,
-    ReproError,
     ServiceOverloadedError,
 )
 from repro.obs.metrics import (
@@ -53,15 +56,40 @@ from repro.obs.metrics import (
 from repro.rows.schema import Schema
 from repro.service.cache import CachedResult, ResultCache
 from repro.service.governor import MemoryGovernor
-from repro.service.pool import SessionPool
-from repro.service.stats import (
-    ServiceSnapshot,
-    ServiceStats,
-    ServiceStatsAggregator,
-)
 from repro.storage.stats import OperatorStats
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass
+class ServiceStats:
+    """Per-query service statistics, returned with each result."""
+
+    query: str
+    #: How the result cache took part: ``exact`` means the materialized
+    #: result was served without executing; ``cutoff`` means the query
+    #: executed but was seeded with a cached cutoff bound; ``bypass``
+    #: means the query shape is not cacheable (e.g. no ORDER BY + LIMIT);
+    #: ``miss`` means it executed unseeded.
+    cache: str = "miss"
+    #: Seconds between admission and the start of execution.
+    queue_wait_seconds: float = 0.0
+    #: Seconds spent executing (0 for exact cache hits).
+    execution_seconds: float = 0.0
+    #: Memory rows the query asked the governor for.
+    requested_rows: int = 0
+    #: Memory rows the governor actually granted.
+    granted_rows: int = 0
+    #: Whether the grant was shrunk below the request (memory pressure).
+    lease_shrunk: bool = False
+    #: The cutoff key seeded into the execution, if any.
+    seeded_cutoff: Any = None
+    #: Rows the cutoff filter eliminated while its cutoff was the seed.
+    rows_filtered_by_seed: int = 0
+    #: Rows eliminated by the cutoff filter in total (any cutoff origin).
+    rows_filtered: int = 0
+    #: Rows spilled to secondary storage by this query.
+    rows_spilled: int = 0
 
 
 @dataclass
@@ -71,7 +99,7 @@ class ServiceResult:
     rows: list[tuple]
     schema: Schema
     query: ParsedQuery
-    #: Service-plane record (admission, cache, lease, filtering).
+    #: Service-plane record (cache, lease, filtering).
     stats: ServiceStats
     #: Engine-side work of *this* request — zeroed for exact cache hits
     #: (serving a hit does no engine work).
@@ -90,37 +118,66 @@ class ServiceResult:
 
 
 class QueryTicket:
-    """Handle for an admitted query (a thin wrapper over a future)."""
+    """Handle for an admitted query (a thin wrapper over a future).
 
-    def __init__(self, service: "QueryService", future: Future,
-                 deadline: float | None, submitted_at: float):
+    The ticket also holds the query's one outcome.  The worker and the
+    deadline race to settle it; only the first settlement is counted.
+    """
+
+    def __init__(self, service: "QueryService", deadline: float | None):
         self._service = service
-        self._future = future
         self._deadline = deadline
-        self._submitted_at = submitted_at
+        self._submitted_at = time.monotonic()
+        self._future: Future | None = None
+        self._lock = threading.Lock()
+        self._outcome: str | None = None
 
     def result(self, timeout: float | None = None) -> ServiceResult:
         """Wait for the query; raises what the execution raised.
 
-        With a deadline, waiting is capped at whatever remains of it and
-        an overrun surfaces as :class:`QueryTimeoutError` (the worker
-        keeps running but its eventual result is discarded).
+        Once the query's deadline has passed, the wait raises
+        :class:`QueryTimeoutError` and settles the query as a timeout:
+        the worker keeps running but its eventual result is discarded,
+        so later calls raise too.  A ``timeout`` that ends
+        before the deadline (or on a query without one) raises
+        :class:`QueryTimeoutError` naming the wait and settles nothing;
+        a later call can still return the rows.
         """
-        if self._deadline is not None:
-            remaining = self._deadline - (time.monotonic()
-                                          - self._submitted_at)
-            timeout = (remaining if timeout is None
-                       else min(timeout, remaining))
+        remaining = (None if self._deadline is None else self._deadline
+                     - (time.monotonic() - self._submitted_at))
+        caller_wait = timeout is not None and (remaining is None
+                                               or timeout < remaining)
         try:
-            return self._future.result(timeout=timeout)
+            result = self._future.result(
+                timeout=timeout if caller_wait else remaining)
         except FutureTimeoutError:
-            self._service._note_deadline_overrun(self)
+            if caller_wait:
+                raise QueryTimeoutError(
+                    f"query still running after a {timeout}s wait"
+                ) from None
+            self._settle("timeout")
+            # A worker that settled first is finishing: wait for it.
+            result = (None if self._outcome == "timeout"
+                      else self._future.result())
+        if self._outcome == "timeout":
             raise QueryTimeoutError(
-                f"query missed its deadline of {self._deadline}s"
-            ) from None
+                f"query missed its deadline of {self._deadline}s")
+        return result
 
     def done(self) -> bool:
         return self._future.done()
+
+    def _settle(self, outcome: str) -> bool:
+        """Count ``outcome`` unless the query already has one.
+
+        Returns whether this call settled the query.
+        """
+        with self._lock:
+            if self._outcome is not None:
+                return False
+            self._outcome = outcome
+        self._service._m_outcomes[outcome].inc()
+        return True
 
 
 class QueryService:
@@ -128,7 +185,7 @@ class QueryService:
 
     Args:
         database: The shared database (tables must be registered there).
-        workers: Worker threads / pooled sessions executing queries.
+        workers: Worker threads executing queries.
         queue_depth: Admitted-but-not-yet-running queries tolerated on
             top of the running ones; beyond that :meth:`submit` rejects
             with ``ServiceOverloadedError``.
@@ -178,10 +235,9 @@ class QueryService:
             total_memory_rows or workers * per_query)
         self.cache = cache if cache is not None else ResultCache()
         self.default_deadline = default_deadline
-        self.pool = SessionPool(database, workers)
-        self.stats = ServiceStatsAggregator()
-        #: Fleet-wide metrics: per-query observations aggregate here and
-        #: export as one JSON-ready dict via :meth:`metrics_snapshot`.
+        #: The service's one aggregate: per-query observations count
+        #: here and export as one JSON-ready dict via
+        #: :meth:`metrics_snapshot`.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         m = self.metrics
         self._m_outcomes = {
@@ -249,32 +305,26 @@ class QueryService:
             raise ServiceOverloadedError("service is shut down")
         if deadline is None:
             deadline = self.default_deadline
-        self.stats.note_submitted()
         self._m_outcomes["submitted"].inc()
         if not self._slots.acquire(blocking=False):
-            self.stats.record(ServiceStats(query=sql_text,
-                                           outcome="rejected"))
             self._m_outcomes["rejected"].inc()
             raise ServiceOverloadedError(
                 f"admission queue full ({self.workers} workers + "
                 f"{self.queue_depth} queued); retry later")
-        submitted_at = time.monotonic()
+        ticket = QueryTicket(self, deadline)
         try:
-            future = self._executor.submit(
-                self._run, sql_text, deadline, submitted_at)
+            ticket._future = self._executor.submit(
+                self._run, ticket, sql_text)
         except BaseException:
             self._slots.release()
+            self._m_outcomes["rejected"].inc()
             raise
-        return QueryTicket(self, future, deadline, submitted_at)
+        return ticket
 
     def execute(self, sql_text: str, *,
                 deadline: float | None = None) -> ServiceResult:
         """Submit and wait: the blocking convenience entry point."""
         return self.submit(sql_text, deadline=deadline).result()
-
-    def snapshot(self) -> ServiceSnapshot:
-        """Aggregated service statistics (detached copy)."""
-        return self.stats.snapshot()
 
     def metrics_snapshot(self) -> dict:
         """Fleet-wide metrics as one JSON-ready dict.
@@ -298,40 +348,35 @@ class QueryService:
 
     # -- worker path -----------------------------------------------------
 
-    def _run(self, sql_text: str, deadline: float | None,
-             submitted_at: float) -> ServiceResult:
+    def _run(self, ticket: QueryTicket, sql_text: str) -> ServiceResult:
         try:
-            started = time.monotonic()
-            record = ServiceStats(
-                query=sql_text,
-                queue_wait_seconds=started - submitted_at)
-            self._m_queue_wait.observe(record.queue_wait_seconds)
-            if deadline is not None \
-                    and record.queue_wait_seconds >= deadline:
-                record.outcome = "timeout"
-                self.stats.record(record)
-                self._m_outcomes["timeout"].inc()
+            queued = time.monotonic() - ticket._submitted_at
+            self._m_queue_wait.observe(queued)
+            deadline = ticket._deadline
+            if deadline is not None and queued >= deadline:
+                ticket._settle("timeout")
                 raise QueryTimeoutError(
-                    f"query spent {record.queue_wait_seconds:.3f}s "
-                    f"queued, past its {deadline}s deadline")
+                    f"query spent {queued:.3f}s queued, past its "
+                    f"{deadline}s deadline")
             try:
-                return self._execute_admitted(sql_text, record)
-            except ReproError as exc:
-                if record.outcome == "ok":
-                    record.outcome = "error"
-                    record.error = f"{type(exc).__name__}: {exc}"
-                    self.stats.record(record)
-                    self._m_outcomes["error"].inc()
+                result = self._execute_admitted(sql_text, queued)
+            except BaseException:
+                ticket._settle("error")
                 raise
+            if ticket._settle("ok"):
+                self._m_cache[result.stats.cache].inc()
+                self._m_rows_output.observe(len(result.rows))
+            return result
         finally:
             self._slots.release()
 
     def _execute_admitted(self, sql_text: str,
-                          record: ServiceStats) -> ServiceResult:
+                          queued: float) -> ServiceResult:
         query = parse(sql_text)
         table = self.database.table(query.table)
         join_table = (self.database.table(query.join.table)
                       if query.join is not None else None)
+        record = ServiceStats(query=sql_text, queue_wait_seconds=queued)
 
         result_key = ResultCache.result_key(query, table, join_table)
         scope = ResultCache.scope_key(query, table)
@@ -342,10 +387,6 @@ class QueryService:
                   if self.cache.max_results else None)
         if cached is not None:
             record.cache = "exact"
-            self.stats.record(record, OperatorStats())
-            self._m_cache["exact"].inc()
-            self._m_outcomes["ok"].inc()
-            self._m_rows_output.observe(len(cached.rows))
             return ServiceResult(rows=cached.rows, schema=cached.schema,
                                  query=query, stats=record)
 
@@ -361,25 +402,25 @@ class QueryService:
                 record.seeded_cutoff = seed
 
         record.requested_rows = self.memory_rows_per_query
-        with self.pool.checkout() as session:
-            record.session_id = session.session_id
-            with self.governor.lease(self.memory_rows_per_query) as lease:
-                record.granted_rows = lease.rows
-                record.lease_shrunk = lease.shrunk
-                started = time.monotonic()
-                self._m_inflight.inc()
-                try:
-                    result = session.execute(sql_text,
-                                             memory_rows=lease.rows,
-                                             cutoff_seed=seed)
-                finally:
-                    self._m_inflight.dec()
-                record.execution_seconds = time.monotonic() - started
+        with self.governor.lease(self.memory_rows_per_query) as lease:
+            record.granted_rows = lease.rows
+            record.lease_shrunk = lease.shrunk
+            started = time.monotonic()
+            self._m_inflight.inc()
+            try:
+                result = self.database.sql(sql_text,
+                                           memory_rows=lease.rows,
+                                           cutoff_seed=seed)
+            finally:
+                self._m_inflight.dec()
+            # The service materializes results, so the plan's spill
+            # storage goes now (``Database.sql`` releases it on failure).
+            release_plan_storage(result.plan)
+            record.execution_seconds = time.monotonic() - started
 
         record.rows_spilled = result.stats.io.rows_spilled
         record.rows_filtered = result.stats.rows_eliminated
-        record.rows_filtered_by_seed = self._seed_eliminations(result)
-        self._record_join_stats(result, record)
+        record.rows_filtered_by_seed = self._count_plan_work(result.plan)
 
         if scope is not None and result.final_cutoff is not None:
             self.cache.store_cutoff(
@@ -389,12 +430,8 @@ class QueryService:
                 rows=result.rows, schema=result.schema,
                 stats=result.stats.snapshot()))
 
-        self.stats.record(record, result.stats)
-        self._m_cache[record.cache].inc()
-        self._m_outcomes["ok"].inc()
         self._m_execution.observe(record.execution_seconds)
         self._m_rows_spilled.observe(record.rows_spilled)
-        self._m_rows_output.observe(len(result.rows))
         self._m_rows["spilled"].inc(record.rows_spilled)
         self._m_rows["filtered"].inc(record.rows_filtered)
         self._m_rows["filtered_by_seed"].inc(record.rows_filtered_by_seed)
@@ -406,19 +443,6 @@ class QueryService:
         self._m_spill["pages_skipped"].inc(io.pages_skipped_zone_map)
         self._m_comparisons["full"].inc(result.stats.full_key_comparisons)
         self._m_comparisons["code_only"].inc(result.stats.code_comparisons)
-        if record.joined:
-            self._m_join["queries"].inc()
-            self._m_join["rows_build"].inc(record.join_rows_build)
-            self._m_join["rows_probe"].inc(record.join_rows_probe)
-            self._m_join["rows_output"].inc(record.join_rows_output)
-            self._m_join["sort_spilled"].inc(record.join_sort_spilled)
-        if record.pushdown_rows_in:
-            self._m_pushdown["queries"].inc()
-            self._m_pushdown["rows_in"].inc(record.pushdown_rows_in)
-            self._m_pushdown["rows_dropped"].inc(
-                record.pushdown_rows_dropped)
-        if record.groups_collapsed_rungen:
-            self._m_groups_collapsed.inc(record.groups_collapsed_rungen)
         return ServiceResult(rows=result.rows, schema=result.schema,
                              query=query, stats=record,
                              operator_stats=result.stats)
@@ -485,54 +509,46 @@ class QueryService:
 
         return validator
 
-    @staticmethod
-    def _seed_eliminations(result) -> int:
-        """Rows the seeded cutoff eliminated, read off the plan's top-k
-        node (0 when the plan had none or the seed never engaged)."""
-        from repro.engine.operators import TopK
+    def _count_plan_work(self, plan) -> int:
+        """Count the plan's join, pushdown and GROUP BY work into the
+        registry, and return the rows its seeded cutoff eliminated (0
+        when the plan had no top-k node or the seed never engaged)."""
+        from repro.engine.operators import (
+            CutoffPushdownFilter,
+            GroupedAggregate,
+            SortMergeJoin,
+            TopK,
+            _JoinBase,
+        )
 
-        stack = [result.plan]
+        by_seed = 0
+        joined = False
+        pushdown_rows_in = 0
+        stack = [plan]
         while stack:
             node = stack.pop()
             if isinstance(node, TopK) and node.last_impl is not None:
                 cutoff_filter = getattr(node.last_impl, "cutoff_filter",
                                         None)
                 if cutoff_filter is not None:
-                    return cutoff_filter.stats.rows_eliminated_by_seed
-            stack.extend(node.children())
-        return 0
-
-    @staticmethod
-    def _record_join_stats(result, record: ServiceStats) -> None:
-        """Fill the record's join/pushdown/aggregate fields off the
-        plan's operators (no-op for join-free, aggregate-free plans)."""
-        from repro.engine.operators import (
-            CutoffPushdownFilter,
-            GroupedAggregate,
-            SortMergeJoin,
-            _JoinBase,
-        )
-
-        stack = [result.plan]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _JoinBase):
-                record.joined = True
-                record.join_rows_build += node.rows_build
-                record.join_rows_probe += node.rows_probe
-                record.join_rows_output += node.rows_matched
+                    by_seed = cutoff_filter.stats.rows_eliminated_by_seed
+            elif isinstance(node, _JoinBase):
+                joined = True
+                self._m_join["rows_build"].inc(node.rows_build)
+                self._m_join["rows_probe"].inc(node.rows_probe)
+                self._m_join["rows_output"].inc(node.rows_matched)
                 if isinstance(node, SortMergeJoin):
-                    record.join_sort_spilled += node.join_sort_spilled
+                    self._m_join["sort_spilled"].inc(
+                        node.join_sort_spilled)
             elif isinstance(node, CutoffPushdownFilter):
-                record.pushdown_rows_in += node.rows_in
-                record.pushdown_rows_dropped += node.rows_dropped
+                pushdown_rows_in += node.rows_in
+                self._m_pushdown["rows_in"].inc(node.rows_in)
+                self._m_pushdown["rows_dropped"].inc(node.rows_dropped)
             elif isinstance(node, GroupedAggregate):
-                record.groups_collapsed_rungen += \
-                    node.groups_collapsed_rungen
+                self._m_groups_collapsed.inc(node.groups_collapsed_rungen)
             stack.extend(node.children())
-
-    def _note_deadline_overrun(self, _ticket: QueryTicket) -> None:
-        """A caller abandoned a still-running query past its deadline."""
-        self.stats.record(ServiceStats(query="<abandoned>",
-                                       outcome="timeout"))
-        self._m_outcomes["timeout"].inc()
+        if joined:
+            self._m_join["queries"].inc()
+        if pushdown_rows_in:
+            self._m_pushdown["queries"].inc()
+        return by_seed

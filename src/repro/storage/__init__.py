@@ -14,7 +14,7 @@ from repro.storage.spill import (
     SpillFile,
     SpillManager,
 )
-from repro.storage.stats import IOStats, OperatorStats, ThreadSafeIOStats
+from repro.storage.stats import IOStats, OperatorStats
 
 __all__ = [
     "CostModel",
@@ -31,5 +31,4 @@ __all__ = [
     "DiskSpillBackend",
     "IOStats",
     "OperatorStats",
-    "ThreadSafeIOStats",
 ]

@@ -21,10 +21,18 @@ The disk backend is asynchronous on both sides:
   per-handoff cost stays negligible even for small pages.  ``write()``
   releases the GIL, so the overlap is real.  ``seal()`` flushes the
   coalescing buffer, drains the queue, and re-raises any deferred I/O
-  error on the producing thread.
+  error on the producing thread.  The thread starts with a file's first
+  full chunk: a file smaller than one chunk has no earlier write to
+  overlap, so ``seal()`` writes it on the calling thread.  Starting,
+  feeding and joining a thread costs more than that one write, and a
+  spill of many small runs would otherwise start a thread per run whose
+  contention for the interpreter lock makes the query's time depend on
+  how the OS places the threads on the cores.
 * **Reads** (:meth:`SpillFile.pages` with ``prefetch=True``, which every
   merge scan sets) decode up to :data:`READ_AHEAD_PAGES` pages ahead on
   a background thread, so the merge overlaps page decode with heap work.
+  A scan no longer than that window is read whole on the calling thread,
+  for the same reason.
 
 Accounting stays deterministic: the *accounting* counters
 (``bytes_written``/``bytes_read``/requests/rows) are charged on the
@@ -80,10 +88,13 @@ _JOIN_TIMEOUT = 30.0
 class _BackgroundPageWriter:
     """A bounded queue feeding one I/O thread (double-buffered writes).
 
-    ``submit`` blocks only when the queue is full (the disk is behind) —
-    that wait is counted as a writer stall.  I/O errors are captured on
-    the writer thread and re-raised on the producing thread at the next
-    ``submit`` or at :meth:`close` (the ``seal()`` drain).
+    The thread starts with the first ``submit``; a file's last chunk,
+    handed to :meth:`close`, is written on the calling thread when no
+    earlier chunk started it.  ``submit`` blocks only when the queue is
+    full (the disk is behind) — that wait is counted as a writer stall.
+    I/O errors are captured on the writer thread and re-raised on the
+    producing thread at the next ``submit`` or at :meth:`close` (the
+    ``seal()`` drain).
     """
 
     _SENTINEL = object()
@@ -96,11 +107,12 @@ class _BackgroundPageWriter:
         self._error: BaseException | None = None
         self._thread = threading.Thread(target=self._drain,
                                         name="spill-writer", daemon=True)
-        self._thread.start()
 
     def submit(self, blob: bytes) -> None:
         if self._error is not None:
             self._raise_deferred()
+        if self._thread.ident is None:
+            self._thread.start()
         try:
             self._queue.put_nowait(blob)
         except queue.Full:
@@ -111,24 +123,31 @@ class _BackgroundPageWriter:
             stats.stall_seconds += time.perf_counter() - started
 
     def _drain(self) -> None:
-        handle = self._handle
-        stats = self._stats
         while True:
             blob = self._queue.get()
             if blob is self._SENTINEL:
                 return
             if self._error is not None:
                 continue  # keep draining so producers never deadlock
-            try:
-                started = time.perf_counter()
-                handle.write(blob)
-                stats.write_seconds += time.perf_counter() - started
-            except BaseException as exc:
-                self._error = exc
+            self._write(blob)
 
-    def close(self, timeout: float = _JOIN_TIMEOUT,
+    def _write(self, blob: bytes) -> None:
+        try:
+            started = time.perf_counter()
+            self._handle.write(blob)
+            self._stats.write_seconds += time.perf_counter() - started
+        except BaseException as exc:
+            self._error = exc
+
+    def close(self, last: bytes = b"", timeout: float = _JOIN_TIMEOUT,
               reraise: bool = True) -> None:
-        """Drain outstanding pages, stop the thread, surface any error."""
+        """Write ``last``, drain outstanding chunks, stop the thread,
+        surface any error."""
+        if last:
+            if self._thread.ident is None:
+                self._write(last)
+            else:
+                self.submit(last)
         if self._thread.is_alive():
             self._queue.put(self._SENTINEL)
             self._thread.join(timeout)
@@ -273,8 +292,8 @@ class SpillFile:
     def seal(self) -> None:
         """Finish writing; the file becomes readable.
 
-        On the disk backend this drains the background writer queue and
-        re-raises any I/O error deferred from the writer thread.
+        On the disk backend this writes the last chunk, drains the
+        background writer queue and re-raises any deferred I/O error.
         """
         self._sealed = True
 
@@ -288,7 +307,8 @@ class SpillFile:
 
         ``prefetch`` overlaps page load/decode with consumer work on
         backends with real I/O (a read-ahead thread holding
-        :data:`READ_AHEAD_PAGES` pages; ignored elsewhere).  ``transform``
+        :data:`READ_AHEAD_PAGES` pages; a scan no longer than that is
+        read whole on the calling thread; ignored elsewhere).  ``transform``
         is applied to each page before delivery — on the read-ahead
         thread when one is active, so per-page work such as building the
         merge key cache overlaps with downstream heap work as well.
@@ -310,8 +330,13 @@ class SpillFile:
             source = map(transform, source)
         reader = None
         if prefetch and self.supports_prefetch:
-            reader = _ReadAhead(source, READ_AHEAD_PAGES, self._stats)
-            source = reader
+            if self.page_count - start_page > READ_AHEAD_PAGES:
+                reader = _ReadAhead(source, READ_AHEAD_PAGES, self._stats)
+                source = reader
+            else:
+                # A read-ahead thread would hold this whole scan at once:
+                # read it here instead of starting one.
+                source = iter(list(source))
         try:
             for page in source:
                 self._stats.read_requests += 1
@@ -441,20 +466,20 @@ class _DiskSpillFile(SpillFile):
         if self._pending_bytes >= WRITE_COALESCE_BYTES:
             self._flush_pending()
 
-    def _flush_pending(self) -> None:
-        if not self._pending:
-            return
+    def _take_pending(self) -> bytes:
         chunk = (self._pending[0] if len(self._pending) == 1
                  else b"".join(self._pending))
         self._pending.clear()
         self._pending_bytes = 0
-        self._writer.submit(chunk)
+        return chunk
+
+    def _flush_pending(self) -> None:
+        self._writer.submit(self._take_pending())
 
     def seal(self) -> None:
         if not self._sealed:
             try:
-                self._flush_pending()
-                self._writer.close()
+                self._writer.close(last=self._take_pending())
             finally:
                 self._handle.close()
         super().seal()

@@ -10,7 +10,6 @@ feeds them to the cost model for simulated execution times.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
 
 
@@ -21,13 +20,11 @@ class IOStats:
     All counters are cumulative; use :meth:`snapshot` and subtraction to
     scope a measurement to a region of execution.
 
-    **Threading contract:** a plain ``IOStats`` is *not* thread-safe.  The
+    **Threading contract:** an ``IOStats`` is *not* thread-safe.  The
     supported pattern for concurrent execution is per-query records — each
     query's operators write into their own ``IOStats``, single-threaded —
-    which are then merged into a shared aggregate *after* the query
-    finishes.  That shared aggregate must be a :class:`ThreadSafeIOStats`
-    (or the caller must hold its own lock around :meth:`merge`), otherwise
-    concurrent merges lose counts.
+    whose totals a caller aggregating across threads adds under its own
+    lock (the query service counts them into its metrics registry).
     """
 
     #: Rows written to sorted runs on secondary storage.
@@ -115,44 +112,6 @@ class IOStats:
         )
 
 
-class ThreadSafeIOStats(IOStats):
-    """An :class:`IOStats` aggregate safe to merge into from many threads.
-
-    Used as the service-level accumulator: each query runs with its own
-    plain ``IOStats`` (single-threaded, zero overhead on the hot path) and
-    the finished record is folded in here under a lock.  ``snapshot``
-    also locks, so readers always observe a consistent copy.
-    """
-
-    def __init__(self, **counters: int):
-        super().__init__(**counters)
-        self._lock = threading.Lock()
-
-    def merge(self, other: IOStats) -> None:
-        """Accumulate ``other`` atomically."""
-        with self._lock:
-            super().merge(other)
-
-    def snapshot(self) -> IOStats:
-        """A consistent, detached (plain ``IOStats``) copy."""
-        with self._lock:
-            return super().snapshot()
-
-    # Arithmetic reads every field: without the lock a concurrent merge
-    # could be half-applied between two field reads (a torn read), making
-    # the result internally inconsistent.  Snapshot first, then compute.
-
-    def __sub__(self, other: IOStats) -> IOStats:
-        if isinstance(other, ThreadSafeIOStats):
-            other = other.snapshot()
-        return self.snapshot() - other
-
-    def __add__(self, other: IOStats) -> IOStats:
-        if isinstance(other, ThreadSafeIOStats):
-            other = other.snapshot()
-        return self.snapshot() + other
-
-
 @dataclass
 class OperatorStats:
     """Work counters for a top-k operator, beyond raw storage traffic.
@@ -189,8 +148,7 @@ class OperatorStats:
 
         Same threading contract as :meth:`IOStats.merge`: per-query
         records are single-threaded; cross-thread aggregation must be
-        serialized by the caller (the query service does this under its
-        stats lock).
+        serialized by the caller.
         """
         self.rows_consumed += other.rows_consumed
         self.rows_eliminated_on_arrival += other.rows_eliminated_on_arrival

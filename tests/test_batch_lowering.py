@@ -4,7 +4,7 @@ The load-bearing claims:
 
 * the planner lowers exactly when it is safe (single non-nullable
   numeric ORDER BY column, histogram algorithm, no ablation options, no
-  cutoff seed, ``vectorize`` enabled);
+  cutoff seed, no forced ``batch`` path);
 * the lowered operator is **exact**: byte-identical output rows *and*
   equal ``rows_spilled`` against the row engine configured as the same
   algorithm (quicksort load-sort-store, unlimited runs, the vectorized
@@ -104,8 +104,9 @@ class TestLoweringDecision:
         assert plan.cutoff_seed == 123.0
 
     def test_vectorize_false_pins_row_engine(self):
+        """Forcing the ``batch`` path keeps the plan off the kernel."""
         db = make_database()
-        db.planner.vectorize = False
+        db.planner.path = "batch"
         plan = db.plan(
             "SELECT * FROM LINEITEM ORDER BY L_ORDERKEY LIMIT 100")
         assert not isinstance(plan, VectorizedTopK)
@@ -185,7 +186,7 @@ class TestSessionIntegration:
                f"ORDER BY L_EXTENDEDPRICE DESC LIMIT {K}")
         lowered = make_database().sql(sql)
         pinned = make_database()
-        pinned.planner.vectorize = False
+        pinned.planner.path = "batch"
         reference = pinned.sql(sql)
         assert lowered.rows == reference.rows
 
@@ -194,7 +195,7 @@ class TestSessionIntegration:
         sql = f"SELECT * FROM LINEITEM ORDER BY L_ORDERKEY LIMIT {K}"
         lowered = db.sql(sql)
         pinned = make_database()
-        pinned.planner.vectorize = False
+        pinned.planner.path = "batch"
         reference = pinned.sql(sql)
         assert lowered.final_cutoff is not None
         assert lowered.final_cutoff == pytest.approx(reference.final_cutoff)

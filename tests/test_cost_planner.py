@@ -183,12 +183,15 @@ class TestOverrides:
             Planner(path="warp")
 
     def test_vectorize_false_pins_row_engine(self, rows):
+        """Setting ``planner.path`` after construction pins the batch
+        operator and reports it as forced."""
         db = Database(memory_rows=2_000)
         db.register_table("R", SCHEMA, rows)
-        db.planner.vectorize = False
+        db.planner.path = "batch"
         plan = db.plan("SELECT * FROM R ORDER BY K LIMIT 100")
         assert isinstance(plan, TopK) and not isinstance(plan,
                                                          VectorizedTopK)
+        assert decision_of(plan).forced == ("path=batch",)
 
 
 class TestEligibilityPredicate:

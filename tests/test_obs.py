@@ -354,7 +354,7 @@ class TestTimelineFromLiveQueries:
     def test_row_plan_timeline_monotone(self, ascending):
         rows = make_rows(20_000)
         db = make_database(rows)
-        db.planner.vectorize = False
+        db.planner.path = "batch"
         order = "" if ascending else " DESC"
         result = db.sql(f"SELECT * FROM T ORDER BY K{order} LIMIT 2000",
                         tracer=Tracer())
@@ -374,7 +374,7 @@ class TestTimelineFromLiveQueries:
     def test_traced_query_produces_phase_spans(self):
         rows = make_rows(20_000)
         db = make_database(rows)
-        db.planner.vectorize = False
+        db.planner.path = "batch"
         tracer = Tracer()
         result = db.sql("SELECT * FROM T ORDER BY K LIMIT 2000",
                         tracer=tracer)
@@ -412,7 +412,7 @@ class TestExplainAnalyze:
     def test_row_plan_renders_too(self):
         rows = make_rows(20_000)
         db = make_database(rows)
-        db.planner.vectorize = False
+        db.planner.path = "batch"
         result = db.sql("SELECT * FROM T ORDER BY K LIMIT 2000",
                         explain_analyze=True)
         text = result.explain_analyze()

@@ -1,10 +1,18 @@
 """End-to-end tests of the concurrent query service."""
 
 import random
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.engine.session import Database
 from repro.errors import (
@@ -30,6 +38,34 @@ def make_database(rows=None, memory_rows=256):
     db = Database(memory_rows=memory_rows)
     db.register_table("events", SCHEMA, rows or make_rows(20_000))
     return db
+
+
+def gated_database(release, rows=1000):
+    """A database whose every scan blocks until ``release`` is set."""
+    data = make_rows(rows)
+
+    def gated_source():
+        release.wait(timeout=10)
+        return iter(data)
+
+    db = Database(memory_rows=256)
+    db.register_table("events", SCHEMA, gated_source, row_count=rows)
+    return db
+
+
+OUTCOMES = ("submitted", "ok", "rejected", "timeout", "error")
+
+
+def outcome_counts(service):
+    """The service's ``service.queries.*`` counters by outcome."""
+    snap = service.metrics_snapshot()
+    return {name: snap[f"service.queries.{name}"]["value"]
+            for name in OUTCOMES}
+
+
+def counts(**nonzero):
+    """An :func:`outcome_counts` value: ``nonzero``, every other 0."""
+    return {name: nonzero.get(name, 0) for name in OUTCOMES}
 
 
 class TestConfiguration:
@@ -83,9 +119,7 @@ class TestConcurrency:
         service.shutdown()
 
         assert failures == []
-        snap = service.snapshot()
-        assert snap.completed == 40
-        assert snap.errors == 0
+        assert outcome_counts(service) == counts(submitted=40, ok=40)
 
     def test_governor_shrinks_under_concurrent_pressure(self):
         rows = make_rows(20_000)
@@ -117,26 +151,17 @@ class TestConcurrency:
 
 class TestAdmissionControl:
     def test_rejects_when_saturated(self):
-        rows = make_rows(1000)
         release = threading.Event()
-
-        def blocking_source():
-            release.wait(timeout=10)
-            return iter(rows)
-
-        db = Database(memory_rows=256)
-        db.register_table("events", SCHEMA, blocking_source,
-                          row_count=len(rows))
-        service = QueryService(db, workers=1, queue_depth=1)
+        service = QueryService(gated_database(release), workers=1,
+                               queue_depth=1)
         sql = "SELECT id FROM events ORDER BY score LIMIT 5"
         try:
             running = service.submit(sql)   # occupies the worker
             queued = service.submit(sql)    # occupies the queue slot
             with pytest.raises(ServiceOverloadedError):
                 service.submit(sql)         # nothing left: rejected
-            snap = service.snapshot()
-            assert snap.rejected == 1
-            assert snap.submitted == 3
+            assert outcome_counts(service) == counts(submitted=3,
+                                                     rejected=1)
         finally:
             release.set()
             service.shutdown()
@@ -150,38 +175,20 @@ class TestAdmissionControl:
 
 class TestDeadlines:
     def test_deadline_timeout_surfaces_to_caller(self):
-        rows = make_rows(1000)
         release = threading.Event()
-
-        def slow_source():
-            release.wait(timeout=10)
-            return iter(rows)
-
-        db = Database(memory_rows=256)
-        db.register_table("events", SCHEMA, slow_source,
-                          row_count=len(rows))
-        service = QueryService(db, workers=1)
+        service = QueryService(gated_database(release), workers=1)
         ticket = service.submit("SELECT id FROM events ORDER BY score "
                                 "LIMIT 5", deadline=0.05)
         with pytest.raises(QueryTimeoutError):
             ticket.result()
         release.set()
         service.shutdown()
-        assert service.snapshot().timeouts >= 1
+        assert outcome_counts(service) == counts(submitted=1, timeout=1)
 
     def test_queued_past_deadline_is_abandoned(self):
-        rows = make_rows(1000)
         release = threading.Event()
-
-        def blocking_source():
-            release.wait(timeout=10)
-            return iter(rows)
-
-        db = Database(memory_rows=256)
-        db.register_table("events", SCHEMA, blocking_source,
-                          row_count=len(rows))
-        service = QueryService(db, workers=1, queue_depth=2,
-                               default_deadline=0.05)
+        service = QueryService(gated_database(release), workers=1,
+                               queue_depth=2, default_deadline=0.05)
         first = service.submit("SELECT id FROM events ORDER BY score "
                                "LIMIT 5", deadline=30)
         # Queued behind the blocked worker; its (default) deadline expires
@@ -194,7 +201,82 @@ class TestDeadlines:
         with pytest.raises(QueryTimeoutError):
             stale.result(timeout=10)
         service.shutdown()
-        assert service.snapshot().timeouts >= 1
+        assert outcome_counts(service) == counts(submitted=2, ok=1,
+                                                 timeout=1)
+
+    def test_overrun_counts_one_timeout(self):
+        """Every wait on an overrun ticket raises, but the query counts
+        one timeout, and its late completion counts nothing."""
+        release = threading.Event()
+        service = QueryService(gated_database(release), workers=1)
+        ticket = service.submit("SELECT id FROM events ORDER BY score "
+                                "LIMIT 5", deadline=0.05)
+        for _ in range(2):
+            with pytest.raises(QueryTimeoutError, match="deadline"):
+                ticket.result()
+        release.set()
+        service.shutdown()
+        assert ticket.done()
+        with pytest.raises(QueryTimeoutError, match="deadline"):
+            ticket.result()
+        assert outcome_counts(service) == counts(submitted=1, timeout=1)
+
+    def test_short_wait_settles_nothing(self):
+        """A caller's wait shorter than the deadline (here: no deadline)
+        raises naming the wait; the query still returns and counts ok."""
+        release = threading.Event()
+        service = QueryService(gated_database(release), workers=1)
+        ticket = service.submit("SELECT id FROM events ORDER BY score "
+                                "LIMIT 5")
+        with pytest.raises(QueryTimeoutError, match="0.05s wait"):
+            ticket.result(timeout=0.05)
+        release.set()
+        assert len(ticket.result(timeout=10).rows) == 5
+        service.shutdown()
+        assert outcome_counts(service) == counts(submitted=1, ok=1)
+
+    def test_deadline_race_settles_each_query_once(self):
+        """Two callers per ticket wait while deadlines expire in the
+        queue, mid-run and after the run.  After the drain each ticket
+        either returns its rows or raises a timeout, and the counters
+        agree with what the tickets show."""
+        rng = random.Random(3)
+        service = QueryService(make_database(), workers=4, queue_depth=64,
+                               cache=ResultCache(max_results=0,
+                                                 max_scopes=0))
+
+        def wait(ticket):
+            try:
+                ticket.result()
+            except QueryTimeoutError:
+                pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            tickets, callers = [], []
+            for _ in range(24):
+                tickets.append(service.submit(
+                    "SELECT id FROM events ORDER BY score LIMIT 1000",
+                    deadline=rng.uniform(0.01, 0.4)))
+                for _ in range(2):
+                    callers.append(threading.Thread(target=wait,
+                                                    args=(tickets[-1],)))
+                    callers[-1].start()
+            for caller in callers:
+                caller.join(timeout=30)
+            assert not any(caller.is_alive() for caller in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        service.shutdown()
+        returned = 0
+        for ticket in tickets:
+            try:
+                returned += len(ticket.result().rows) == 1000
+            except QueryTimeoutError:
+                pass
+        assert outcome_counts(service) == counts(
+            submitted=24, ok=returned, timeout=24 - returned)
 
 
 class TestCaching:
@@ -212,7 +294,8 @@ class TestCaching:
         assert second.stats.cache == "exact"
         assert second.rows == first.rows
         assert second.operator_stats.rows_consumed == 0  # no engine work
-        assert service.pool.total_queries_served() == 1
+        snap = service.metrics_snapshot()
+        assert snap["service.query.execution_seconds"]["count"] == 1
 
     def test_exact_hit_normalizes_whitespace_and_case(self):
         db = make_database()
@@ -347,16 +430,15 @@ class TestObservability:
         service = QueryService(db, workers=2,
                                cache=ResultCache(max_results=0,
                                                  max_scopes=0))
-        for _ in range(3):
-            service.execute(
-                "SELECT id, score FROM events ORDER BY score LIMIT 100")
+        spilled = [service.execute(
+            "SELECT id, score FROM events ORDER BY score LIMIT 1000"
+        ).stats.rows_spilled for _ in range(3)]
         service.shutdown()
-        snap = service.snapshot()
-        assert snap.completed == 3
-        assert snap.operator.rows_consumed == 60_000
-        assert snap.io.rows_spilled == snap.operator.io.rows_spilled
-        assert snap.simulated_seconds() > 0
-        assert "queries=3/3" in snap.describe()
+        snap = service.metrics_snapshot()
+        assert outcome_counts(service) == counts(submitted=3, ok=3)
+        assert min(spilled) > 0
+        assert snap["service.rows.spilled"]["value"] == sum(spilled)
+        assert snap["service.query.rows_spilled"]["sum"] == sum(spilled)
 
     def test_error_outcome_recorded(self):
         db = make_database(rows=make_rows(100))
@@ -365,8 +447,83 @@ class TestObservability:
             service.execute("SELECT nope FROM events ORDER BY score "
                             "LIMIT 5")
         service.shutdown()
-        snap = service.snapshot()
-        assert snap.errors == 1
-        recent = service.stats.recent()
-        assert recent[-1].outcome == "error"
-        assert recent[-1].error
+        assert outcome_counts(service) == counts(submitted=1, error=1)
+
+    def test_non_repro_error_counts_once(self):
+        """An engine failure outside the library's error hierarchy (the
+        vectorized plan converting a string score) still counts one
+        error."""
+        db = make_database(rows=make_rows(300) + [(300, "x", "a")])
+        service = QueryService(db, workers=1)
+        with pytest.raises(ValueError):
+            service.execute("SELECT id FROM events ORDER BY score "
+                            "LIMIT 200")
+        service.shutdown()
+        assert outcome_counts(service) == counts(submitted=1, error=1)
+
+
+MACHINE_SCHEMA = Schema([Column("id", ColumnType.INT64),
+                         Column("score", ColumnType.FLOAT64)])
+
+
+class ServiceMachine(RuleBasedStateMachine):
+    """Dashboard traffic against one service: repeated and overlapping
+    top-k panels (exact hits, seeded and nearest-neighbour cutoff
+    reuse) across table version bumps and ``ANALYZE`` runs.  Every
+    answer must equal a sorted-list oracle, and every query must count
+    exactly once."""
+
+    def __init__(self):
+        super().__init__()
+        self.db = Database(memory_rows=64)
+        self.service = QueryService(self.db, workers=1)
+        self.queries = 0
+        self.load(0)
+
+    def load(self, seed):
+        rng = random.Random(seed)
+        scores = rng.sample(range(1_000_000), 3_000)  # distinct: no ties
+        self.rows = [(i, score / 1_000.0) for i, score in enumerate(scores)]
+        self.db.register_table("T", MACHINE_SCHEMA, self.rows)
+        self.analyzed = False
+
+    @rule(projection=st.sampled_from(["id", "id, score"]),
+          ascending=st.booleans(), k=st.sampled_from([70, 150, 400]),
+          offset=st.sampled_from([0, 30]))
+    def query(self, projection, ascending, k, offset):
+        direction = "ASC" if ascending else "DESC"
+        sql = (f"SELECT {projection} FROM T ORDER BY score {direction} "
+               f"LIMIT {k}" + (f" OFFSET {offset}" if offset else ""))
+        result = self.service.execute(sql)
+        self.queries += 1
+        ranked = sorted(self.rows, key=lambda row: row[1],
+                        reverse=not ascending)[offset:offset + k]
+        expected = (ranked if projection == "id, score"
+                    else [(row_id,) for row_id, _ in ranked])
+        assert result.rows == expected
+
+    @rule(seed=st.integers(min_value=1, max_value=3))
+    def reload(self, seed):
+        self.load(seed)
+
+    @precondition(lambda self: not self.analyzed)  # a rescan is a no-op
+    @rule()
+    def analyze(self):
+        self.db.analyze("T")
+        self.analyzed = True
+
+    @invariant()
+    def every_query_counts_once(self):
+        snap = self.service.metrics_snapshot()
+        assert outcome_counts(self.service) == counts(
+            submitted=self.queries, ok=self.queries)
+        assert sum(snap[f"service.cache.{kind}"]["value"] for kind in
+                   ("miss", "exact", "cutoff", "bypass")) == self.queries
+
+    def teardown(self):
+        self.service.shutdown()
+
+
+TestServiceMachine = ServiceMachine.TestCase
+TestServiceMachine.settings = settings(
+    max_examples=25, stateful_step_count=10, deadline=None)

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import threading
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.errors import SpillError
 from repro.storage.pages import Page
 from repro.storage.stats import IOStats
 from repro.storage.spill import (
+    READ_AHEAD_PAGES,
+    WRITE_COALESCE_BYTES,
     DiskSpillBackend,
     MemorySpillBackend,
     SpillManager,
@@ -130,6 +133,66 @@ class TestDiskBackendIntegrity:
         spill_file.seal()
         manager.close()
         assert not os.path.isdir(directory)
+
+
+class TestDiskBackendThreads:
+    """Spill threads start only where they can overlap work: a writer
+    once a file fills one coalesced chunk, a read-ahead thread for a scan
+    longer than its window."""
+
+    #: Pickled rows of about 1 KiB: enough pages fill two chunks.
+    PAD = "x" * 1024
+    LARGE = 2 * WRITE_COALESCE_BYTES // 1024
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        names = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            names.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        return names
+
+    def test_small_file_starts_no_thread(self, tmp_path, started):
+        manager = SpillManager(backend=DiskSpillBackend(str(tmp_path)))
+        spill_file = manager.create_file()
+        for i in range(READ_AHEAD_PAGES):
+            spill_file.append_page(_page([(i,)]))
+        spill_file.seal()
+        read_back = [row for page in spill_file.pages(prefetch=True)
+                     for row in page.rows]
+        assert read_back == [(i,) for i in range(READ_AHEAD_PAGES)]
+        assert started == []
+        manager.close()
+
+    def test_large_file_goes_through_both_threads(self, tmp_path, started):
+        manager = SpillManager(backend=DiskSpillBackend(str(tmp_path)))
+        spill_file = manager.create_file()
+        for i in range(self.LARGE):
+            spill_file.append_page(_page([(i, self.PAD)]))
+        spill_file.seal()
+        assert started == ["spill-writer"]
+        read_back = [row for page in spill_file.pages(prefetch=True)
+                     for row in page.rows]
+        assert read_back == [(i, self.PAD) for i in range(self.LARGE)]
+        assert started == ["spill-writer", "spill-reader"]
+        manager.close()
+
+    def test_writer_thread_fault_surfaces_as_spill_error(self, tmp_path,
+                                                         started):
+        manager = SpillManager(backend=DiskSpillBackend(str(tmp_path)))
+        spill_file = manager.create_file()
+        spill_file._handle.close()  # the handle dies under the thread
+        with pytest.raises(SpillError, match="background spill write"):
+            for i in range(self.LARGE):
+                spill_file.append_page(_page([(i, self.PAD)]))
+            spill_file.seal()
+        assert started == ["spill-writer"]
+        manager.close()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDiskBackendCleanup:

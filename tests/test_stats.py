@@ -60,99 +60,6 @@ class TestOperatorStats:
         first.io.rows_spilled = 5
         assert second.io.rows_spilled == 0
 
-
-class TestThreadSafeIOStats:
-    def test_concurrent_merges_are_exact(self):
-        """The documented contract: per-query counters accumulate
-        single-threaded, then merge into a shared total under the lock.
-        Every counted unit must survive an 8-way concurrent merge."""
-        import threading
-
-        from repro.storage.stats import ThreadSafeIOStats
-
-        total = ThreadSafeIOStats()
-        per_thread = 500
-
-        def worker():
-            for _ in range(per_thread):
-                local = IOStats(rows_spilled=3, bytes_written=16,
-                                write_requests=1)
-                total.merge(local)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert total.rows_spilled == 8 * per_thread * 3
-        assert total.bytes_written == 8 * per_thread * 16
-        assert total.write_requests == 8 * per_thread
-
-    def test_snapshot_returns_plain_stats(self):
-        from repro.storage.stats import IOStats, ThreadSafeIOStats
-
-        total = ThreadSafeIOStats(rows_spilled=4)
-        snap = total.snapshot()
-        assert type(snap) is IOStats
-        assert snap.rows_spilled == 4
-        total.merge(IOStats(rows_spilled=1))
-        assert snap.rows_spilled == 4
-
-    def test_snapshot_racing_merge_is_internally_consistent(self):
-        """A snapshot taken mid-merge must never tear: every merged
-        delta keeps ``bytes_written == 16 * rows_spilled``, so any
-        snapshot violating that ratio saw a half-applied merge."""
-        import threading
-
-        from repro.storage.stats import ThreadSafeIOStats
-
-        total = ThreadSafeIOStats()
-        stop = threading.Event()
-
-        def writer():
-            delta = IOStats(rows_spilled=3, bytes_written=48,
-                            write_requests=1)
-            while not stop.is_set():
-                total.merge(delta)
-
-        torn = []
-
-        def reader():
-            for _ in range(2_000):
-                snap = total.snapshot()
-                if snap.bytes_written != 16 * snap.rows_spilled:
-                    torn.append(snap)
-
-        writers = [threading.Thread(target=writer) for _ in range(4)]
-        readers = [threading.Thread(target=reader) for _ in range(2)]
-        for t in writers + readers:
-            t.start()
-        for t in readers:
-            t.join()
-        stop.set()
-        for t in writers:
-            t.join()
-        assert torn == []
-
-    def test_arithmetic_snapshots_under_the_lock(self):
-        """``+``/``-`` on a live ThreadSafeIOStats (either side) go
-        through a locked snapshot, yielding plain consistent IOStats."""
-        from repro.storage.stats import ThreadSafeIOStats
-
-        live = ThreadSafeIOStats(rows_spilled=10, bytes_written=160)
-        before = live.snapshot()
-        live.merge(IOStats(rows_spilled=2, bytes_written=32))
-
-        delta = live - before
-        assert type(delta) is IOStats
-        assert delta.rows_spilled == 2
-        assert delta.bytes_written == 32
-
-        other = ThreadSafeIOStats(rows_spilled=1)
-        combined = live + other
-        assert type(combined) is IOStats
-        assert combined.rows_spilled == 13
-
     def test_operator_stats_merge_includes_io(self):
         total = OperatorStats()
         local = OperatorStats(rows_consumed=10, rows_output=5)
