@@ -313,8 +313,12 @@ class HistogramTopK:
         against the cutoff current at the batch boundary first drops the
         rows that cannot survive (the cutoff only tightens, so the
         prefilter is exact); only the remaining rows pay a per-row test.
+        Such a column's NaN keys are eliminated on arrival, as the
+        vectorized kernel eliminates them.
         """
         batches = iter(batches)
+        if self._batch_key is not None:
+            batches = self._drop_nan_keys(batches)
         if self.output_fits_in_memory:
             logger.debug("k+offset=%d fits in %d memory rows: "
                          "priority-queue regime", self.k + self.offset,
@@ -334,6 +338,23 @@ class HistogramTopK:
             self.stats.rows_output += 1
             yield row
         self._last_output_row = row
+
+    def _drop_nan_keys(
+            self, batches: Iterator[RowBatch]) -> Iterator[RowBatch]:
+        """Drop NaN-keyed rows: NaN is unordered, so it is never a winner,
+        and one inside the heap or a sorted load misorders the output."""
+        index = self._batch_key[0]
+        stats = self.stats
+        for batch in batches:
+            keys = batch.key_array(index)
+            if keys is not None:
+                nan = np.isnan(keys)
+                dropped = int(np.count_nonzero(nan))
+                if dropped:
+                    stats.rows_consumed += dropped
+                    stats.rows_eliminated_on_arrival += dropped
+                    batch = batch.take_mask(~nan)
+            yield batch
 
     def _batch_key_array(self, batch: RowBatch):
         """Normalized key column of ``batch``, or ``None`` → per-row tests."""

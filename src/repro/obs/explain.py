@@ -211,9 +211,8 @@ class PlanProbe:
                 details["merge_comparisons_code_only"] = \
                     stats.code_comparisons
             # Spill-path timing (disk backends only): how long the query
-            # spent encoding/decoding pages, how long the writer thread
-            # spent in write(), and how long anyone stalled on a full
-            # writer queue or an empty read-ahead queue.
+            # spent encoding and decoding pages, writing them, and
+            # reading them back off disk.
             io = stats.io
             if io.bytes_encoded or io.bytes_decoded:
                 details["spill_encode_ms"] = round(
@@ -224,9 +223,6 @@ class PlanProbe:
                     io.write_seconds * 1e3, 3)
                 details["spill_stall_ms"] = round(
                     io.stall_seconds * 1e3, 3)
-                if io.writer_stalls or io.read_stalls:
-                    details["spill_stalls"] = (f"writer={io.writer_stalls} "
-                                               f"read={io.read_stalls}")
             # Page skipping (zone-map spill pages): whole pages pruned
             # against the merge cutoff before decoding, plus payload
             # bytes the key-split skeleton scan never decoded.

@@ -250,12 +250,11 @@ class QueryService:
         self._m_rows = {
             kind: m.counter(f"service.rows.{kind}")
             for kind in ("spilled", "filtered", "filtered_by_seed")}
-        # Spill fast-path counters: physical codec traffic and queue
-        # stalls (all zero on the in-memory spill backend).
+        # Spill fast-path counters: physical codec traffic and zone-map
+        # skips (all zero on the in-memory spill backend).
         self._m_spill = {
             kind: m.counter(f"service.spill.{kind}")
             for kind in ("bytes_encoded", "bytes_decoded",
-                         "writer_stalls", "read_stalls",
                          "pages_skipped")}
         # Merge comparison substrate: full-key comparisons vs tournaments
         # decided by offset-value codes alone (see repro.sorting.ovc).
@@ -438,8 +437,6 @@ class QueryService:
         io = result.stats.io
         self._m_spill["bytes_encoded"].inc(io.bytes_encoded)
         self._m_spill["bytes_decoded"].inc(io.bytes_decoded)
-        self._m_spill["writer_stalls"].inc(io.writer_stalls)
-        self._m_spill["read_stalls"].inc(io.read_stalls)
         self._m_spill["pages_skipped"].inc(io.pages_skipped_zone_map)
         self._m_comparisons["full"].inc(result.stats.full_key_comparisons)
         self._m_comparisons["code_only"].inc(result.stats.code_comparisons)

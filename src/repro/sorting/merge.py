@@ -68,8 +68,8 @@ def merge_keyed(
     row)`` iterator per run (used by offset skipping, which starts each
     run mid-file).  Run scans read ahead on backends with real I/O
     (:meth:`~repro.sorting.runs.SortedRun.keyed_rows`); per-run iterators
-    are closed on exit, so an early-terminated merge releases any
-    read-ahead threads immediately.
+    are closed on exit, so an early-terminated merge closes its runs'
+    files immediately.
 
     ``stats``, when given, accumulates ``full_key_comparisons`` — a
     ``2 * log2(heap size)``-per-operation estimate of the key

@@ -19,8 +19,8 @@ When the engine runs on binary keys (:mod:`repro.sorting.keycodec`),
 writers additionally compute each row's offset-value code against the
 previous row (``compute_codes=True``) and store it in the page, and
 :meth:`SortedRun.coded_rows` hands the merge ``(key, row, code)``
-triples — with both key recomputation and code recovery happening on the
-read-ahead thread when prefetching.
+triples — recomputing keys and recovering codes one page at a time when
+a page comes back without them.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ def _ensure_keys(sort_key: Callable[[tuple], Any]
 
     Pages written through :class:`RunWriter` already carry their keys on
     the in-memory backend; disk pages come back without them, and this
-    transform recomputes them page-at-a-time — on the read-ahead thread
-    when prefetching, so key computation overlaps with merge heap work.
+    transform recomputes them one page at a time, as the scan loads the
+    page.
     """
     def transform(page: Page) -> Page:
         if page.keys is None:
@@ -61,7 +61,7 @@ def _ensure_coded(encode: Callable[[tuple], bytes]
     of the next page's first row), so it must be applied to one
     sequential scan only — which is exactly how
     :meth:`~repro.storage.spill.SpillFile.pages` applies transforms,
-    including under read-ahead (a single producer thread).
+    read-ahead included (it loads pages in order).
     """
     state: list[Any] = [None]
 
@@ -101,8 +101,9 @@ class SortedRun:
 
         Keys cached at write time are reused; otherwise they are computed
         one page at a time.  This is the merge's scan, so it reads ahead
-        on backends with real I/O: both page decode and key computation
-        happen on the read-ahead thread.  ``cutoff`` (binary keys only)
+        on backends with real I/O: the next
+        :data:`~repro.storage.spill.READ_AHEAD_PAGES` pages are decoded
+        and keyed before they are needed.  ``cutoff`` (binary keys only)
         enables zone-map pruning: the scan stops at the first page whose
         min key exceeds it, before decoding the page.
         """
@@ -120,8 +121,8 @@ class SortedRun:
 
         Codes persisted at write time (the page codec, or the in-memory
         backend's page objects) are reused; otherwise they are recovered
-        page-at-a-time alongside the keys — on the read-ahead thread, as
-        in :meth:`keyed_rows`.  When the scan starts mid-file
+        page-at-a-time alongside the keys, read ahead as in
+        :meth:`keyed_rows`.  When the scan starts mid-file
         (``start_page > 0``), the first delivered row's stored code is
         relative to a row the caller never saw, so it is replaced by
         :data:`~repro.sorting.ovc.INITIAL_CODE`.  ``cutoff`` as in

@@ -12,32 +12,21 @@ Two interchangeable backends implement the same small interface:
   abstraction is honest and for workloads that genuinely exceed process
   memory.
 
-The disk backend is asynchronous on both sides:
-
-* **Writes** go through a per-file background writer thread fed by a
-  bounded two-slot queue (double buffering): run generation encodes the
-  next page while the previous chunk is on disk.  Encoded pages are
-  coalesced into ~128 KiB chunks before crossing the queue, so the
-  per-handoff cost stays negligible even for small pages.  ``write()``
-  releases the GIL, so the overlap is real.  ``seal()`` flushes the
-  coalescing buffer, drains the queue, and re-raises any deferred I/O
-  error on the producing thread.  The thread starts with a file's first
-  full chunk: a file smaller than one chunk has no earlier write to
-  overlap, so ``seal()`` writes it on the calling thread.  Starting,
-  feeding and joining a thread costs more than that one write, and a
-  spill of many small runs would otherwise start a thread per run whose
-  contention for the interpreter lock makes the query's time depend on
-  how the OS places the threads on the cores.
-* **Reads** (:meth:`SpillFile.pages` with ``prefetch=True``, which every
-  merge scan sets) decode up to :data:`READ_AHEAD_PAGES` pages ahead on
-  a background thread, so the merge overlaps page decode with heap work.
-  A scan no longer than that window is read whole on the calling thread,
-  for the same reason.
+The disk backend does all of its I/O on the calling thread.  Each
+appended page is encoded and written to the file's buffered handle;
+``seal()`` closes the handle, which flushes it.  A failed write or flush
+raises :class:`~repro.errors.SpillError` chained to the ``OSError``.  A
+prefetching scan (:meth:`SpillFile.pages` with ``prefetch=True``, which
+every merge scan sets) keeps :data:`READ_AHEAD_PAGES` decoded pages
+ahead of its consumer, so a run scan reaches its zone-map cutoff page
+one window before the merge needs it.  The latency of the paper's
+disaggregated storage is modeled by :mod:`repro.storage.costmodel`
+from the counters, not by overlapping I/O threads.
 
 Accounting stays deterministic: the *accounting* counters
-(``bytes_written``/``bytes_read``/requests/rows) are charged on the
-calling thread from the page's stated byte size, identically across
-backends and codecs; the physical codec traffic lands in the separate
+(``bytes_written``/``bytes_read``/requests/rows) are charged from the
+page's stated byte size, identically across backends and codecs; the
+physical codec traffic lands in the separate
 ``bytes_encoded``/``bytes_decoded`` counters.  All traffic is recorded
 into a shared :class:`~repro.storage.stats.IOStats` via the owning
 :class:`SpillManager`.
@@ -46,11 +35,11 @@ into a shared :class:`~repro.storage.stats.IOStats` via the owning
 from __future__ import annotations
 
 import os
-import queue
 import struct
 import tempfile
-import threading
 import time
+from collections import deque
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import SpillError
@@ -67,173 +56,19 @@ _LENGTH_HEADER = struct.Struct("<Q")
 #: keys; a header overflowing the window is simply not skipped.
 _ZONE_PEEK_BYTES = 4096
 
-#: Queue slots for the background writer: one chunk on disk, one encoded
-#: and waiting — classic double buffering.
-WRITER_QUEUE_DEPTH = 2
-
-#: Pages a prefetching scan keeps decoded ahead of its consumer: one
-#: being merged, one ready — double buffering on the read side.
+#: Pages a prefetching scan keeps decoded ahead of the page its consumer
+#: holds.
 READ_AHEAD_PAGES = 2
 
-#: Encoded pages are batched into chunks of roughly this size before
-#: being handed to the writer thread, so the per-handoff cost (queue and
-#: scheduler) is amortized over many small pages.
-WRITE_COALESCE_BYTES = 128 * 1024
 
-#: Seconds a lifecycle operation (seal/delete/close) waits for an I/O
-#: thread to finish before declaring it wedged.
-_JOIN_TIMEOUT = 30.0
-
-
-class _BackgroundPageWriter:
-    """A bounded queue feeding one I/O thread (double-buffered writes).
-
-    The thread starts with the first ``submit``; a file's last chunk,
-    handed to :meth:`close`, is written on the calling thread when no
-    earlier chunk started it.  ``submit`` blocks only when the queue is
-    full (the disk is behind) — that wait is counted as a writer stall.
-    I/O errors are captured on the writer thread and re-raised on the
-    producing thread at the next ``submit`` or at :meth:`close` (the
-    ``seal()`` drain).
-    """
-
-    _SENTINEL = object()
-
-    def __init__(self, handle, stats: IOStats,
-                 depth: int = WRITER_QUEUE_DEPTH):
-        self._handle = handle
-        self._stats = stats
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._drain,
-                                        name="spill-writer", daemon=True)
-
-    def submit(self, blob: bytes) -> None:
-        if self._error is not None:
-            self._raise_deferred()
-        if self._thread.ident is None:
-            self._thread.start()
-        try:
-            self._queue.put_nowait(blob)
-        except queue.Full:
-            stats = self._stats
-            stats.writer_stalls += 1
-            started = time.perf_counter()
-            self._queue.put(blob)
-            stats.stall_seconds += time.perf_counter() - started
-
-    def _drain(self) -> None:
-        while True:
-            blob = self._queue.get()
-            if blob is self._SENTINEL:
-                return
-            if self._error is not None:
-                continue  # keep draining so producers never deadlock
-            self._write(blob)
-
-    def _write(self, blob: bytes) -> None:
-        try:
-            started = time.perf_counter()
-            self._handle.write(blob)
-            self._stats.write_seconds += time.perf_counter() - started
-        except BaseException as exc:
-            self._error = exc
-
-    def close(self, last: bytes = b"", timeout: float = _JOIN_TIMEOUT,
-              reraise: bool = True) -> None:
-        """Write ``last``, drain outstanding chunks, stop the thread,
-        surface any error."""
-        if last:
-            if self._thread.ident is None:
-                self._write(last)
-            else:
-                self.submit(last)
-        if self._thread.is_alive():
-            self._queue.put(self._SENTINEL)
-            self._thread.join(timeout)
-            if self._thread.is_alive():
-                raise SpillError("spill writer thread failed to drain "
-                                 f"within {timeout}s")
-        if reraise and self._error is not None:
-            self._raise_deferred()
-
-    def _raise_deferred(self) -> None:
-        error = self._error
-        raise SpillError(
-            f"background spill write failed: {error}") from error
-
-
-class _ReadAhead:
-    """Bounded background producer for sequential page scans.
-
-    The source iterator runs on a private thread, keeping up to ``depth``
-    decoded pages ready; the consumer pulls them off a queue.  Closing
-    (early merge termination) stops the producer and joins it — no
-    thread or file handle outlives the scan.
-    """
-
-    _DONE = object()
-
-    def __init__(self, source: Iterator, depth: int, stats: IOStats):
-        self._queue: queue.Queue = queue.Queue(maxsize=depth)
-        self._stop = threading.Event()
-        self._stats = stats
-        self._first = True
-        self._thread = threading.Thread(target=self._produce,
-                                        args=(source,),
-                                        name="spill-reader", daemon=True)
-        self._thread.start()
-
-    def _produce(self, source: Iterator) -> None:
-        try:
-            for item in source:
-                if self._stop.is_set():
-                    return
-                if not self._put((None, item)):
-                    return
-        except BaseException as exc:
-            self._put((exc, None))
-            return
-        self._put((None, self._DONE))
-
-    def _put(self, entry) -> bool:
-        while not self._stop.is_set():
-            try:
-                self._queue.put(entry, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def __iter__(self) -> "_ReadAhead":
-        return self
-
-    def __next__(self):
-        try:
-            error, item = self._queue.get_nowait()
-        except queue.Empty:
-            stats = self._stats
-            if not self._first:
-                stats.read_stalls += 1
-            started = time.perf_counter()
-            error, item = self._queue.get()
-            stats.stall_seconds += time.perf_counter() - started
-        self._first = False
-        if error is not None:
-            self.close()
-            raise error
-        if item is self._DONE:
-            raise StopIteration
-        return item
-
-    def close(self) -> None:
-        self._stop.set()
-        while True:  # unblock a producer waiting on a full queue
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join(_JOIN_TIMEOUT)
+def _read_ahead(pages: Iterator[Page]) -> Iterator[Page]:
+    """Yield ``pages`` in order, keeping :data:`READ_AHEAD_PAGES` more
+    already loaded."""
+    window = deque(islice(pages, READ_AHEAD_PAGES))
+    for page in pages:
+        window.append(page)
+        yield window.popleft()
+    yield from window
 
 
 class SpillFile:
@@ -243,8 +78,8 @@ class SpillFile:
     of sequential ``pages()`` scans, then ``delete``.
     """
 
-    #: Whether ``pages(prefetch=True)`` spawns a read-ahead thread —
-    #: only worthwhile on backends with real I/O.
+    #: Whether ``pages(prefetch=True)`` reads ahead — only backends with
+    #: real I/O do.
     supports_prefetch = False
 
     #: Whether this file's pages can be read as key-only skeletons
@@ -292,8 +127,8 @@ class SpillFile:
     def seal(self) -> None:
         """Finish writing; the file becomes readable.
 
-        On the disk backend this writes the last chunk, drains the
-        background writer queue and re-raises any deferred I/O error.
+        On the disk backend this closes the file's buffered handle,
+        which flushes it; a failed flush raises :class:`SpillError`.
         """
         self._sealed = True
 
@@ -305,47 +140,39 @@ class SpillFile:
         """Sequentially scan pages from ``start_page``; charges read
         requests and bytes only for the pages actually delivered.
 
-        ``prefetch`` overlaps page load/decode with consumer work on
-        backends with real I/O (a read-ahead thread holding
-        :data:`READ_AHEAD_PAGES` pages; a scan no longer than that is
-        read whole on the calling thread; ignored elsewhere).  ``transform``
-        is applied to each page before delivery — on the read-ahead
-        thread when one is active, so per-page work such as building the
-        merge key cache overlaps with downstream heap work as well.
+        ``prefetch`` keeps :data:`READ_AHEAD_PAGES` pages loaded and
+        decoded ahead of the one delivered, on backends with real I/O
+        (ignored elsewhere).  ``transform`` is applied to each page as it
+        is loaded, so per-page work such as building the merge key cache
+        runs once per page, in page order.
 
         ``cutoff`` (an encoded binary sort key) enables zone-map
         pruning: the scan ends at the first page whose min key exceeds
         it — pages within a run are key-ordered, so every later page
-        exceeds it too.  The test runs *before* the page body is decoded
-        (and, under read-ahead, on the prefetch thread, so skipped pages
-        are never pulled off disk).  Skipping is sound for a top-k merge
-        because such a page cannot contribute a winner.
+        exceeds it too.  The test runs *before* the page body is read
+        and decoded, so skipped pages are never pulled off disk.
+        Skipping is sound for a top-k merge because such a page cannot
+        contribute a winner.  Closing the scan early closes its file.
         """
         if not self._sealed:
             raise SpillError("spill file must be sealed before reading")
         if cutoff is not None and not isinstance(cutoff, bytes):
             cutoff = None  # zone maps exist only for binary keys
-        source: Iterator[Page] = self._load_pages(start_page, cutoff)
+        loader = self._load_pages(start_page, cutoff)
+        source: Iterator[Page] = loader
         if transform is not None:
             source = map(transform, source)
-        reader = None
         if prefetch and self.supports_prefetch:
-            if self.page_count - start_page > READ_AHEAD_PAGES:
-                reader = _ReadAhead(source, READ_AHEAD_PAGES, self._stats)
-                source = reader
-            else:
-                # A read-ahead thread would hold this whole scan at once:
-                # read it here instead of starting one.
-                source = iter(list(source))
+            source = _read_ahead(source)
+        stats = self._stats
         try:
             for page in source:
-                self._stats.read_requests += 1
-                self._stats.bytes_read += page.byte_size
-                self._stats.rows_read += len(page)
+                stats.read_requests += 1
+                stats.bytes_read += page.byte_size
+                stats.rows_read += len(page)
                 yield page
         finally:
-            if reader is not None:
-                reader.close()
+            loader.close()
 
     def rows(self, start_page: int = 0,
              cutoff: bytes | None = None) -> Iterator[tuple]:
@@ -376,6 +203,8 @@ class SpillFile:
 
     def _load_pages(self, start_page: int = 0,
                     cutoff: bytes | None = None) -> Iterator[Page]:
+        """A generator of the pages from ``start_page`` on; :meth:`pages`
+        closes it when the scan ends, early or not."""
         raise NotImplementedError
 
     def _fetch_page(self, index: int) -> Page:
@@ -447,41 +276,32 @@ class _DiskSpillFile(SpillFile):
         self._handle = os.fdopen(fd, "wb")
         self._page_offsets: list[int] = []
         self._bytes_on_disk = 0
-        self._writer = _BackgroundPageWriter(self._handle, stats)
-        self._pending: list[bytes] = []
-        self._pending_bytes = 0
         self._deleted = False
 
     def _store_page(self, page: Page) -> None:
         stats = self._stats
         started = time.perf_counter()
         payload = self._codec.encode(page)
-        stats.encode_seconds += time.perf_counter() - started
+        encoded = time.perf_counter()
+        stats.encode_seconds += encoded - started
         stats.bytes_encoded += len(payload)
         blob = _LENGTH_HEADER.pack(len(payload)) + payload
+        try:
+            self._handle.write(blob)
+        except (OSError, ValueError) as exc:  # ValueError: closed handle
+            raise SpillError(f"spill write failed: {exc}") from exc
+        stats.write_seconds += time.perf_counter() - encoded
         self._page_offsets.append(self._bytes_on_disk)
         self._bytes_on_disk += len(blob)
-        self._pending.append(blob)
-        self._pending_bytes += len(blob)
-        if self._pending_bytes >= WRITE_COALESCE_BYTES:
-            self._flush_pending()
-
-    def _take_pending(self) -> bytes:
-        chunk = (self._pending[0] if len(self._pending) == 1
-                 else b"".join(self._pending))
-        self._pending.clear()
-        self._pending_bytes = 0
-        return chunk
-
-    def _flush_pending(self) -> None:
-        self._writer.submit(self._take_pending())
 
     def seal(self) -> None:
         if not self._sealed:
+            started = time.perf_counter()
             try:
-                self._writer.close(last=self._take_pending())
-            finally:
                 self._handle.close()
+            except OSError as exc:
+                raise SpillError(f"spill write failed: {exc}") from exc
+            self._stats.write_seconds += time.perf_counter() - started
         super().seal()
 
     @property
@@ -499,6 +319,7 @@ class _DiskSpillFile(SpillFile):
                     return
                 handle.seek(self._page_offsets[start_page])
             while True:
+                started = time.perf_counter()
                 header = handle.read(_LENGTH_HEADER.size)
                 if not header:
                     return
@@ -530,6 +351,7 @@ class _DiskSpillFile(SpillFile):
                         payload = peek + handle.read(length - len(peek))
                 else:
                     payload = handle.read(length)
+                stats.stall_seconds += time.perf_counter() - started
                 if len(payload) != length:
                     raise SpillError(f"truncated page body in {self._path}")
                 yield self._decode_payload(payload, index, lazy)
@@ -575,9 +397,10 @@ class _DiskSpillFile(SpillFile):
         if self._deleted:
             return
         self._deleted = True
-        self._writer.close(timeout=_JOIN_TIMEOUT, reraise=False)
-        if not self._handle.closed:
+        try:
             self._handle.close()
+        except OSError:
+            pass  # an unsealed file's failed flush: it is unlinked anyway
         if os.path.exists(self._path):
             os.unlink(self._path)
 
@@ -605,9 +428,8 @@ class DiskSpillBackend:
     The backend tracks every file it creates so that :meth:`close` can
     remove them all — including files that were never sealed (a query
     failed mid-write) or never deleted (a query failed before its merge
-    consumed them).  ``close()`` is idempotent, joins any writer threads,
-    and the backend is a context manager, so error paths can simply
-    ``with`` it.
+    consumed them).  ``close()`` is idempotent, and the backend is a
+    context manager, so error paths can simply ``with`` it.
     """
 
     def __init__(self, directory: str | None = None,

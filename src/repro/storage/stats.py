@@ -51,21 +51,15 @@ class IOStats:
     bytes_encoded: int = 0
     #: Physical payload bytes consumed by the page codec (disk backend).
     bytes_decoded: int = 0
-    #: Times a spill writer blocked because its background queue was full
-    #: (run generation outran the disk).
-    writer_stalls: int = 0
-    #: Times a merge reader blocked because its read-ahead queue was
-    #: empty (the disk outran heap work) — counted only for prefetched
-    #: scans, and only after the first page.
-    read_stalls: int = 0
-    #: Wall seconds spent encoding pages (caller thread, disk backend).
+    #: Wall seconds spent encoding pages (disk backend).
     encode_seconds: float = 0.0
-    #: Wall seconds spent decoding pages (reader thread when prefetching).
+    #: Wall seconds spent decoding pages (disk backend).
     decode_seconds: float = 0.0
-    #: Wall seconds spent in ``write()`` (writer thread when backgrounded).
+    #: Wall seconds spent writing pages and flushing them at seal (disk
+    #: backend).
     write_seconds: float = 0.0
-    #: Wall seconds the producing thread spent stalled on a full writer
-    #: queue or an empty read-ahead queue.
+    #: Wall seconds scans spent reading pages off spill files (disk
+    #: backend), decode excluded.
     stall_seconds: float = 0.0
     #: Pages skipped by zone-map pruning: the page's min key (carried in
     #: the wire-format header) already exceeded the scan cutoff, so the

@@ -268,12 +268,16 @@ class TestNullAndNanKeys:
         with pytest.raises(ConfigurationError):
             VectorizedTopK(TableScan(table), spec, k=10)
 
-    def test_nan_keys_never_yield_misordered_output(self):
+    @pytest.mark.parametrize("limit", [100, 1200])
+    @pytest.mark.parametrize("leg", ["default", "batch", "seeded"])
+    def test_nan_keys_never_yield_misordered_output(self, leg, limit):
         """NaN contamination of a non-nullable column: the cutoff filter
         eliminates NaN rows (every NaN comparison is false), which can
         underfill the limit but must never misorder what is returned —
         the finite output is exactly a prefix of the sorted finite
-        keys."""
+        keys.  That holds on the vectorized plan, on the batch engine
+        (pinned, or planned for a seeded repeat, as ``QueryService``
+        issues them) and in both of its regimes."""
         import math
         import random
 
@@ -286,11 +290,15 @@ class TestNullAndNanKeys:
                          Column("ID", ColumnType.INT64)])
         db = Database(memory_rows=300)
         db.register_table("N", schema, rows)
-        result = db.sql("SELECT * FROM N ORDER BY V LIMIT 1200")
-        assert isinstance(result.plan, VectorizedTopK)
+        sql = f"SELECT * FROM N ORDER BY V LIMIT {limit}"
+        if leg == "batch":
+            db.planner.path = "batch"
+        seed = (db.sql(sql).final_cutoff if leg == "seeded" else None)
+        result = db.sql(sql, cutoff_seed=seed)
+        assert isinstance(result.plan, VectorizedTopK) == (leg == "default")
 
         finite = [r for r in result.rows if not math.isnan(r[0])]
         expected = sorted((r for r in rows if not math.isnan(r[0])),
                           key=lambda r: r[0])
         assert finite == expected[:len(finite)]
-        assert len(result.rows) <= 1200
+        assert len(result.rows) <= limit

@@ -5,6 +5,7 @@ the fast ones are executed end to end.
 """
 
 import importlib.util
+import os
 import pathlib
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 FAST_EXAMPLES = ("strategy_bakeoff.py", "adaptive_memory_pressure.py",
-                 "service_dashboard.py")
+                 "service_dashboard.py", "trace_query.py")
 
 
 def test_examples_exist():
@@ -34,9 +35,12 @@ def test_example_imports_cleanly(path):
 
 
 @pytest.mark.parametrize("name", FAST_EXAMPLES)
-def test_fast_example_runs(name):
+def test_fast_example_runs(name, tmp_path):
+    # Files an example leaves for its reader (trace_query.py's Chrome
+    # trace) go to a per-test temp directory.
     completed = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
-        capture_output=True, text=True, timeout=240)
+        capture_output=True, text=True, timeout=240,
+        env={**os.environ, "TMPDIR": str(tmp_path)})
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip()

@@ -129,29 +129,31 @@ class TestReadFaults:
 
 
 class TestDiskSpillLifecycle:
-    """The disk backend's writer threads and temp files must never leak —
-    not after clean use, not after faults, not after double delete."""
+    """The disk backend's temp files must never leak — not after clean
+    use, not after faults, not after double delete — and it starts no
+    thread."""
 
     def test_writer_fault_surfaces_as_spill_error(self, tmp_path):
         backend = DiskSpillBackend(directory=str(tmp_path))
         manager = SpillManager(backend=backend, page_bytes=64)
         spill_file = manager.create_file()
-        # Injected fault: the handle dies under the writer thread.
+        # Injected fault: the handle dies before the first write.
         spill_file._handle.close()
-        with pytest.raises(SpillError, match="background spill write"):
+        with pytest.raises(SpillError, match="spill write failed"):
             spill_file.append_page(Page(rows=[(1.0,)], byte_size=32))
             spill_file.seal()
         manager.close()
         assert list(tmp_path.iterdir()) == []
 
-    def test_writer_thread_joined_after_seal(self, tmp_path):
+    def test_seal_starts_no_thread(self, tmp_path):
+        before = set(threading.enumerate())
         backend = DiskSpillBackend(directory=str(tmp_path))
         manager = SpillManager(backend=backend, page_bytes=64)
         spill_file = manager.create_file()
         for i in range(10):
             spill_file.append_page(Page(rows=[(float(i),)], byte_size=32))
         spill_file.seal()
-        assert not spill_file._writer._thread.is_alive()
+        assert set(threading.enumerate()) - before == set()
         read_back = [row for page in spill_file.pages()
                      for row in page.rows]
         assert read_back == [(float(i),) for i in range(10)]
@@ -184,26 +186,31 @@ class TestDiskSpillLifecycle:
         with pytest.raises(ValueError, match="upstream failure"):
             list(operator.execute(poisoned()))
         manager.close()
-        leaked = [thread for thread in set(threading.enumerate()) - before
-                  if thread.is_alive() and thread.name.startswith(
-                      ("spill-writer", "spill-reader"))]
-        assert leaked == []
+        assert set(threading.enumerate()) - before == set()
         assert list(tmp_path.iterdir()) == []
 
-    def test_early_merge_abandon_releases_read_ahead(self, tmp_path):
+    def test_early_merge_abandon_releases_read_ahead(self, tmp_path,
+                                                     monkeypatch):
         backend = DiskSpillBackend(directory=str(tmp_path))
         manager = SpillManager(backend=backend, page_bytes=64)
         spill_file = manager.create_file()
         for i in range(50):
             spill_file.append_page(Page(rows=[(float(i),)], byte_size=32))
         spill_file.seal()
+        opened = []
+        real_open = open
+
+        def tracking_open(*args, **kwargs):
+            handle = real_open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr("builtins.open", tracking_open)
         scan = spill_file.pages(prefetch=2)
         next(scan)
+        assert [handle.closed for handle in opened] == [False]
         scan.close()  # abandon mid-scan: the generator's finally runs
-        alive = [thread for thread in threading.enumerate()
-                 if thread.is_alive()
-                 and thread.name.startswith("spill-reader")]
-        assert alive == []
+        assert [handle.closed for handle in opened] == [True]
         manager.close()
 
     def test_unsealed_file_cleaned_up_by_backend_close(self, tmp_path):
@@ -213,6 +220,38 @@ class TestDiskSpillLifecycle:
         spill_file.append_page(Page(rows=[(1.0,)], byte_size=32))
         # Never sealed — a query died mid-spill.
         manager.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_flush_raises_at_seal_and_never_at_close(self, tmp_path):
+        """The buffered handle flushes when it closes.  A failed flush
+        surfaces from ``seal()`` as a typed error; from ``delete()`` and
+        ``close()``, which tear down unsealed files, it never does."""
+        import errno
+
+        class FullOnFlush:
+            """Spill file handle whose close-time flush hits ENOSPC."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def write(self, blob):
+                return self._handle.write(blob)
+
+            def close(self):
+                self._handle.close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        backend = DiskSpillBackend(directory=str(tmp_path))
+        manager = SpillManager(backend=backend, page_bytes=64)
+        sealed, unsealed = manager.create_file(), manager.create_file()
+        for spill_file in (sealed, unsealed):
+            spill_file._handle = FullOnFlush(spill_file._handle)
+            spill_file.append_page(Page(rows=[(1.0,)], byte_size=32))
+        with pytest.raises(SpillError, match="spill write failed") \
+                as raised:
+            sealed.seal()
+        assert raised.value.__cause__.errno == errno.ENOSPC
+        manager.close()  # deletes both files without raising
         assert list(tmp_path.iterdir()) == []
 
     def test_planning_leaves_no_spill_directory(self, tmp_path,
@@ -245,8 +284,8 @@ class TestDiskSpillLifecycle:
 
     def test_disk_full_mid_query_surfaces_and_leaves_nothing(
             self, tmp_path, monkeypatch):
-        """ENOSPC under the background writer, mid-query: the query
-        fails with a typed error and leaves no thread and no file."""
+        """ENOSPC from a spill file's writes, mid-query: the query fails
+        with a typed error and leaves no thread and no file."""
         import errno
 
         import repro.storage.spill as spill_module
@@ -266,12 +305,17 @@ class TestDiskSpillLifecycle:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return self._handle.write(blob)
 
-        class FillingWriter(spill_module._BackgroundPageWriter):
-            def __init__(self, handle, stats):
-                super().__init__(FullDisk(handle), stats)
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
 
-        monkeypatch.setattr(spill_module, "_BackgroundPageWriter",
-                            FillingWriter)
+        init = spill_module._DiskSpillFile.__init__
+
+        def filling(spill_file, *args):
+            init(spill_file, *args)
+            spill_file._handle = FullDisk(spill_file._handle)
+
+        monkeypatch.setattr(spill_module._DiskSpillFile, "__init__",
+                            filling)
         spill_dir = tmp_path / "spill"
         spill_dir.mkdir()
         schema = Schema([Column("S", ColumnType.STRING),
@@ -284,14 +328,11 @@ class TestDiskSpillLifecycle:
         db.planner.spill_manager_factory = lambda: SpillManager(
             backend=DiskSpillBackend(directory=str(spill_dir)))
         db.register_table("T", schema, table)
-        with pytest.raises(SpillError, match="background spill write") \
+        with pytest.raises(SpillError, match="spill write failed") \
                 as raised:
             db.sql("SELECT * FROM T ORDER BY S DESC, K LIMIT 1000")
         assert raised.value.__cause__.errno == errno.ENOSPC
-        leaked = [thread for thread in set(threading.enumerate()) - before
-                  if thread.is_alive() and thread.name.startswith(
-                      ("spill-writer", "spill-reader"))]
-        assert leaked == []
+        assert set(threading.enumerate()) - before == set()
         assert list(spill_dir.iterdir()) == []
 
 

@@ -10,8 +10,6 @@ from repro.errors import SpillError
 from repro.storage.pages import Page
 from repro.storage.stats import IOStats
 from repro.storage.spill import (
-    READ_AHEAD_PAGES,
-    WRITE_COALESCE_BYTES,
     DiskSpillBackend,
     MemorySpillBackend,
     SpillManager,
@@ -136,63 +134,51 @@ class TestDiskBackendIntegrity:
 
 
 class TestDiskBackendThreads:
-    """Spill threads start only where they can overlap work: a writer
-    once a file fills one coalesced chunk, a read-ahead thread for a scan
-    longer than its window."""
+    """The disk backend does its I/O on the calling thread."""
 
-    #: Pickled rows of about 1 KiB: enough pages fill two chunks.
-    PAD = "x" * 1024
-    LARGE = 2 * WRITE_COALESCE_BYTES // 1024
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        names = []
+    def test_large_file_starts_no_thread(self, tmp_path, monkeypatch):
+        """256 pages of ~1 KiB rows are written, sealed and read back
+        with read-ahead, and no thread is ever started."""
+        started = []
         start = threading.Thread.start
 
         def counting(thread):
-            names.append(thread.name)
+            started.append(thread.name)
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting)
-        return names
-
-    def test_small_file_starts_no_thread(self, tmp_path, started):
+        pad = "x" * 1024
         manager = SpillManager(backend=DiskSpillBackend(str(tmp_path)))
         spill_file = manager.create_file()
-        for i in range(READ_AHEAD_PAGES):
-            spill_file.append_page(_page([(i,)]))
+        for i in range(256):
+            spill_file.append_page(_page([(i, pad)]))
         spill_file.seal()
         read_back = [row for page in spill_file.pages(prefetch=True)
                      for row in page.rows]
-        assert read_back == [(i,) for i in range(READ_AHEAD_PAGES)]
+        assert read_back == [(i, pad) for i in range(256)]
         assert started == []
         manager.close()
-
-    def test_large_file_goes_through_both_threads(self, tmp_path, started):
-        manager = SpillManager(backend=DiskSpillBackend(str(tmp_path)))
-        spill_file = manager.create_file()
-        for i in range(self.LARGE):
-            spill_file.append_page(_page([(i, self.PAD)]))
-        spill_file.seal()
-        assert started == ["spill-writer"]
-        read_back = [row for page in spill_file.pages(prefetch=True)
-                     for row in page.rows]
-        assert read_back == [(i, self.PAD) for i in range(self.LARGE)]
-        assert started == ["spill-writer", "spill-reader"]
-        manager.close()
-
-    def test_writer_thread_fault_surfaces_as_spill_error(self, tmp_path,
-                                                         started):
-        manager = SpillManager(backend=DiskSpillBackend(str(tmp_path)))
-        spill_file = manager.create_file()
-        spill_file._handle.close()  # the handle dies under the thread
-        with pytest.raises(SpillError, match="background spill write"):
-            for i in range(self.LARGE):
-                spill_file.append_page(_page([(i, self.PAD)]))
-            spill_file.seal()
-        assert started == ["spill-writer"]
-        manager.close()
         assert list(tmp_path.iterdir()) == []
+
+    def test_sealed_files_hold_no_writer_state(self, tmp_path):
+        """A sealed file keeps its page index and path, not an I/O
+        buffer or writer: 250 one-page files hold under 2 KiB each."""
+        import tracemalloc
+
+        files = 250
+        manager = SpillManager(backend=DiskSpillBackend(str(tmp_path)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(files):
+                spill_file = manager.create_file()
+                spill_file.append_page(_page([(i,)]))
+                spill_file.seal()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        manager.close()
+        assert held / files < 2048
 
 
 class TestDiskBackendCleanup:
@@ -230,9 +216,10 @@ class TestDiskBackendCleanup:
 
 
 def test_spill_layer_has_no_ablation_switches(tmp_path):
-    """Writes are always background, run files always typed, the merge
-    read-ahead depth is one constant, vector runs stay in memory and no
-    memory-reservation API is left: the old switches are gone."""
+    """Writes are always on the calling thread, run files always typed,
+    the merge read-ahead depth is one constant, vector runs stay in
+    memory and no memory-reservation API is left: the old switches are
+    gone."""
     from repro.core.topk import HistogramTopK
     from repro.engine.operators import Table, TableScan, VectorizedTopK
     from repro.rows.schema import Column, ColumnType, Schema
