@@ -26,10 +26,14 @@ from __future__ import annotations
 import logging
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any
+from operator import gt, lt
+from typing import Any, Callable
 
 from repro.core.histogram import Bucket
 from repro.errors import ConfigurationError
+from repro.rows.batch import numeric_key_column
+from repro.rows.sortspec import SortSpec, key_value_decoder
+from repro.sorting.keycodec import leading_value_decoder
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +55,54 @@ class _ReverseKey:
 
     def __repr__(self) -> str:
         return f"_ReverseKey({self.key!r})"
+
+
+class _AboveCutoff:
+    """The key of a row the prefilter dropped: above every cutoff."""
+
+    def __le__(self, other: Any) -> bool:
+        return False
+
+
+ABOVE_CUTOFF = _AboveCutoff()
+
+
+def leading_column_prefilter(spec: SortSpec | None, binary: bool
+                             ) -> Callable[..., list[bool] | None] | None:
+    """``keep``, the arrival test's numpy first pass for a top-k on
+    ``spec``, or ``None`` unless its leading column is a non-nullable
+    INT64, FLOAT64 or DECIMAL (bounds are binary keys when ``binary``,
+    else one-column tuple keys).
+
+    ``keep(batch, bound, start=0)``: one flag per row of
+    ``batch.rows[start:]``, true to keep it, or ``None`` (no float64
+    column, or a bound beyond float64).  A row goes only when its leading
+    value exceeds the bound's (both negated for DESC), so its key does:
+    exact, as bounds only tighten and float64 rounding is monotone.  NaN
+    compares false, so it reaches the per-row test.
+    """
+    leading = (numeric_key_column(SortSpec(spec.schema, spec.columns[:1]))
+               if spec is not None else None)
+    if leading is None:
+        return None
+    value_of = (leading_value_decoder if binary else key_value_decoder)(spec)
+    if value_of is None:
+        return None
+    index, descending = leading
+    above = lt if descending else gt
+
+    def keep(batch, bound: Any, start: int = 0) -> list[bool] | None:
+        # Only a tuple key reads the column again (the NaN test).
+        column = batch.key_array(index, cache=not binary)
+        if column is None:
+            return None
+        try:
+            value = float(value_of(bound))
+        except OverflowError:
+            return None
+        return (~above(column[start:], value)).tolist()
+
+    return keep
 
 
 @dataclass
@@ -236,26 +288,18 @@ class CutoffFilter:
             "consolidated %d buckets into one (boundary %r, size %d)",
             dropped + 1, top_key, total)
 
-    def admit_batch(self, keys) -> Any:
-        """Vectorized :meth:`eliminate` over a whole batch of keys.
-
-        ``keys`` is a numpy array of normalized sort keys (for descending
-        numeric orders the caller passes the negated values, exactly as
-        :class:`~repro.rows.sortspec.SortSpec` normalizes row keys).
-
-        Returns ``None`` when no cutoff is established (every row is
-        admitted, nothing to mask) or a boolean mask that is ``True`` for
-        admitted rows.  Elimination statistics are updated in bulk; the
-        semantics match the scalar path: only keys sorting *strictly
-        above* the cutoff are eliminated, ties are retained.
-        """
+    def admit_batch(self, keep: Callable, batch: Any,
+                    start: int = 0) -> list[bool] | None:
+        """:meth:`eliminate` for ``batch.rows[start:]`` through a
+        :func:`leading_column_prefilter` (``keep``): its flags, or ``None``
+        (no cutoff yet, or the test cannot run).  The rows it drops count
+        as eliminated."""
         if self._cutoff is None:
             return None
-        mask = keys <= self._cutoff
-        dropped = int(keys.size) - int(mask.sum())
-        if dropped:
-            self.count_eliminated(dropped)
-        return mask
+        flags = keep(batch, self._cutoff, start)
+        if flags is not None:
+            self.count_eliminated(flags.count(False))
+        return flags
 
     def eliminate(self, key: Any) -> bool:
         """Return True when a row with ``key`` cannot be in the output.

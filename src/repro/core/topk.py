@@ -32,7 +32,12 @@ try:  # numpy powers the vectorized batch admission; optional.
 except ImportError:  # pragma: no cover - the CI image always has numpy
     np = None
 
-from repro.core.cutoff import CutoffFilter, _ReverseKey
+from repro.core.cutoff import (
+    ABOVE_CUTOFF,
+    CutoffFilter,
+    _ReverseKey,
+    leading_column_prefilter,
+)
 from repro.core.histogram import RunHistogramBuilder
 from repro.core.rank_index import RankIndex
 from repro.core.policies import SizingPolicy, TargetBucketsPolicy
@@ -170,8 +175,8 @@ class HistogramTopK:
                 f"unknown run generation {run_generation!r}")
         self.sort_key = (sort_key.key if isinstance(sort_key, SortSpec)
                          else sort_key)
-        #: The originating spec, when one was given — the batch path uses
-        #: it to vectorize key extraction (single numeric column only).
+        #: The originating spec, when one was given — the batch path
+        #: tests its leading column in numpy when that is numeric.
         self.sort_spec = sort_key if isinstance(sort_key, SortSpec) else None
         self._batch_key = (numeric_key_column(self.sort_spec)
                            if self.sort_spec is not None else None)
@@ -179,11 +184,13 @@ class HistogramTopK:
         #: runs on tuple keys.  With a codec, ``sort_key`` *is* the
         #: encoder: every key in the operator (runs, histograms, cutoff,
         #: seeds) is an order-preserving byte string; a bare numeric key
-        #: stays a tuple key so the vectorized batch admission works.
+        #: stays a tuple key.
         self.key_codec = binary_key_codec(sort_key)
         if self.key_codec is not None:
             self.sort_key = self.key_codec.encode
             self._batch_key = None
+        self._prefilter = leading_column_prefilter(
+            self.sort_spec, binary=self.key_codec is not None)
         self.k = k
         self.offset = offset
         self.memory_rows = memory_rows
@@ -309,12 +316,13 @@ class HistogramTopK:
 
         Every arrival is tested against the *live* cutoff, interleaved
         with run generation exactly as Algorithm 1 prescribes.  When the
-        sort key is a single numeric column, one vectorized comparison
-        against the cutoff current at the batch boundary first drops the
-        rows that cannot survive (the cutoff only tightens, so the
-        prefilter is exact); only the remaining rows pay a per-row test.
-        Such a column's NaN keys are eliminated on arrival, as the
-        vectorized kernel eliminates them.
+        leading sort column is a non-nullable numeric one, one numpy
+        comparison of it against the bound current at the batch boundary
+        first drops the rows that cannot survive
+        (:func:`~repro.core.cutoff.leading_column_prefilter`, exact);
+        only the remaining rows pay for a key and a per-row test.  A
+        single numeric column's NaN keys are eliminated on arrival, as
+        the vectorized kernel eliminates them.
         """
         batches = iter(batches)
         if self._batch_key is not None:
@@ -356,16 +364,6 @@ class HistogramTopK:
                     batch = batch.take_mask(~nan)
             yield batch
 
-    def _batch_key_array(self, batch: RowBatch):
-        """Normalized key column of ``batch``, or ``None`` → per-row tests."""
-        if self._batch_key is None:
-            return None
-        index, negate = self._batch_key
-        array = batch.key_array(index)
-        if array is None:
-            return None
-        return -array if negate else array
-
     # -- in-memory regime ----------------------------------------------------
 
     def _execute_in_memory(
@@ -405,19 +403,14 @@ class HistogramTopK:
                         yield from self._switch_to_external(
                             heap, batch, index, batches)
                         return
-            keys = (self._batch_key_array(batch)
-                    if index < len(rows) else None)
-            if keys is None:
-                candidates = enumerate(rows[index:] if index else rows,
-                                       index)
-            else:
-                # Rows above the batch-start maximum can never enter the
-                # heap (the maximum only falls); ``<=`` keeps the
-                # prefilter exact under float64 rounding of int keys.
-                top_key = heap[0][0].key
-                candidates = ((index + i, rows[index + i])
-                              for i in np.flatnonzero(
-                                  keys[index:] <= top_key).tolist())
+            # Rows above the batch-start maximum can never enter the heap
+            # (the maximum only falls).
+            flags = (self._prefilter(batch, heap[0][0].key, index)
+                     if self._prefilter is not None and index < len(rows)
+                     else None)
+            candidates = enumerate(rows[index:] if index else rows, index)
+            if flags is not None:
+                candidates = itertools.compress(candidates, flags)
             for i, row in candidates:
                 key = sort_key(row)
                 if key < heap[0][0].key:
@@ -671,6 +664,7 @@ class HistogramTopK:
                 for batch, start in stream:
                     generator.consume_batch(
                         batch.rows[start:] if start else batch.rows,
+                        self._arrival_keys(batch, start),
                         arrival_filter=self.cutoff_filter)
             else:
                 for batch, start in stream:
@@ -680,6 +674,19 @@ class HistogramTopK:
                 span.set_attribute("rows_eliminated_on_arrival",
                                    stats.rows_eliminated_on_arrival)
         yield from self._external_finish(generator)
+
+    def _arrival_keys(self, batch: RowBatch, start: int) -> list | None:
+        """Keys of ``batch.rows[start:]`` for load-sort-store, with
+        ``ABOVE_CUTOFF`` for each row the prefilter drops, or ``None``."""
+        cutoff = self.cutoff_filter.cutoff_key
+        if self._prefilter is None or cutoff is None:
+            return None
+        flags = self._prefilter(batch, cutoff, start)
+        if flags is None or False not in flags:
+            return None
+        sort_key = self.sort_key
+        return [sort_key(row) if keep else ABOVE_CUTOFF for row, keep in
+                zip(batch.rows[start:] if start else batch.rows, flags)]
 
     def _admit_batch(self, generator, batch: RowBatch, start: int) -> None:
         """Algorithm 1 line 4 over ``batch.rows[start:]`` for replacement
@@ -699,13 +706,11 @@ class HistogramTopK:
         consumed = stats.rows_consumed
         stats.cutoff_comparisons += len(rows)
         candidates = enumerate(rows)
-        keys = self._batch_key_array(batch)
-        if keys is not None:
-            mask = cutoff_filter.admit_batch(keys[start:] if start else keys)
-            if mask is not None:
-                indices = np.flatnonzero(mask).tolist()
-                stats.rows_eliminated_on_arrival += len(rows) - len(indices)
-                candidates = ((i, rows[i]) for i in indices)
+        flags = (cutoff_filter.admit_batch(self._prefilter, batch, start)
+                 if self._prefilter is not None else None)
+        if flags is not None:
+            stats.rows_eliminated_on_arrival += flags.count(False)
+            candidates = itertools.compress(candidates, flags)
 
         def admitted() -> Iterator[tuple[Any, tuple]]:
             for i, row in candidates:

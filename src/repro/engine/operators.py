@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+from itertools import compress
 from math import inf
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -32,7 +33,7 @@ from repro.baselines.priority_queue_topk import PriorityQueueTopK
 from repro.baselines.traditional_topk import TraditionalMergeSortTopK
 from repro.core.cutoff import _ReverseKey
 from repro.core.topk import HistogramTopK
-from repro.errors import ConfigurationError, PlanError
+from repro.errors import ConfigurationError, KeyEncodingError, PlanError
 from repro.obs.trace import NULL_TRACER
 from repro.rows.batch import (
     DEFAULT_BATCH_ROWS,
@@ -360,7 +361,9 @@ class CutoffPushdownFilter(Operator):
     consumer establishes a bound, everything passes.  ``key_of`` must
     produce keys in the consumer's active key space (normalized tuples,
     encoded bytes, or normalized floats, depending on the chosen top-k
-    lowering).
+    lowering); ``prefilter`` (a
+    :func:`~repro.core.cutoff.leading_column_prefilter`) spares most
+    rows their ``key_of``.
     """
 
     def __init__(
@@ -369,12 +372,14 @@ class CutoffPushdownFilter(Operator):
         key_of: Callable[[tuple], Any],
         bound: SharedCutoffBound,
         description: str = "",
+        prefilter: Callable | None = None,
     ):
         self.child = child
         self.schema = child.schema
         self.key_of = key_of
         self.bound = bound
         self.description = description
+        self.prefilter = prefilter
         self.stats = OperatorStats()
         #: Rows that entered the filter on the most recent execution.
         self.rows_in = 0
@@ -396,6 +401,7 @@ class CutoffPushdownFilter(Operator):
     def _filtered(self, stats: OperatorStats) -> Iterator[RowBatch]:
         key_of = self.key_of
         bound = self.bound
+        prefilter = self.prefilter
         for batch in self.child.batches():
             rows = batch.rows
             self.rows_in += len(rows)
@@ -410,7 +416,10 @@ class CutoffPushdownFilter(Operator):
                 yield batch
                 continue
             stats.cutoff_comparisons += len(rows)
-            kept = [row for row in rows if not key_of(row) > cutoff]
+            flags = prefilter(batch, cutoff) if prefilter else None
+            kept = [row for row in (rows if flags is None
+                                    else compress(rows, flags))
+                    if not key_of(row) > cutoff]
             dropped = len(rows) - len(kept)
             if dropped:
                 self.rows_dropped += dropped
@@ -1425,8 +1434,13 @@ class VectorizedTopK(TopK):
         keys = batch.key_array(self.key_index)
         if keys is None:
             index = self.key_index
-            keys = np.fromiter((float(row[index]) for row in batch.rows),
-                               dtype=np.float64, count=len(batch.rows))
+            try:
+                keys = np.fromiter((float(row[index]) for row in batch.rows),
+                                   dtype=np.float64, count=len(batch.rows))
+            except OverflowError as exc:
+                raise KeyEncodingError(
+                    f"a {self.schema.names[index]} value is beyond float64"
+                ) from exc
         return -keys if self.negate else keys
 
     def rows(self) -> Iterator[tuple]:

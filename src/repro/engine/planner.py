@@ -19,6 +19,7 @@ import operator as _operator
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.cutoff import leading_column_prefilter
 from repro.engine.operators import (
     CutoffPushdownFilter,
     Filter,
@@ -1029,7 +1030,10 @@ class Planner:
                 for column in source_columns)
             pushdown_filter = CutoffPushdownFilter(
                 left_node if pushdown_side == "left" else right_node,
-                key_of, bound, description=description)
+                key_of, bound, description=description,
+                prefilter=leading_column_prefilter(
+                    SortSpec(source_table.schema, source_columns),
+                    binary=topk_decision.chosen.keys == "ovc"))
             pushdown_filter.estimated_drops = \
                 decision.chosen.cost.filter_rows_dropped
             if pushdown_side == "left":

@@ -19,6 +19,7 @@ row-at-a-time path, which is always correct.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -69,12 +70,13 @@ class RowBatch:
 
     # -- key extraction ----------------------------------------------------
 
-    def key_array(self, column_index: int):
+    def key_array(self, column_index: int, cache: bool = True):
         """The column at ``column_index`` as a float64 numpy array.
 
-        Extracted once and cached for the batch's lifetime.  Returns
-        ``None`` when numpy is unavailable, the column is not numeric,
-        or a value (e.g. ``None`` in a nullable column) defeats the
+        Extracted once and, unless ``cache`` is false, cached for the
+        batch's lifetime.  Returns ``None`` when numpy is unavailable,
+        the column is not numeric, or a value (e.g. ``None`` in a
+        nullable column, or an int beyond float64's range) defeats the
         conversion — callers must then use the row-at-a-time path.
         """
         if column_index in self._key_arrays:
@@ -87,9 +89,10 @@ class RowBatch:
                     array = np.fromiter(
                         map(operator.itemgetter(column_index), self.rows),
                         dtype=np.float64, count=len(self.rows))
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     array = None
-        self._key_arrays[column_index] = array
+        if cache:
+            self._key_arrays[column_index] = array
         return array
 
     def keys(self, sort_key: Callable[[tuple], Any]) -> list[Any]:
@@ -161,10 +164,9 @@ def batches_from_rows(
     while True:
         chunk: list[tuple] = []
         try:
-            for row in iterator:
-                chunk.append(row)
-                if len(chunk) >= batch_rows:
-                    break
+            # ``extend`` keeps the rows it took before a failing source
+            # raised.
+            chunk.extend(itertools.islice(iterator, batch_rows))
         except Exception:
             if chunk:
                 yield RowBatch(schema, chunk)

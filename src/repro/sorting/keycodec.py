@@ -55,7 +55,8 @@ both — the property offset-value codes rely on.
 
 ``decode`` is unsupported **by design**: rows travel next to their keys
 everywhere in this library, so a decoder would only invite drift between
-two representations of the same ordering.
+two representations of the same ordering.  Only a numeric leading
+column's 8-byte prefix decodes, for the arrival prefilter.
 
 Every column type has an encoder, so every spec compiles.  Whether a job
 *uses* the encoding is decided in one place, :func:`binary_key_codec`.
@@ -220,8 +221,8 @@ class KeyCodec:
     def decode(self, key: bytes) -> tuple:
         """Unsupported by design — see the module docstring."""
         raise NotImplementedError(
-            "binary sort keys are one-way by design; rows travel with "
-            "their keys, so nothing ever needs to decode one")
+            "whole binary sort keys are one-way by design; only a numeric "
+            "leading column's 8-byte prefix decodes (leading_value_decoder)")
 
     def __repr__(self) -> str:
         clause = ", ".join(str(column) for column in self.columns)
@@ -276,6 +277,25 @@ def _compile(schema: Schema, columns) -> KeyCodec:
         and (columns[0].ascending or numeric))
     return KeyCodec(columns, preferred=not primitive_tuple_key,
                     encode=encode)
+
+
+def leading_value_decoder(spec: SortSpec) -> Callable[[bytes], float]:
+    """``key -> value`` of ``spec``'s leading column (a non-nullable
+    INT64, FLOAT64 or DECIMAL; not negated for DESC) from a binary key's
+    first 8 bytes.  A shorter key (a hand-made seed) is zero-padded: a
+    key whose prefix reads greater still sorts above it."""
+    column = spec.columns[0]
+    flip = 0 if column.ascending else _ALL64
+    integer = spec.schema.column(column.name).type is ColumnType.INT64
+
+    def decode(key: bytes) -> float:
+        bits = int.from_bytes(key[:8].ljust(8, b"\0"), "big") ^ flip
+        if integer:
+            return bits - _SIGN
+        bits ^= _SIGN if bits & _SIGN else _ALL64
+        return _PACK_D.unpack(bits.to_bytes(8, "big"))[0]
+
+    return decode
 
 
 def compile_keycodec(spec: SortSpec) -> KeyCodec:

@@ -136,6 +136,16 @@ class TestChunking:
                      for b in batches_from_rows(iter(rows), KEY_SCHEMA, 7)]
         assert from_list == from_iter
 
+    def test_failing_source_delivers_its_rows_then_the_error(self):
+        def source():
+            yield from key_rows(range(10))
+            raise RuntimeError("source failed")
+
+        batches = batches_from_rows(source(), KEY_SCHEMA, 64)
+        assert next(batches).rows == key_rows(range(10))
+        with pytest.raises(RuntimeError, match="source failed"):
+            next(batches)
+
 
 # -- Table row-count learning (streaming sources) ----------------------------
 

@@ -8,7 +8,9 @@ emits and when the cutoff moves.  ``PINNED`` holds those counters as the
 row-at-a-time loop produced them, for five inputs (one of them adversarial
 in Bender et al.'s sense: alternating ascending and descending stretches)
 under six configurations each, and every case must reproduce them at
-batch sizes 1, 7 and 4,096.
+batch sizes 1, 7 and 4,096.  A sixth input, random arrival led by a
+numeric column with ties, was pinned before the arrival prefilter on the
+leading column existed; it holds that prefilter to the same decisions.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ def _composite():
 
 def _alternating():
     """Ascending and descending stretches of 400 rows, alternating (one
-    numeric key: under replacement selection the vectorized arrival
-    prefilter runs)."""
+    numeric key: the leading-column arrival prefilter runs)."""
     schema = Schema([Column("K", ColumnType.FLOAT64),
                      Column("ID", ColumnType.INT64)])
     rows = []
@@ -95,12 +96,25 @@ def _descending():
     return _spec(schema, ("K", True), ("L", True)), rows, 600
 
 
+def _numeric_led():
+    """Random arrival led by a FLOAT64 column of integers 0..899 (ties):
+    under binary keys the leading column alone decides most arrivals."""
+    schema = Schema([Column("K", ColumnType.FLOAT64),
+                     Column("ID", ColumnType.INT64)])
+    rng = np.random.default_rng(17)
+    n = 6_000
+    keys = rng.integers(0, 900, size=n).astype(float).tolist()
+    return _spec(schema, ("K", False), ("ID", True)), \
+        list(zip(keys, range(n))), 700
+
+
 INPUTS = {
     "composite": _composite,
     "alternating": _alternating,
     "all_equal": _all_equal,
     "null_heavy": _null_heavy,
     "descending": _descending,
+    "numeric_led": _numeric_led,
 }
 
 
@@ -222,6 +236,18 @@ PINNED = {
         (0, 0, 7760, 32000, 4000, 160000, 50, 3401, "cfd7587ea8318acc", "ecb717cf4b6ba40d"),
     ("descending", "byte_budget"):
         (0, 0, 7799, 32000, 4000, 160000, 20, 846, "a391e72529facbde", "ecb717cf4b6ba40d"),
+    ("numeric_led", "plain"):
+        (3490, 451, 7828, 19970, 2059, 65888, 11, 338, "b0c77ce14ff45fc1", "8130f54217b2d09b"),
+    ("numeric_led", "offset"):
+        (3191, 407, 8171, 22472, 2402, 76864, 12, 384, "dff3a6a8bd555359", "6931c18fd47a3690"),
+    ("numeric_led", "seeded"):
+        (5079, 221, 6461, 7368, 700, 22400, 4, 1, "e4e7ae86e4ba875c", "8130f54217b2d09b"),
+    ("numeric_led", "single_filter"):
+        (3490, 0, 5760, 19970, 2510, 80320, 11, 338, "b0c77ce14ff45fc1", "8130f54217b2d09b"),
+    ("numeric_led", "short_runs"):
+        (3503, 457, 7809, 19879, 2040, 65280, 32, 1341, "a311e1e77e48f5da", "8130f54217b2d09b"),
+    ("numeric_led", "byte_budget"):
+        (3518, 378, 7913, 19779, 2104, 67328, 13, 348, "9a93a453a7c39dcb", "8130f54217b2d09b"),
 }
 
 
@@ -247,6 +273,16 @@ def test_replacement_selection_alternating_matches_oracle(config):
     assert output == sorted(case["rows"])[
         case["options"].get("offset", 0):][:case["k"]]
     assert operator.stats.io.rows_spilled < len(case["rows"])
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_replacement_selection_numeric_led_matches_oracle(config):
+    case = _options("numeric_led", config, "replacement_selection")
+    operator, output = _run(case["spec"], case["rows"], case["k"],
+                            case["options"], 7, "replacement_selection")
+    assert output == sorted(case["rows"], key=case["spec"].key)[
+        case["options"].get("offset", 0):][:case["k"]]
+    assert operator.stats.rows_eliminated_on_arrival > 0
 
 
 @pytest.mark.parametrize("seeded", [False, True])
