@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.core.cutoff import _ReverseKey
+from repro.core.cutoff import _HeapEntry
 from repro.errors import ConfigurationError, MemoryBudgetExceeded
 from repro.rows.batch import flatten
 from repro.rows.sortspec import SortSpec
@@ -68,28 +68,26 @@ class PriorityQueueTopK:
         needed = self.k + self.offset
         sort_key = self.sort_key
         stats = self.stats
-        heap: list[tuple[_ReverseKey, int, tuple]] = []
+        heap: list[_HeapEntry] = []
         seq = 0
         for row in rows:
             stats.rows_consumed += 1
             key = sort_key(row)
             if len(heap) < needed:
                 seq += 1
-                heapq.heappush(heap, (_ReverseKey(key), seq, row))
+                heapq.heappush(heap, _HeapEntry(key, seq, row))
                 stats.sort_comparisons += max(1, len(heap).bit_length())
                 continue
             stats.cutoff_comparisons += 1
-            if key < heap[0][0].key:
+            if key < heap[0].key:
                 seq += 1
-                heapq.heapreplace(heap, (_ReverseKey(key), seq, row))
+                heapq.heapreplace(heap, _HeapEntry(key, seq, row))
                 stats.sort_comparisons += max(1, len(heap).bit_length())
             stats.rows_eliminated_on_arrival += 1
-        survivors = sorted(((entry[0].key, entry[1], entry[2])
-                            for entry in heap),
-                           key=lambda item: (item[0], item[1]))
-        for _key, _seq, row in survivors[self.offset:]:
+        survivors = sorted(heap, key=lambda entry: (entry.key, entry.seq))
+        for entry in survivors[self.offset:]:
             stats.rows_output += 1
-            yield row
+            yield entry.row
 
     @property
     def peak_memory_rows(self) -> int:

@@ -49,12 +49,30 @@ class _ReverseKey:
     def __lt__(self, other: "_ReverseKey") -> bool:
         return other.key < self.key
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReverseKey) and not (
-            self.key < other.key or other.key < self.key)
-
     def __repr__(self) -> str:
         return f"_ReverseKey({self.key!r})"
+
+
+class _HeapEntry:
+    """One resident row of a priority-queue top-k's max-heap.
+
+    Orders by key descending, then by arrival ``seq`` ascending, in one
+    ``__lt__`` call per heap comparison.
+    """
+
+    __slots__ = ("key", "seq", "row")
+
+    def __init__(self, key: Any, seq: int, row: tuple):
+        self.key = key
+        self.seq = seq
+        self.row = row
+
+    def __lt__(self, other: "_HeapEntry") -> bool:
+        if other.key < self.key:
+            return True
+        if self.key < other.key:
+            return False
+        return self.seq < other.seq
 
 
 class _AboveCutoff:

@@ -35,7 +35,7 @@ except ImportError:  # pragma: no cover - the CI image always has numpy
 from repro.core.cutoff import (
     ABOVE_CUTOFF,
     CutoffFilter,
-    _ReverseKey,
+    _HeapEntry,
     leading_column_prefilter,
 )
 from repro.core.histogram import RunHistogramBuilder
@@ -385,7 +385,7 @@ class HistogramTopK:
         stats = self.stats
         listener = self.cutoff_listener
         # Max-heap of the ``needed`` smallest keys seen so far.
-        heap: list[tuple[_ReverseKey, int, tuple]] = []
+        heap: list[_HeapEntry] = []
         bytes_used = 0
         seq = 0
         for batch in batches:
@@ -396,7 +396,7 @@ class HistogramTopK:
                 row = rows[index]
                 index += 1
                 seq += 1
-                heapq.heappush(heap, (_ReverseKey(sort_key(row)), seq, row))
+                heapq.heappush(heap, _HeapEntry(sort_key(row), seq, row))
                 if budget is not None:
                     bytes_used += row_size(row)
                     if bytes_used > budget:
@@ -405,7 +405,7 @@ class HistogramTopK:
                         return
             # Rows above the batch-start maximum can never enter the heap
             # (the maximum only falls).
-            flags = (self._prefilter(batch, heap[0][0].key, index)
+            flags = (self._prefilter(batch, heap[0].key, index)
                      if self._prefilter is not None and index < len(rows)
                      else None)
             candidates = enumerate(rows[index:] if index else rows, index)
@@ -413,11 +413,11 @@ class HistogramTopK:
                 candidates = itertools.compress(candidates, flags)
             for i, row in candidates:
                 key = sort_key(row)
-                if key < heap[0][0].key:
+                if key < heap[0].key:
                     seq += 1
                     if budget is not None:
-                        bytes_used += row_size(row) - row_size(heap[0][2])
-                    heapq.heapreplace(heap, (_ReverseKey(key), seq, row))
+                        bytes_used += row_size(row) - row_size(heap[0].row)
+                    heapq.heapreplace(heap, _HeapEntry(key, seq, row))
                     if budget is not None and bytes_used > budget:
                         stats.cutoff_comparisons += i + 1 - index
                         stats.rows_eliminated_on_arrival += i + 1 - index
@@ -430,12 +430,10 @@ class HistogramTopK:
             # loop yields control, so one publication per batch is as
             # sharp as per-replacement publication.
             if listener is not None and len(heap) == needed:
-                listener(heap[0][0].key)
-        survivors = sorted(((entry[0].key, entry[1], entry[2])
-                            for entry in heap),
-                           key=lambda item: (item[0], item[1]))
-        for _key, _seq, row in survivors[self.offset:]:
-            yield row
+                listener(heap[0].key)
+        survivors = sorted(heap, key=lambda entry: (entry.key, entry.seq))
+        for entry in survivors[self.offset:]:
+            yield entry.row
 
     def _switch_to_external(self, heap: list, batch: RowBatch, index: int,
                             batches: Iterator[RowBatch]) -> Iterator[tuple]:
@@ -446,7 +444,7 @@ class HistogramTopK:
             "switching to the external regime",
             self.memory_bytes, len(heap))
         self.switched_to_external = True
-        resident = [entry[2] for entry in heap]
+        resident = [entry.row for entry in heap]
         tail = batch.rows[index:]
         # These rows were already counted on their first arrival;
         # compensate before they re-enter the pipeline.
@@ -511,7 +509,6 @@ class HistogramTopK:
             row_size=self.row_size if self.memory_bytes is not None
             else None,
             stats=self.stats,
-            compute_codes=self.key_codec is not None,
         )
         if self.run_generation == "quicksort":
             return QuicksortRunGenerator(

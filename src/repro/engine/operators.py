@@ -748,13 +748,13 @@ class SortMergeJoin(_JoinBase):
                       else lambda row: row[left_index]),
             memory_rows=self.memory_rows, spill_manager=manager,
             stats=stats, fan_in=self.fan_in,
-            compute_codes=left_encode is not None)
+            ovc=left_encode is not None)
         right_sorter = StreamingSorter(
             sort_key=(right_encode if right_encode is not None
                       else lambda row: row[right_index]),
             memory_rows=self.memory_rows, spill_manager=manager,
             stats=stats, fan_in=self.fan_in,
-            compute_codes=right_encode is not None)
+            ovc=right_encode is not None)
 
         def left_pairs() -> Iterator[tuple]:
             observe = (publisher.observe if publisher is not None

@@ -52,12 +52,11 @@ class GroupedTopK:
             :func:`~repro.sorting.keycodec.compile_keycodec` encoder).  Given
             together with ``value_encoder``, the operator runs in
             *binary composite key* mode: the run-generation sort key is
-            ``group_bytes ‖ sort_bytes``, runs carry offset-value codes,
-            and the final merge is the OVC tree-of-losers.  Because the
-            group encoding is prefix-free, concatenation both clusters
-            runs by group and orders rows within a group exactly like
-            the sort key alone, so per-group cutoff filters operate
-            directly on composite byte keys.
+            ``group_bytes ‖ sort_bytes`` and the final merge is the OVC
+            tree-of-losers.  Because the group encoding is prefix-free,
+            concatenation both clusters runs by group and orders rows
+            within a group exactly like the sort key alone, so per-group
+            cutoff filters operate directly on composite byte keys.
         value_encoder: Row → bytes encoder of the in-group sort key;
             required with ``group_encoder``.
     """
@@ -179,7 +178,6 @@ class GroupedTopK:
             on_spill=self._on_spill_binary if binary else self._on_spill,
             on_run_closed=self._on_run_closed,
             stats=stats,
-            compute_codes=binary,
         )
 
         def admitted(stream: Iterable[tuple]) -> Iterator[tuple]:

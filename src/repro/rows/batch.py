@@ -95,10 +95,6 @@ class RowBatch:
             self._key_arrays[column_index] = array
         return array
 
-    def keys(self, sort_key: Callable[[tuple], Any]) -> list[Any]:
-        """Sort keys of every row via a generic extractor (one bulk map)."""
-        return list(map(sort_key, self.rows))
-
     # -- derivations -------------------------------------------------------
 
     def filter(self, predicate: Callable[[tuple], bool]) -> "RowBatch":

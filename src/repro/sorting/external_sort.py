@@ -88,7 +88,6 @@ class ExternalSort:
             spill_manager=spill_manager,
             run_size_limit=run_size_limit,
             stats=self.stats,
-            compute_codes=self.key_codec is not None,
         )
         self._merger = Merger(
             sort_key=resolved_key,
@@ -157,8 +156,7 @@ class StreamingSorter:
         stats: Shared operator counters (sort/merge comparisons; spill
             I/O lands on the manager's :class:`IOStats`).
         fan_in: Optional merge fan-in limit.
-        compute_codes: Persist offset-value codes in runs and merge via
-            the OVC tree of losers (binary-key feeds only).
+        ovc: Merge via the OVC tree of losers (binary-key feeds only).
     """
 
     def __init__(
@@ -168,7 +166,7 @@ class StreamingSorter:
         spill_manager: SpillManager,
         stats: OperatorStats | None = None,
         fan_in: int | None = None,
-        compute_codes: bool = False,
+        ovc: bool = False,
     ):
         if memory_rows <= 0:
             raise ConfigurationError("memory_rows must be positive")
@@ -177,7 +175,7 @@ class StreamingSorter:
         self._spill_manager = spill_manager
         self.stats = stats or OperatorStats()
         self._fan_in = fan_in
-        self._compute_codes = compute_codes
+        self._ovc = ovc
         self._keys: list = []
         self._rows: list[tuple] = []
         self._generator: QuicksortRunGenerator | None = None
@@ -200,7 +198,6 @@ class StreamingSorter:
                         memory_rows=limit,
                         spill_manager=self._spill_manager,
                         stats=self.stats,
-                        compute_codes=self._compute_codes,
                     )
                     self._generator.consume_keyed(zip(keys, rows))
                     self._keys, self._rows = [], []
@@ -231,7 +228,7 @@ class StreamingSorter:
             sort_key=self._sort_key,
             spill_manager=self._spill_manager,
             fan_in=self._fan_in,
-            ovc=self._compute_codes,
+            ovc=self._ovc,
             stats=self.stats,
         )
         yield from merger.merge_stream(runs)

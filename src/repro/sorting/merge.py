@@ -19,9 +19,12 @@ Two merge substrates are available.  :func:`merge_keyed` is the classic
 binary heap over precomputed (tuple or binary) keys.  When the engine
 runs on binary keys, ``Merger(ovc=True)`` substitutes the offset-value
 coded tree of losers (:func:`repro.sorting.ovc.merge_coded`), which
-decides most tournaments with one integer comparison and hands each
-intermediate :class:`~repro.sorting.runs.RunWriter` ready-made codes.
-Both report into the ``full_key_comparisons`` / ``code_comparisons``
+decides most tournaments with one integer comparison.  Its codes are
+computed by the run scans, one page at a time as each page is delivered
+(:meth:`~repro.sorting.runs.SortedRun.coded_rows`); no run stores them,
+and both substrates yield the same ``(key, row)`` stream, so every
+intermediate step and final merge runs one loop over either.  Both
+report into the ``full_key_comparisons`` / ``code_comparisons``
 counters of :class:`~repro.storage.stats.OperatorStats` (the heap's
 count is a per-operation ``2 * log2(fan-in)`` estimate validated
 against instrumented comparison counts; see :func:`merge_keyed`).
@@ -160,7 +163,9 @@ class Merger:
         self._fan_in = fan_in
         self._policy = policy
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._ovc = ovc
+        self._merge = merge_coded if ovc else merge_keyed
+        self._skipping = (SortedRun.coded_rows_skipping if ovc
+                          else SortedRun.keyed_rows_skipping)
         self._stats = stats if stats is not None else OperatorStats()
         self._retain_files = retain_files if retain_files else set()
         self._next_intermediate_id = 1_000_000  # distinct from run-gen ids
@@ -221,9 +226,7 @@ class Merger:
         """Merge ``runs`` into one new run, truncated per top-k rules.
 
         The inputs are deleted after the step (their storage is reclaimed),
-        matching an external sort's behavior.  In OVC mode the tree of
-        losers produces each output row's code as a by-product, and the
-        writer persists it without re-touching the key bytes.
+        matching an external sort's behavior.
         """
         if self._spill_manager is None:
             raise MergeError("intermediate merge steps need a spill manager")
@@ -232,33 +235,17 @@ class Merger:
             code_before = self._stats.code_comparisons
             writer = RunWriter(self._spill_manager,
                                self._next_intermediate_id,
-                               on_spill=on_spill,
-                               compute_codes=self._ovc)
+                               on_spill=on_spill)
             self._next_intermediate_id += 1
-            if self._ovc:
-                for key, row, code in merge_coded(
-                        runs, self._sort_key, stats=self._stats,
-                        cutoff=cutoff):
-                    if cutoff is not None and key > cutoff:
-                        writer.truncated = True
-                        break
-                    if (row_limit is not None
-                            and writer.row_count >= row_limit):
-                        writer.truncated = True
-                        break
-                    writer.write(key, row, code)
-            else:
-                for key, row in merge_keyed(runs, self._sort_key,
-                                            stats=self._stats,
-                                            cutoff=cutoff):
-                    if cutoff is not None and key > cutoff:
-                        writer.truncated = True
-                        break
-                    if (row_limit is not None
-                            and writer.row_count >= row_limit):
-                        writer.truncated = True
-                        break
-                    writer.write(key, row)
+            for key, row in self._merge(runs, self._sort_key,
+                                        stats=self._stats, cutoff=cutoff):
+                if cutoff is not None and key > cutoff:
+                    writer.truncated = True
+                    break
+                if row_limit is not None and writer.row_count >= row_limit:
+                    writer.truncated = True
+                    break
+                writer.write(key, row)
             merged = writer.close()
             for run in runs:
                 self._release_run(run)
@@ -270,18 +257,6 @@ class Merger:
             return merged
 
     # -- final merge ---------------------------------------------------------
-
-    def _stream(self, runs: list[SortedRun], sources, cutoff: Any = None
-                ) -> Iterator[tuple[Any, tuple]]:
-        """The final-merge ``(key, row)`` stream on either substrate."""
-        if self._ovc:
-            for key, row, _code in merge_coded(
-                    runs, self._sort_key, sources=sources,
-                    stats=self._stats, cutoff=cutoff):
-                yield key, row
-        else:
-            yield from merge_keyed(runs, self._sort_key, sources=sources,
-                                   stats=self._stats, cutoff=cutoff)
 
     def merge_topk(
         self,
@@ -348,12 +323,8 @@ class Merger:
             if skip_key is not None:
                 sources = []
                 for run in runs:
-                    if self._ovc:
-                        skipped_rows, iterator = run.coded_rows_skipping(
-                            self._sort_key, skip_key, cutoff=cutoff)
-                    else:
-                        skipped_rows, iterator = run.keyed_rows_skipping(
-                            self._sort_key, skip_key, cutoff=cutoff)
+                    skipped_rows, iterator = self._skipping(
+                        run, self._sort_key, skip_key, cutoff=cutoff)
                     self.offset_rows_skipped += skipped_rows
                     sources.append(iterator)
         remaining_offset = offset - self.offset_rows_skipped
@@ -363,7 +334,9 @@ class Merger:
         with self._tracer.span("merge.final", runs=len(runs)) as span:
             full_before = self._stats.full_key_comparisons
             code_before = self._stats.code_comparisons
-            for key, row in self._stream(runs, sources, cutoff):
+            for key, row in self._merge(runs, self._sort_key,
+                                        sources=sources, stats=self._stats,
+                                        cutoff=cutoff):
                 if cutoff is not None and key > cutoff:
                     break
                 if skipped < remaining_offset:
@@ -409,7 +382,8 @@ class Merger:
                     next_level.append(self.merge_step(group))
                 runs = next_level
         try:
-            yield from self._stream(runs, None, cutoff)
+            yield from self._merge(runs, self._sort_key, stats=self._stats,
+                                   cutoff=cutoff)
         finally:
             if self._spill_manager is not None:
                 for run in runs:

@@ -43,9 +43,10 @@ import numpy as np
 KMAX = 1 << 32
 _SHIFT = 9  # value field: 0 (end of key) .. 256 (byte 0xFF, biased +1)
 
-#: Code of the first row of a run (no base to compare against).  Never
-#: consulted by the merge — first candidates are seeded with full
-#: comparisons — but distinct from every real code for debuggability.
+#: Code of the first row a run scan delivers (no base to compare
+#: against), also when the scan starts mid-run.  Never consulted by the
+#: merge — first candidates are seeded with full comparisons — but
+#: distinct from every real code for debuggability.
 INITIAL_CODE = (KMAX + 1) << _SHIFT
 #: Code of an exhausted input: loses every tournament by code alone.
 SENTINEL_CODE = (KMAX + 2) << _SHIFT
@@ -69,7 +70,7 @@ def first_diff(a: bytes, b: bytes) -> int:
 def code_between(base: bytes | None, key: bytes) -> int:
     """The offset-value code of ``key`` relative to ``base`` (<= key).
 
-    ``None`` base (the run's first row) yields :data:`INITIAL_CODE`;
+    ``None`` base (a scan's first row) yields :data:`INITIAL_CODE`;
     equality yields ``0``.
     """
     if base is None:
@@ -132,17 +133,14 @@ def merge_coded(
     sources: list[Iterator[tuple[bytes, tuple, int]]] | None = None,
     stats: Any = None,
     cutoff: bytes | None = None,
-) -> Iterator[tuple[bytes, tuple, int]]:
+) -> Iterator[tuple[bytes, tuple]]:
     """Merge coded run scans with an OVC tree of losers.
 
-    Yields ``(key, row, code)`` in global sort order, stable by run
-    position within equal keys (matching
-    :func:`~repro.sorting.merge.merge_keyed` exactly).  The yielded
-    ``code`` is the row's offset-value code relative to the *previous
-    yielded row* — exactly what an intermediate merge step hands to its
-    :class:`~repro.sorting.runs.RunWriter`, so re-spilled rows never
-    recompute codes.  The code of the first yielded row is meaningless
-    (the writer substitutes :data:`INITIAL_CODE`).
+    Yields ``(key, row)`` in global sort order, stable by run position
+    within equal keys — the stream of
+    :func:`~repro.sorting.merge.merge_keyed`, exactly.  The codes come
+    from the run scans (:meth:`~repro.sorting.runs.SortedRun.coded_rows`)
+    and stay inside the tournament.
 
     ``sources`` substitutes custom coded iterators per run (offset
     skipping); ``stats`` receives ``full_key_comparisons`` /
@@ -163,10 +161,8 @@ def merge_coded(
         if m == 0:
             return
         if m == 1:
-            first = next(iterators[0], None)
-            if first is not None:
-                yield first
-                yield from iterators[0]
+            for key, row, _code in iterators[0]:
+                yield key, row
             return
 
         keys: list[bytes | None] = [None] * m
@@ -249,7 +245,7 @@ def merge_coded(
             key = keys[w]
             if key is None:
                 break
-            yield key, rows[w], codes[w]
+            yield key, rows[w]
             following = next(iterators[w], None)
             if following is None:
                 keys[w] = None

@@ -67,8 +67,6 @@ class QuicksortRunGenerator:
             ``memory_rows`` / ``memory_bytes`` is required.
         row_size: Byte estimator used with ``memory_bytes``.
         stats: Operator work counters to update (optional).
-        compute_codes: Store each row's offset-value code in the runs
-            (binary keys only).
     """
 
     def __init__(
@@ -83,7 +81,6 @@ class QuicksortRunGenerator:
         memory_bytes: int | None = None,
         row_size: Callable[[tuple], int] | None = None,
         stats: OperatorStats | None = None,
-        compute_codes: bool = False,
     ):
         if memory_rows is None and memory_bytes is None:
             raise ConfigurationError(
@@ -105,7 +102,6 @@ class QuicksortRunGenerator:
         self._histogram = histogram
         self._on_run_closed = on_run_closed
         self._stats = stats or OperatorStats()
-        self._compute_codes = compute_codes
         # Rows and their sort keys, parallel.  Keys are computed exactly
         # once per row, on admission (or handed over by the caller), and
         # reused for the arrival test, the load sort, the spill-time
@@ -273,8 +269,7 @@ class QuicksortRunGenerator:
                     and survivors_end(stop, stop + 1) == stop:
                 cut = stop
             if stop > position:
-                writer = RunWriter(self._spill_manager, self._next_run_id,
-                                   compute_codes=self._compute_codes)
+                writer = RunWriter(self._spill_manager, self._next_run_id)
                 self._next_run_id += 1
                 writer.write_batch(keys[position:stop], rows[position:stop])
                 writer.truncated = cut < n

@@ -73,7 +73,6 @@ class ReplacementSelectionRunGenerator:
         memory_bytes: int | None = None,
         row_size: Callable[[tuple], int] | None = None,
         stats: OperatorStats | None = None,
-        compute_codes: bool = False,
     ):
         if memory_rows is None and memory_bytes is None:
             raise ConfigurationError(
@@ -96,7 +95,6 @@ class ReplacementSelectionRunGenerator:
         self._on_spill = on_spill
         self._on_run_closed = on_run_closed
         self._stats = stats or OperatorStats()
-        self._compute_codes = compute_codes
         # Heap entries: (epoch, key, seq, size, row).  ``seq`` breaks ties
         # so rows never get compared directly.
         self._heap: list[tuple] = []
@@ -111,8 +109,7 @@ class ReplacementSelectionRunGenerator:
 
     def _open_writer(self) -> RunWriter:
         writer = RunWriter(self._spill_manager, self._next_run_id,
-                           on_spill=self._on_spill,
-                           compute_codes=self._compute_codes)
+                           on_spill=self._on_spill)
         self._next_run_id += 1
         return writer
 

@@ -16,11 +16,11 @@ Each run also records the first key of every page — a tiny page index
 exactly how many rows were skipped.
 
 When the engine runs on binary keys (:mod:`repro.sorting.keycodec`),
-writers additionally compute each row's offset-value code against the
-previous row (``compute_codes=True``) and store it in the page, and
 :meth:`SortedRun.coded_rows` hands the merge ``(key, row, code)``
-triples — recomputing keys and recovering codes one page at a time when
-a page comes back without them.
+triples.  The offset-value codes exist only there: the scan computes
+each page's codes as it delivers the page, so no writer computes them
+and no page stores them.  The early-terminating merge reads a fraction
+of the spilled rows, and only those rows are ever coded.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import lt
 from typing import Any, Callable, Iterator
 
 from repro.errors import SpillError
-from repro.sorting.ovc import INITIAL_CODE, code_between, code_sequence
+from repro.sorting.ovc import code_sequence
 from repro.storage.pages import Page, PageBuilder
 from repro.storage.spill import SpillFile, SpillManager
 
@@ -49,30 +49,6 @@ def _ensure_keys(sort_key: Callable[[tuple], Any]
     def transform(page: Page) -> Page:
         if page.keys is None:
             page.keys = [sort_key(row) for row in page.rows]
-        return page
-    return transform
-
-
-def _ensure_coded(encode: Callable[[tuple], bytes]
-                  ) -> Callable[[Page], Page]:
-    """Page transform guaranteeing both keys and offset-value codes.
-
-    Stateful across pages (the previous page's last key is the code base
-    of the next page's first row), so it must be applied to one
-    sequential scan only — which is exactly how
-    :meth:`~repro.storage.spill.SpillFile.pages` applies transforms,
-    read-ahead included (it loads pages in order).
-    """
-    state: list[Any] = [None]
-
-    def transform(page: Page) -> Page:
-        keys = page.keys
-        if keys is None:
-            keys = page.keys = [encode(row) for row in page.rows]
-        if page.codes is None:
-            page.codes = code_sequence(state[0], keys)
-        if keys:
-            state[0] = keys[-1]
         return page
     return transform
 
@@ -119,28 +95,23 @@ class SortedRun:
                    ) -> Iterator[tuple[bytes, tuple, int]]:
         """Scan ``(key, row, code)`` triples for the OVC merge.
 
-        Codes persisted at write time (the page codec, or the in-memory
-        backend's page objects) are reused; otherwise they are recovered
-        page-at-a-time alongside the keys, read ahead as in
-        :meth:`keyed_rows`.  When the scan starts mid-file
-        (``start_page > 0``), the first delivered row's stored code is
-        relative to a row the caller never saw, so it is replaced by
-        :data:`~repro.sorting.ovc.INITIAL_CODE`.  ``cutoff`` as in
-        :meth:`keyed_rows`.
+        Keys are reused or recomputed as in :meth:`keyed_rows`.  Each
+        page's codes come from one
+        :func:`~repro.sorting.ovc.code_sequence` over its keys as the
+        page is delivered; they are yielded, never stored on the page.
+        A page's base is the previous page's last key, and the scan's
+        first row gets :data:`~repro.sorting.ovc.INITIAL_CODE`, also
+        when the scan starts mid-file (``start_page > 0``).  ``cutoff``
+        as in :meth:`keyed_rows`.
         """
-        transform = _ensure_coded(encode)
-        first = start_page > 0
+        base = None
         for page in self.file.pages(start_page=start_page,
                                     prefetch=True,
-                                    transform=transform,
+                                    transform=_ensure_keys(encode),
                                     cutoff=cutoff):
-            if first and page.rows:
-                first = False
-                yield page.keys[0], page.rows[0], INITIAL_CODE
-                yield from zip(page.keys[1:], page.rows[1:],
-                               page.codes[1:])
-                continue
-            yield from zip(page.keys, page.rows, page.codes)
+            keys = page.keys
+            yield from zip(keys, page.rows, code_sequence(base, keys))
+            base = keys[-1]
 
     def _skip_start(self, skip_key: Any) -> tuple[int, int]:
         """The shared page-skip rule: ``(start_page, rows_skipped)``.
@@ -204,17 +175,11 @@ class RunWriter:
         on_spill: Optional callback ``(key, row)`` fired after each row
             :meth:`write` appends — the paper's ``rowSpilled`` hook.
         check_order: Verify keys are non-decreasing (cheap; on by default).
-        compute_codes: Compute and store each row's offset-value code
-            against the previous row (binary-key engines only; keys must
-            be ``bytes``).  A caller that already knows a row's code —
-            the OVC merge produces them as a by-product — passes it to
-            :meth:`write` and no key bytes are re-touched.
     """
 
     __slots__ = ("_manager", "_file", "_builder", "_on_spill",
-                 "_check_order", "_compute_codes", "run_id", "row_count",
-                 "first_key", "last_key", "truncated", "page_first_keys",
-                 "_closed")
+                 "_check_order", "run_id", "row_count", "first_key",
+                 "last_key", "truncated", "page_first_keys", "_closed")
 
     def __init__(
         self,
@@ -222,14 +187,12 @@ class RunWriter:
         run_id: int,
         on_spill: Callable[[Any, tuple], None] | None = None,
         check_order: bool = True,
-        compute_codes: bool = False,
     ):
         self._manager = spill_manager
         self._file = spill_manager.create_file()
         self._builder: PageBuilder = spill_manager.new_page_builder()
         self._on_spill = on_spill
         self._check_order = check_order
-        self._compute_codes = compute_codes
         self.run_id = run_id
         self.row_count = 0
         self.first_key: Any = None
@@ -238,8 +201,7 @@ class RunWriter:
         self.page_first_keys: list = []
         self._closed = False
 
-    def write(self, key: Any, row: tuple,
-              code: int | None = None) -> None:
+    def write(self, key: Any, row: tuple) -> None:
         """Append one row (must not sort before the previous row)."""
         if self._closed:
             raise SpillError("run writer is already closed")
@@ -248,17 +210,10 @@ class RunWriter:
                 f"run #{self.run_id} order violation: {key!r} after "
                 f"{self.last_key!r}"
             )
-        if self._compute_codes:
-            if self.row_count == 0:
-                code = INITIAL_CODE
-            elif code is None:
-                code = code_between(self.last_key, key)
-        else:
-            code = None
         if self._builder.pending_rows == 0:
             # This row opens a new page: index its key.
             self.page_first_keys.append(key)
-        page = self._builder.add(row, key, code)
+        page = self._builder.add(row, key)
         if page is not None:
             self._file.append_page(page)
         if self.row_count == 0:
@@ -274,10 +229,9 @@ class RunWriter:
         ``keys`` parallels ``rows`` and must be non-decreasing, also
         against the run's last key; the whole batch is checked, pairwise
         in C.  Run metadata is updated once per batch instead of once per
-        row, and the codes come from one pass over the keys.  Page
-        boundaries and the page-first-key index are identical to per-row
-        writes.  ``on_spill`` is a per-row hook, so a writer that has one
-        takes rows through :meth:`write` only.
+        row.  Page boundaries and the page-first-key index are identical
+        to per-row writes.  ``on_spill`` is a per-row hook, so a writer
+        that has one takes rows through :meth:`write` only.
         """
         count = len(rows)
         if count == 0:
@@ -291,15 +245,11 @@ class RunWriter:
                 (self.row_count and first < self.last_key)
                 or any(map(lt, islice(keys, 1, None), keys))):
             self._raise_order_violation(keys)
-        codes = None
-        if self._compute_codes:
-            codes = code_sequence(self.last_key if self.row_count else None,
-                                  keys)
         # ``boundary`` walks the page-opening positions in batch-local
         # coordinates; a carried partial page opened before this batch
         # (negative start) was already indexed.
         boundary = -self._builder.pending_rows
-        pages = self._builder.extend(rows, keys, codes)
+        pages = self._builder.extend(rows, keys)
         for page in pages:
             if boundary >= 0:
                 self.page_first_keys.append(keys[boundary])

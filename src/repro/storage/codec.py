@@ -20,9 +20,6 @@ sections its flags announce, then the row payload.
   count.  A reader holding a cutoff key compares the min against it —
   one ``bytes`` comparison, no decoding — and skips the page entirely
   when ``min > cutoff`` (:func:`read_zone_map` peeks without decoding).
-* **Offset-value codes** (:mod:`repro.sorting.ovc`) are stored with the
-  rows, so the merge read path never recomputes them: recomputation
-  would re-touch exactly the key bytes the codes exist to skip.
 * A **key section** stores the encoded sort keys apart from the payload,
   so a merge can decode only the keys and carry ``(file, page, slot)``
   skeleton references instead of wide rows
@@ -31,20 +28,21 @@ sections its flags announce, then the row payload.
 
 Zone maps and key sections need one memcomparable ``bytes`` sort key per
 row (:mod:`repro.sorting.keycodec`); pages with tuple keys or no keys
-carry neither.
+carry neither.  No section holds offset-value codes: the merge computes
+them from the keys as it scans a run
+(:meth:`~repro.sorting.runs.SortedRun.coded_rows`), and many spilled
+rows are never scanned, because the merge stops at ``k`` rows.
 
 Wire format (one page)::
 
     u8            version (PAGE_VERSION)
     u32           stated byte size (the page's accounting size)
     u32           row count
-    u8            section flags (FLAG_*)
+    u8            section flags (FLAG_*; bit 2 is retired and foreign)
     --- FLAG_ZONE_MAP ------------------------------------------------
     u32           null count (rows whose leading sort column is NULL)
     u16 + bytes   min encoded sort key of the page
     u16 + bytes   max encoded sort key of the page
-    --- FLAG_CODES ---------------------------------------------------
-    rows x u64    offset-value codes
     --- FLAG_KEYS ----------------------------------------------------
     (rows+1)xu32  key offsets, then the key blob
     --- payload, FLAG_PICKLED ----------------------------------------
@@ -90,13 +88,14 @@ PAGE_VERSION = 1
 #: Fixed page header: version, stated byte size, row count, section flags.
 PAGE_HEADER = struct.Struct("<BIIB")
 
-#: Section flags (header byte 9).
+#: Section flags (header byte 9).  Bit 2 is retired: it announced a
+#: section of offset-value codes, which the merge computes as it scans,
+#: so a page that sets it is foreign.
 FLAG_ZONE_MAP = 1
-FLAG_CODES = 2
 FLAG_KEYS = 4
 #: The payload is ``pickle.dumps(rows)`` rather than typed columns.
 FLAG_PICKLED = 8
-_ALL_FLAGS = FLAG_ZONE_MAP | FLAG_CODES | FLAG_KEYS | FLAG_PICKLED
+_ALL_FLAGS = FLAG_ZONE_MAP | FLAG_KEYS | FLAG_PICKLED
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -177,10 +176,6 @@ class TypedPageCodec:
             if zone_map is not None:
                 flags |= FLAG_ZONE_MAP
                 sections.append(zone_map)
-        codes = page.codes
-        if codes is not None and len(codes) == count:
-            flags |= FLAG_CODES
-            sections.append(struct.pack(f"<{count}Q", *codes))
         if self.late_materialization and keyed:
             flags |= FLAG_KEYS
             sections.append(_pack_blobs(keys))
@@ -337,7 +332,7 @@ def read_zone_map(payload: bytes) -> ZoneMap | None:
 
 
 def decode_page(payload: bytes) -> Page:
-    """Reconstruct a page, with any stored keys and codes attached.
+    """Reconstruct a page, with any stored keys attached.
 
     Raises:
         SpillError: on an unknown version byte or flags, a truncated
@@ -408,23 +403,19 @@ def _decode(payload: bytes,
             skeleton: tuple[int, int] | None) -> tuple[Page, int]:
     stated_size, row_count, flags, _zone_map, offset = _read_header(payload)
     view = memoryview(payload)
-    codes = keys = None
-    try:
-        if flags & FLAG_CODES:
-            codes = list(struct.unpack_from(f"<{row_count}Q", view, offset))
-            offset += 8 * row_count
-        if flags & FLAG_KEYS:
+    keys = None
+    if flags & FLAG_KEYS:
+        try:
             bounds, blob, offset = _read_blobs(view, offset, row_count)
-            keys = [blob[bounds[i]:bounds[i + 1]]
-                    for i in range(row_count)]
-    except (struct.error, ValueError) as exc:
-        raise SpillError(
-            f"corrupted code or key section in spill page: {exc}") from exc
+        except (struct.error, ValueError) as exc:
+            raise SpillError(
+                f"corrupted key section in spill page: {exc}") from exc
+        keys = [blob[bounds[i]:bounds[i + 1]] for i in range(row_count)]
     if skeleton is not None and keys is not None:
         file_id, page_index = skeleton
         rows = [(file_id, page_index, slot) for slot in range(row_count)]
-        return (Page(rows=rows, byte_size=stated_size, keys=keys,
-                     codes=codes), len(payload) - offset)
+        return (Page(rows=rows, byte_size=stated_size, keys=keys),
+                len(payload) - offset)
     if flags & FLAG_PICKLED:
         try:
             rows = pickle.loads(view[offset:])
@@ -442,8 +433,7 @@ def _decode(payload: bytes,
         except Exception as exc:
             raise SpillError(
                 f"corrupted typed spill page: {exc}") from exc
-    return Page(rows=rows, byte_size=stated_size, keys=keys,
-                codes=codes), 0
+    return Page(rows=rows, byte_size=stated_size, keys=keys), 0
 
 
 def _read_blobs(view, offset: int, count: int

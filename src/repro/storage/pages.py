@@ -12,9 +12,12 @@ directly and only uses the byte accounting.
 
 A page can also carry the *normalized sort keys* of its rows (populated
 by :class:`~repro.sorting.runs.RunWriter` at write time, or recomputed
-page-at-a-time on the merge read path).  Cached keys are never
-serialized — they are derivable — but they let the merge heap compare
-precomputed keys instead of invoking the comparator once per row.
+page-at-a-time on the merge read path).  Cached keys are derivable, so
+only the codec's optional key section ever stores them, but they let the
+merge heap compare precomputed keys instead of invoking the comparator
+once per row.  Offset-value codes are not page state at all: the
+binary-key merge's run scan computes them per page as it delivers the
+page (:meth:`~repro.sorting.runs.SortedRun.coded_rows`).
 """
 
 from __future__ import annotations
@@ -35,20 +38,13 @@ class Page:
     """A batch of rows with byte-size accounting.
 
     ``keys``, when present, parallels ``rows`` with each row's normalized
-    sort key (a merge-side cache; excluded from serialization).
-
-    ``codes``, when present, parallels ``rows`` with each row's
-    offset-value code relative to the previous row of the run (see
-    :mod:`repro.sorting.ovc`).  Unlike keys, codes *are* persisted by the
-    typed page codec — they are cheap on the wire (8 bytes/row) and,
-    recomputing them on read would re-touch exactly the key bytes the
-    codes exist to avoid.
+    sort key (a merge-side cache; serialized only in the codec's key
+    section).
     """
 
     rows: list[tuple]
     byte_size: int
     keys: list | None = None
-    codes: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -74,7 +70,6 @@ class PageBuilder:
             raise SpillError("page capacity must be positive")
         self._rows: list[tuple] = []
         self._keys: list = []
-        self._codes: list[int] = []
         self._bytes = 0
 
     @property
@@ -82,8 +77,7 @@ class PageBuilder:
         """Rows buffered but not yet emitted as a page."""
         return len(self._rows)
 
-    def add(self, row: tuple, key: Any = None,
-            code: int | None = None) -> Page | None:
+    def add(self, row: tuple, key: Any = None) -> Page | None:
         """Buffer ``row``; return a completed page when capacity is reached.
 
         A single row larger than the page capacity still gets its own page —
@@ -93,28 +87,24 @@ class PageBuilder:
 
         ``key``, when given, is the row's normalized sort key; a page whose
         every row carried one is emitted with its key cache populated.
-        ``code`` likewise carries the row's offset-value code.
         """
         size = self.row_size(row)
         self._rows.append(row)
         if key is not None:
             self._keys.append(key)
-        if code is not None:
-            self._codes.append(code)
         self._bytes += size
         if self._bytes >= self.page_bytes:
             return self.flush()
         return None
 
     def extend(self, rows: Sequence[tuple],
-               keys: Sequence | None = None,
-               codes: Sequence[int] | None = None) -> list[Page]:
+               keys: Sequence | None = None) -> list[Page]:
         """Buffer a batch of rows; return every page completed on the way.
 
         The batch equivalent of repeated :meth:`add` calls (identical
         page boundaries), amortizing the per-call overhead over a whole
         spill batch.  A trailing partial page stays buffered as usual.
-        ``keys`` and ``codes``, when given, parallel ``rows``.
+        ``keys``, when given, parallels ``rows``.
         """
         # ``running[i]``: bytes of the open page plus the first ``i`` rows.
         # A page ends at the first row that brings its bytes to the
@@ -130,8 +120,6 @@ class PageBuilder:
             self._rows.extend(rows[start:end])
             if keys is not None:
                 self._keys.extend(keys[start:end])
-            if codes is not None:
-                self._codes.extend(codes[start:end])
             if end > total:
                 self._bytes = running[total] - opened
                 return pages
@@ -145,11 +133,8 @@ class PageBuilder:
         if not self._rows:
             return None
         keys = self._keys if len(self._keys) == len(self._rows) else None
-        codes = self._codes if len(self._codes) == len(self._rows) else None
-        page = Page(rows=self._rows, byte_size=self._bytes, keys=keys,
-                    codes=codes)
+        page = Page(rows=self._rows, byte_size=self._bytes, keys=keys)
         self._rows = []
         self._keys = []
-        self._codes = []
         self._bytes = 0
         return page

@@ -90,11 +90,6 @@ class TestRowBatch:
         masked = batch.take_mask([False, True, True])
         assert masked.rows == key_rows([1, 4])
 
-    def test_keys_bulk_map(self):
-        spec = SortSpec(KEY_SCHEMA, ["key"])
-        batch = RowBatch(KEY_SCHEMA, key_rows([2, 9]))
-        assert batch.keys(spec.key) == [2.0, 9.0]
-
 
 class TestNumericKeyColumn:
     def test_ascending_numeric(self):

@@ -5,8 +5,8 @@ it, so the round trip must be *exact* — every value comes back with the
 same type and bit pattern (NaN and signed zeros included), NULLs stay
 NULL, and pages whose values defeat the declared schema fall back to
 pickle without losing anything.  Every combination of the page's
-optional sections (zone map, offset-value codes, keys) and payload kind
-(typed or pickled) must round-trip the same way.
+optional sections (zone map, keys) and payload kind (typed or pickled)
+must round-trip the same way.
 """
 
 import datetime
@@ -21,7 +21,6 @@ from repro.errors import SpillError
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
 from repro.storage.codec import (
-    FLAG_CODES,
     FLAG_KEYS,
     FLAG_PICKLED,
     FLAG_ZONE_MAP,
@@ -256,9 +255,8 @@ _KEY = st.binary(min_size=0, max_size=24).map(
 def _keyed_page(draw):
     """``(codec, page)`` over every section combination of the layout.
 
-    Axes: zone maps on/off, late materialization on/off, offset-value
-    codes present/absent, typed or pickled payload, and ``bytes``,
-    tuple or absent sort keys.
+    Axes: zone maps on/off, late materialization on/off, typed or
+    pickled payload, and ``bytes``, tuple or absent sort keys.
     """
     schema = Schema([Column("i", ColumnType.INT64),
                      Column("s", ColumnType.STRING)])
@@ -274,11 +272,10 @@ def _keyed_page(draw):
         keys = [draw(_KEY) for _ in range(n)]
     elif keys == "tuple":
         keys = [(row[0],) for row in rows]
-    codes = list(range(n)) if draw(st.booleans()) else None
     codec = TypedPageCodec(schema, zone_maps=draw(st.booleans()),
                            late_materialization=draw(st.booleans()),
                            null_key_prefix=NULL_PREFIX)
-    return codec, Page(rows=rows, byte_size=4242, keys=keys, codes=codes)
+    return codec, Page(rows=rows, byte_size=4242, keys=keys)
 
 
 def _binary_keys(page):
@@ -319,17 +316,14 @@ class TestZoneMapProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(_keyed_page())
-    def test_split_round_trip_attaches_keys_and_codes(self, case):
+    def test_split_round_trip_attaches_keys(self, case):
         codec, page = case
         payload = codec.encode(page)
         stored = codec.late_materialization and _binary_keys(page)
         assert bool(_flags(payload) & FLAG_KEYS) == stored
-        assert bool(_flags(payload) & FLAG_CODES) == (
-            page.codes is not None)
         restored = decode_page(payload)
         _assert_exact(restored.rows, page.rows)
         assert restored.keys == (page.keys if stored else None)
-        assert restored.codes == page.codes
 
     @settings(max_examples=200, deadline=None)
     @given(_keyed_page())
@@ -338,7 +332,6 @@ class TestZoneMapProperties:
         payload = codec.encode(page)
         skeleton, undecoded = decode_page_skeleton(payload, 7, 3)
         assert skeleton.byte_size == page.byte_size
-        assert skeleton.codes == page.codes
         if codec.late_materialization and _binary_keys(page):
             assert undecoded > 0
             assert skeleton.keys == page.keys
@@ -462,6 +455,21 @@ class TestCorruption:
         good[PAGE_HEADER.size - 1] |= 0x80
         with pytest.raises(SpillError, match="section flags"):
             decode_page(bytes(good))
+
+    def test_retired_codes_section_is_foreign(self):
+        """Flag bit 2 once announced a section of one u64 offset-value
+        code per row; the merge computes codes as it scans now, so such
+        a page is foreign to every reader."""
+        schema = Schema([Column("i", ColumnType.INT64)])
+        rows = [(7,), (9,)]
+        good = TypedPageCodec(schema).encode(Page(rows=rows, byte_size=8))
+        header = PAGE_HEADER.unpack_from(good)
+        retired = (PAGE_HEADER.pack(*header[:3], header[3] | 2)
+                   + struct.pack("<2Q", 0, 1) + good[PAGE_HEADER.size:])
+        for read in (decode_page, read_zone_map,
+                     lambda payload: decode_page_skeleton(payload, 0, 0)):
+            with pytest.raises(SpillError, match="section flags"):
+                read(retired)
 
     def test_corrupted_pickle_body(self):
         good = TypedPageCodec().encode(Page(rows=[(1,)], byte_size=8))

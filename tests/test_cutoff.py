@@ -12,10 +12,6 @@ class TestReverseKey:
     def test_inverts(self):
         assert _ReverseKey(5) < _ReverseKey(3)
 
-    def test_equality(self):
-        assert _ReverseKey(2) == _ReverseKey(2)
-        assert _ReverseKey(2) != _ReverseKey(3)
-
 
 class TestEstablishment:
     def test_no_cutoff_before_k_coverage(self):

@@ -10,8 +10,9 @@ engines.
 
 Offset-value codes get their own invariants: a code of zero exactly means
 equal-to-base, codes computed against a common base reconstruct the
-comparison verdict, and codes along a sorted run (relative to the run's
-first row) never decrease.
+comparison verdict, codes along a sorted run (relative to the run's
+first row) never decrease, and the codes a run scan computes page by
+page chain each row to the row before it in the scan.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.sorting.ovc import (
     merge_coded,
 )
 from repro.sorting.runs import write_run
-from repro.storage.spill import SpillManager
+from repro.storage.spill import DiskSpillBackend, SpillManager
 
 # -- value strategies per column type ------------------------------------
 
@@ -281,31 +282,35 @@ def test_merge_coded_equals_merge_keyed(runs_keys):
             keys.sort()
             runs.append(write_run(
                 spill, run_id, ((key, (key, run_id)) for key in keys)))
-        coded = [(key, row) for key, row, _code in
-                 merge_coded(runs, encode)]
+        coded = list(merge_coded(runs, encode))
         keyed = list(merge_keyed(runs, encode))
     assert coded == keyed
     assert [key for key, _row in coded] == sorted(
         itertools.chain.from_iterable(runs_keys))
 
 
-@given(runs_keys=st.lists(_KEYS, min_size=1, max_size=4))
+@given(keys=_KEYS, page_bytes=st.integers(1, 200),
+       start_page=st.integers(0, 8), on_disk=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_merge_coded_output_codes_chain_previous_output(runs_keys):
-    """Each yielded code is the row's OVC relative to the previous
-    yielded key (INITIAL_CODE for the first), so intermediate merge
-    steps can persist them without re-deriving anything."""
+def test_coded_rows_codes_chain_previous_row(keys, page_bytes, start_page,
+                                            on_disk):
+    """Each scanned code is the row's OVC relative to the row before it
+    in the scan, across page boundaries, and the scan's first row gets
+    INITIAL_CODE also when the scan starts mid-run.  On disk the pages
+    carry no keys, so the scan re-encodes each page's rows first."""
     encode = lambda row: row[0]  # noqa: E731
-    with SpillManager() as spill:
-        runs = []
-        for run_id, keys in enumerate(runs_keys):
-            keys.sort()
-            runs.append(write_run(
-                spill, run_id, ((key, (key, run_id)) for key in keys)))
-        previous = None
-        for key, _row, code in merge_coded(runs, encode):
-            if previous is None:
-                assert code == INITIAL_CODE
-            else:
-                assert code == code_between(previous, key)
-            previous = key
+    keys.sort()
+    backend = DiskSpillBackend() if on_disk else None
+    with SpillManager(backend=backend, page_bytes=page_bytes,
+                      row_size=lambda row: 16 + len(row[0])) as spill:
+        run = write_run(spill, 0, ((key, (key,)) for key in keys))
+        scanned = list(run.coded_rows(encode, start_page=start_page))
+        skipped = sum(run.file.page_row_counts[:start_page])
+    assert [key for key, _row, _code in scanned] == keys[skipped:]
+    previous = None
+    for key, row, code in scanned:
+        assert row == (key,)
+        assert code == code_between(previous, key)
+        previous = key
+    if scanned:
+        assert scanned[0][2] == INITIAL_CODE

@@ -125,10 +125,9 @@ def test_extend_pages_like_repeated_add(batches, page_bytes):
     two = PageBuilder(page_bytes=page_bytes, row_size=size)
     for batch in batches:
         rows = [(row_size, index) for index, row_size in enumerate(batch)]
-        codes = list(range(len(rows)))
-        pages_one = [page for row, code in zip(rows, codes)
-                     if (page := one.add(row, row[1], code)) is not None]
-        pages_two = two.extend(rows, [row[1] for row in rows], codes)
+        pages_one = [page for row in rows
+                     if (page := one.add(row, row[1])) is not None]
+        pages_two = two.extend(rows, [row[1] for row in rows])
         assert pages_one == pages_two
         assert one.pending_rows == two.pending_rows
     assert one.flush() == two.flush()

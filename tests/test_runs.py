@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.core.topk import HistogramTopK
 from repro.errors import SpillError
+from repro.rows.schema import Column, ColumnType, Schema
+from repro.rows.sortspec import SortColumn, SortSpec
 from repro.sorting.runs import RunWriter, write_run
+from repro.storage.codec import FLAG_ZONE_MAP, PAGE_HEADER, TypedPageCodec
+from repro.storage.spill import DiskSpillBackend, SpillManager
 
 
 class TestRunWriter:
@@ -110,3 +115,46 @@ class TestWriteRunHelper:
     def test_repr_mentions_bounds(self, spill):
         run = write_run(spill, 1, [(1.0, (1.0,)), (9.0, (9.0,))])
         assert "1.0" in repr(run) and "9.0" in repr(run)
+
+
+class _FlagRecordingCodec(TypedPageCodec):
+    """Keeps the section flags of every page it encodes."""
+
+    def __init__(self, schema):
+        super().__init__(schema, zone_maps=True)
+        self.flags = []
+
+    def encode(self, page):
+        payload = super().encode(page)
+        self.flags.append(PAGE_HEADER.unpack_from(payload)[3])
+        return payload
+
+
+@pytest.mark.parametrize("backend", ["memory", "disk"])
+def test_binary_key_run_pages_carry_no_codes(backend, tmp_path):
+    """Offset-value codes live only in the merge's run scan: the pages a
+    binary-key top-k spills hold rows and keys, in memory and on disk,
+    and no encoded page sets the retired codes bit (2)."""
+    schema = Schema([Column("S", ColumnType.STRING),
+                     Column("ID", ColumnType.INT64)])
+    spec = SortSpec(schema, [SortColumn("S", ascending=False),
+                             SortColumn("ID")])
+    rows = [(f"name-{(i * 7919) % 97:02d}", i) for i in range(4_000)]
+    codec = _FlagRecordingCodec(schema)
+    manager = SpillManager(
+        backend=(DiskSpillBackend(directory=str(tmp_path), codec=codec)
+                 if backend == "disk" else None),
+        page_bytes=1_024)
+    with manager:
+        operator = HistogramTopK(spec, 1_500, 300, spill_manager=manager)
+        output = list(operator.execute(rows))
+        assert operator.key_codec is not None
+        pages = [page for run in operator.runs
+                 for page in run.file.pages()]
+    assert output == sorted(rows, key=spec.key)[:1_500]
+    assert len(pages) > len(operator.runs) > 1
+    assert all(getattr(page, "codes", None) is None for page in pages)
+    if backend == "disk":
+        assert len(codec.flags) >= len(pages)
+        assert all(flags & FLAG_ZONE_MAP for flags in codec.flags)
+        assert not any(flags & 2 for flags in codec.flags)
