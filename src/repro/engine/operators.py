@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import functools
 import heapq
-from itertools import compress
+from itertools import compress, repeat
 from math import inf
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.baselines.optimized_topk import OptimizedMergeSortTopK
@@ -547,8 +548,10 @@ class _JoinBase(Operator):
 
     Output rows are ``left_row + right_row`` under ``schema`` (built by
     the planner; column names de-duplicated there).  SQL semantics:
-    ``NULL`` join keys never match, and a LEFT join pads the right
-    columns of unmatched (or NULL-key) left rows with ``None``.
+    ``NULL`` join keys never match, and neither do NaN keys (NaN = NaN
+    is false), so both join methods agree with ``==``.  A LEFT join pads
+    the right columns of unmatched (or NULL- or NaN-key) left rows with
+    ``None``.
     """
 
     JOIN_TYPES = ("inner", "left")
@@ -614,46 +617,90 @@ class HashJoin(_JoinBase):
     Emission order is probe order — for each left row, its matches in
     right-input order — which makes the output deterministic and
     independent of hashing.
+
+    The join is batch-native: it probes one left batch at a time with a
+    single comprehension.  An INNER join whose build keys are all unique
+    (an FK→PK join) maps each key to its one row and probes flat, at
+    most one output row per probe row.  Every other join maps each key
+    to its bucket of rows and builds its output lazily, so a probe batch
+    whose matches fan out past ``batch_rows`` holds one output chunk at
+    a time.  No output batch holds more than ``batch_rows`` rows, and
+    the counters move as each batch goes out.
     """
 
     def rows(self) -> Iterator[tuple]:
+        return flatten(self.batches())
+
+    def batches(self) -> Iterator[RowBatch]:
         stats = self._reset()
         return self._joined(stats)
 
-    def _joined(self, stats: OperatorStats) -> Iterator[tuple]:
-        left_index = self.left_index
+    def _build(self) -> tuple[dict, bool]:
+        """The build table and whether the probe is flat (then it maps
+        each key to its row, else to its list of rows)."""
         right_index = self.right_index
-        left_outer = self.join_type == "left"
-        with self.tracer.span("join.hash.build"):
-            table: dict[Any, list[tuple]] = {}
-            build = 0
-            for row in self.right.rows():
-                build += 1
+        table: dict[Any, list[tuple]] = {}
+        unique = True
+        for batch in self.right.batches():
+            rows = batch.rows
+            self.rows_build += len(rows)
+            for row in rows:
                 key = row[right_index]
-                if key is None:
+                if key is None or key != key:  # NULL and NaN never match
                     continue
                 bucket = table.get(key)
                 if bucket is None:
                     table[key] = [row]
                 else:
                     bucket.append(row)
-            self.rows_build = build
-            stats.rows_consumed += build
+                    unique = False
+        if unique and self.join_type == "inner":
+            return {key: bucket[0] for key, bucket in table.items()}, True
+        return table, False
+
+    def _joined(self, stats: OperatorStats) -> Iterator[RowBatch]:
+        with self.tracer.span("join.hash.build"):
+            table, flat = self._build()
+            stats.rows_consumed += self.rows_build
+        left_outer = self.join_type == "left"
+        left_key = itemgetter(self.left_index)
+        get = table.get
+        schema = self.schema
+        batch_rows = self.batch_rows
         pad = self._pad()
+        # A bucket lookup that misses yields no rows, or the pad.
+        miss = (pad,) if left_outer else ()
+        # An output row's right join key: never NULL in a match, always
+        # NULL in a pad row.
+        right_key = itemgetter(len(schema.columns) - len(pad)
+                               + self.right_index)
         with self.tracer.span("join.hash.probe"):
-            for row in self.left.rows():
-                self.rows_probe += 1
-                stats.rows_consumed += 1
-                key = row[left_index]
-                matches = table.get(key) if key is not None else None
-                if matches:
-                    self.rows_matched += len(matches)
-                    for match in matches:
-                        stats.rows_output += 1
-                        yield row + match
-                elif left_outer:
-                    stats.rows_output += 1
-                    yield row + pad
+            for batch in self.left.batches():
+                rows = batch.rows
+                self.rows_probe += len(rows)
+                stats.rows_consumed += len(rows)
+                keys = map(left_key, rows)
+                if flat:
+                    joined = [row + match for row, match
+                              in zip(rows, map(get, keys))
+                              if match is not None]
+                    # At most one output row per probe row: a batch that
+                    # fits goes out as built, without a chunking copy.
+                    chunks = ((RowBatch(schema, joined),)
+                              if 0 < len(joined) <= batch_rows else
+                              batches_from_rows(joined, schema, batch_rows))
+                else:
+                    chunks = batches_from_rows(
+                        (row + match for row, bucket
+                         in zip(rows, map(get, keys, repeat(miss)))
+                         for match in bucket), schema, batch_rows)
+                for chunk in chunks:
+                    output = len(chunk.rows)
+                    self.rows_matched += output - (
+                        list(map(right_key, chunk.rows)).count(None)
+                        if left_outer else 0)
+                    stats.rows_output += output
+                    yield chunk
 
 
 class SortMergeJoin(_JoinBase):
@@ -765,10 +812,10 @@ class SortMergeJoin(_JoinBase):
                 self.rows_probe += 1
                 stats.rows_consumed += 1
                 key = row[left_index]
-                if key is None:
+                if key is None or key != key:  # NULL and NaN never match
                     if left_outer:
                         null_left.append(row)
-                        # A preserved NULL-key row still emits (padded)
+                        # A preserved unmatchable row still emits (padded)
                         # output, so it still belongs in the heap.
                         if observe is not None:
                             observe(None, row)
@@ -788,8 +835,8 @@ class SortMergeJoin(_JoinBase):
                 self.rows_build += 1
                 stats.rows_consumed += 1
                 key = row[right_index]
-                if key is None:
-                    continue  # NULL keys never match; pads are left-only
+                if key is None or key != key:
+                    continue  # NULL and NaN never match; pads are left-only
                 if gate is not None:
                     gate(key)
                 if observe is not None:

@@ -533,7 +533,7 @@ class QueryService:
                 joined = True
                 self._m_join["rows_build"].inc(node.rows_build)
                 self._m_join["rows_probe"].inc(node.rows_probe)
-                self._m_join["rows_output"].inc(node.rows_matched)
+                self._m_join["rows_output"].inc(node.stats.rows_output)
                 if isinstance(node, SortMergeJoin):
                     self._m_join["sort_spilled"].inc(
                         node.join_sort_spilled)

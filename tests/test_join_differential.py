@@ -18,7 +18,9 @@ by construction from the strategies in :mod:`tests.test_strategies`.
 The semantics the reference encodes (and therefore pins):
 
 * NULL join keys never match — not even NULL = NULL (both joins drop
-  NULL-keyed build rows and NULL-keyed probe rows match nothing).
+  NULL-keyed build rows and NULL-keyed probe rows match nothing).  NaN
+  keys are the same: the reference compares with ``==``, under which
+  NaN matches nothing, while -0.0 matches 0.0.
 * A LEFT join emits unmatched left rows padded with NULLs; WHERE
   predicates naming right-side columns evaluate *after* the join under
   three-valued logic, so padding rows are rejected (NULL compares to
@@ -30,11 +32,21 @@ The semantics the reference encodes (and therefore pins):
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.session import Database
-from repro.engine.operators import VectorizedTopK
+from repro.engine.operators import (
+    HashJoin,
+    Operator,
+    Table,
+    TableScan,
+    VectorizedTopK,
+)
+from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
 from tests.test_strategies import (
     JOIN_OUT_SCHEMA,
@@ -273,6 +285,153 @@ def test_join_without_order_by_is_the_same_multiset(tables, join_method,
         assert sorted(result.rows, key=key) == sorted(joined, key=key)
 
 
+# -- the batch-native hash join probe -------------------------------------
+
+
+def hash_join(left, right, join_type):
+    """A bare ``HashJoin`` on L.JK = R.RK over scans of ``left``/``right``."""
+    return HashJoin(TableScan(Table("L", LEFT_SCHEMA, left)),
+                    TableScan(Table("R", RIGHT_SCHEMA, right)),
+                    JK, 1, join_type, JOIN_OUT_SCHEMA)
+
+
+@given(tables=joined_tables(),
+       join_type=st.sampled_from(["inner", "left"]),
+       unique_build=st.booleans(),
+       batch_rows=st.sampled_from([1, 7, 4096]))
+@settings(max_examples=80, deadline=None)
+def test_hash_join_batches_and_counters(tables, join_type, unique_build,
+                                        batch_rows):
+    """The hash join's batch stream and counters agree with the
+    nested-loop reference at every batch size, for both probe shapes:
+    an INNER join on unique build keys (the flat probe), and a LEFT join
+    or a build side with duplicate keys (the bucket probe)."""
+    left, right = tables
+    if unique_build:
+        right = list({row[1]: row for row in right}.values())
+    expected = nested_loop_join(left, right, join_type)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Operator, "batch_rows", batch_rows)
+        join = hash_join(left, right, join_type)
+        batches = list(join.batches())
+        assert list(join.rows()) == expected
+    assert [row for batch in batches for row in batch.rows] == expected
+    assert all(0 < len(batch) <= batch_rows for batch in batches)
+    assert join.rows_build == len(right)
+    assert join.rows_probe == len(left)
+    assert join.rows_matched == sum(row[RID] is not None for row in expected)
+    assert join.stats.rows_output == len(expected)
+    assert join.stats.rows_consumed == len(left) + len(right)
+
+
+@pytest.mark.parametrize("join_type", ["inner", "left"])
+def test_hash_join_fan_out_is_built_one_batch_at_a_time(monkeypatch,
+                                                         join_type):
+    """A probe batch whose matches fan out past ``batch_rows`` is emitted
+    in chunks of at most ``batch_rows`` rows, each built and counted only
+    when it is pulled: the probe batch's whole output never exists at
+    once, and a plain LIMIT (the planner puts ``Limit`` right on the
+    join) that stops after the first chunk counts that chunk only."""
+    monkeypatch.setattr(Operator, "batch_rows", 7)
+    built = 0
+
+    class CountingRow(tuple):
+        def __add__(self, other):
+            nonlocal built
+            built += 1
+            return tuple(self) + other
+
+    # One probe batch of 7 rows: 5 match 20 build rows each, 2 match none.
+    left = [CountingRow((i, 1 if i < 5 else 9, i)) for i in range(7)]
+    right = [(j, 1, j) for j in range(20)] + [(20, 2, 0)]
+    join = hash_join(left, right, join_type)
+    batches = join.batches()
+    first = next(batches)
+    assert len(first) == 7
+    assert built == len(first)
+    assert join.rows_matched == join.stats.rows_output == 7
+    rest = list(batches)
+    assert all(0 < len(batch) <= 7 for batch in rest)
+    expected = nested_loop_join(left, right, join_type)
+    assert [row for batch in (first, *rest)
+            for row in batch.rows] == expected
+    assert join.rows_matched == 100
+    assert join.stats.rows_output == len(expected)
+
+    db = Database(join_method="hash")
+    db.register_table("L", LEFT_SCHEMA, [tuple(row) for row in left])
+    db.register_table("R", RIGHT_SCHEMA, right)
+    op = "LEFT JOIN" if join_type == "left" else "JOIN"
+    analyzed = db.sql(f"SELECT * FROM L {op} R ON L.JK = R.RK LIMIT 3",
+                      explain_analyze=True).explain_analyze()
+    assert "join_rows_matched=7\n" in analyzed
+
+
+# -- floating-point join keys ---------------------------------------------
+
+NAN = object()  # a pool marker: becomes ``math.nan`` or a fresh NaN
+FLOAT_KEY_POOL = (0.0, -0.0, 1.5, math.inf, -math.inf, NAN)
+
+
+def float_key_tables(shared_nan, nullable):
+    """(left, right) rows and schemas joining on FLOAT64 keys drawn from
+    ±0.0, ±inf, NaN (the one ``math.nan`` object, or a distinct NaN
+    object per row) and, when ``nullable``, NULL."""
+    rng = random.Random(5)
+    pool = FLOAT_KEY_POOL + ((None,) if nullable else ())
+
+    def key():
+        value = rng.choice(pool)
+        if value is NAN:
+            return math.nan if shared_nan else float("nan")
+        return value
+
+    def schema(prefix):
+        return Schema([
+            Column(f"{prefix}ID", ColumnType.INT64),
+            Column("JK" if prefix == "L" else "RK", ColumnType.FLOAT64,
+                   nullable=nullable),
+            Column(f"{prefix}V", ColumnType.INT64),
+        ])
+
+    left = [(i, key(), rng.randrange(40)) for i in range(60)]
+    right = [(j, key(), rng.randrange(10)) for j in range(20)]
+    return left, right, schema("L"), schema("R")
+
+
+def exact(rows):
+    """Rows with each float as its repr: NaN equals NaN, and -0.0 is
+    told apart from 0.0."""
+    return [tuple(repr(value) if isinstance(value, float) else value
+                  for value in row) for row in rows]
+
+
+@pytest.mark.parametrize("memory", [8, 1000])
+@pytest.mark.parametrize("join_type", ["inner", "left"])
+@pytest.mark.parametrize("join_method", ["hash", "merge"])
+@pytest.mark.parametrize("nullable", [False, True],
+                         ids=["not-null", "nullable"])
+@pytest.mark.parametrize("shared_nan", [True, False],
+                         ids=["math.nan", "distinct-nan"])
+def test_float_join_keys_match_by_equality(shared_nan, nullable,
+                                           join_method, join_type, memory):
+    """Both join methods match FLOAT64 keys by ``==``: NaN matches
+    nothing, whether or not it is the same object (a LEFT join pads its
+    row), -0.0 matches 0.0, and ±inf match themselves."""
+    left, right, left_schema, right_schema = float_key_tables(shared_nan,
+                                                              nullable)
+    expected = reference_topk(nested_loop_join(left, right, join_type),
+                              [("LV", True), ("LID", True), ("RID", True)],
+                              len(left) * len(right))
+    db = Database(memory_rows=memory, join_method=join_method)
+    db.register_table("L", left_schema, left)
+    db.register_table("R", right_schema, right)
+    op = "LEFT JOIN" if join_type == "left" else "JOIN"
+    result = db.sql(f"SELECT * FROM L {op} R ON L.JK = R.RK "
+                    f"ORDER BY LV, LID, RID LIMIT {len(left) * len(right)}")
+    assert exact(result.rows) == exact(expected)
+
+
 # -- streaming merge + fused aggregation legs (ISSUE 10) ------------------
 
 
@@ -367,8 +526,6 @@ class TestEdges:
     def test_pushdown_actually_drops_rows_at_scale(self):
         """At engine scale the pushed filter measurably prunes the
         sort-side input before the join (the tentpole's point)."""
-        import random
-
         rng = random.Random(5)
         left = [(i, rng.randrange(20), rng.randrange(100_000))
                 for i in range(60_000)]
@@ -389,8 +546,6 @@ class TestEdges:
         """The tentpole: with the run-generation publisher wired, the
         pushed filter halves (at least) the sort side's spill volume
         under the streaming merge join, byte-identically."""
-        import random
-
         rng = random.Random(5)
         left = [(i, rng.randrange(20), rng.randrange(100_000))
                 for i in range(30_000)]
@@ -420,8 +575,6 @@ class TestEdges:
         """Fusion's point: spilled partial aggregates (≤ one row per
         group per run) undercut the raw rows an unfused post-sort pass
         would spill, with the reference output."""
-        import random
-
         rng = random.Random(7)
         # More distinct groups than the memory budget, so aggregation
         # must spill partials.
@@ -439,9 +592,10 @@ class TestEdges:
 
     @pytest.mark.slow_join
     def test_disk_scale_differential(self):
-        """A spilling-scale randomized leg kept out of the default run."""
-        import random
-
+        """A spilling-scale randomized leg: 30,000 probe rows over 50
+        duplicated join keys, the suite's only leg with duplicate keys
+        at scale.  The default run includes it; ``-m "not slow_join"``
+        deselects it."""
         rng = random.Random(11)
         left = [(i, rng.choice([None] + list(range(50))),
                  rng.randrange(500)) for i in range(30_000)]

@@ -440,6 +440,27 @@ class TestObservability:
         assert snap["service.rows.spilled"]["value"] == sum(spilled)
         assert snap["service.query.rows_spilled"]["sum"] == sum(spilled)
 
+    def test_join_rows_output_counts_left_join_pads(self):
+        """``service.join.rows_output`` counts every row the join
+        emitted: a LEFT join's pad rows count too."""
+        db = Database()
+        db.register_table("l", Schema([Column("lid", ColumnType.INT64),
+                                       Column("jk", ColumnType.INT64)]),
+                          [(i, i) for i in range(100)])
+        db.register_table("r", Schema([Column("rk", ColumnType.INT64),
+                                       Column("rv", ColumnType.INT64)]),
+                          [(i, -i) for i in range(0, 100, 2)])
+        service = QueryService(db, workers=1)
+        result = service.execute("SELECT * FROM l LEFT JOIN r "
+                                 "ON l.jk = r.rk ORDER BY lid LIMIT 200")
+        service.shutdown()
+        assert len(result.rows) == 100
+        assert sum(row[2] is None for row in result.rows) == 50
+        snap = service.metrics_snapshot()
+        assert snap["service.join.rows_build"]["value"] == 50
+        assert snap["service.join.rows_probe"]["value"] == 100
+        assert snap["service.join.rows_output"]["value"] == 100
+
     def test_error_outcome_recorded(self):
         db = make_database(rows=make_rows(100))
         service = QueryService(db, workers=1)
