@@ -26,12 +26,14 @@ from __future__ import annotations
 import logging
 from bisect import insort
 from dataclasses import dataclass, field
-from operator import gt, lt
+from itertools import repeat
+from operator import ge, gt, itemgetter, le, lt
 from typing import Any, Callable
 
 from repro.core.histogram import Bucket
 from repro.errors import ConfigurationError
 from repro.rows.batch import numeric_key_column
+from repro.rows.schema import ColumnType
 from repro.rows.sortspec import SortSpec, key_value_decoder
 from repro.sorting.keycodec import leading_value_decoder
 
@@ -87,20 +89,30 @@ ABOVE_CUTOFF = _AboveCutoff()
 
 def leading_column_prefilter(spec: SortSpec | None, binary: bool
                              ) -> Callable[..., list[bool] | None] | None:
-    """``keep``, the arrival test's numpy first pass for a top-k on
-    ``spec``, or ``None`` unless its leading column is a non-nullable
-    INT64, FLOAT64 or DECIMAL (bounds are binary keys when ``binary``,
-    else one-column tuple keys).
+    """``keep``, the arrival test's first pass for a top-k on ``spec``, or
+    ``None`` unless its leading column is a non-nullable INT64, FLOAT64 or
+    DECIMAL (bounds are binary keys when ``binary``, else one-column
+    tuple keys) or, on binary keys, a non-nullable STRING.
 
     ``keep(batch, bound, start=0)``: one flag per row of
-    ``batch.rows[start:]``, true to keep it, or ``None`` (no float64
-    column, or a bound beyond float64).  A row goes only when its leading
-    value exceeds the bound's (both negated for DESC), so its key does:
-    exact, as bounds only tighten and float64 rounding is monotone.  NaN
-    compares false, so it reaches the per-row test.
+    ``batch.rows[start:]``, true to keep it, or ``None`` when the test
+    cannot run.  A row goes only when its leading value sorts past the
+    bound's, so its key does: exact, as bounds only tighten.
+
+    A numeric column is compared in numpy, as float64 (negated for DESC;
+    float64 rounding is monotone); ``None`` when the column has no
+    float64 array or the bound does not fit a float64.  NaN compares
+    false, so it reaches the per-row test.  A string column is compared
+    natively (code-point order is the encoded order); ``None`` when the
+    bound's string is cut before its terminator or a value is not a
+    ``str`` (its encode raises the typed error).
     """
-    leading = (numeric_key_column(SortSpec(spec.schema, spec.columns[:1]))
-               if spec is not None else None)
+    if spec is None:
+        return None
+    first = spec.schema.column(spec.columns[0].name)
+    if binary and first.type is ColumnType.STRING and not first.nullable:
+        return _leading_string_prefilter(spec)
+    leading = numeric_key_column(SortSpec(spec.schema, spec.columns[:1]))
     if leading is None:
         return None
     value_of = (leading_value_decoder if binary else key_value_decoder)(spec)
@@ -119,6 +131,27 @@ def leading_column_prefilter(spec: SortSpec | None, binary: bool
         except OverflowError:
             return None
         return (~above(column[start:], value)).tolist()
+
+    return keep
+
+
+def _leading_string_prefilter(spec: SortSpec) -> Callable:
+    """:func:`leading_column_prefilter` for a STRING leading column."""
+    column = spec.columns[0]
+    index = spec.schema.index_of(column.name)
+    value_of = leading_value_decoder(spec)
+    within = le if column.ascending else ge
+
+    def keep(batch, bound: bytes, start: int = 0) -> list[bool] | None:
+        value = value_of(bound)
+        if value is None:
+            return None
+        rows = batch.rows[start:] if start else batch.rows
+        try:
+            return list(map(within, map(itemgetter(index), rows),
+                            repeat(value)))
+        except TypeError:
+            return None
 
     return keep
 

@@ -189,6 +189,12 @@ class HistogramTopK:
         if self.key_codec is not None:
             self.sort_key = self.key_codec.encode
             self._batch_key = None
+        #: ``rows -> keys``: the codec's batch form
+        #: (:attr:`~repro.sorting.keycodec.KeyCodec.encode_batch`), or one
+        #: ``sort_key`` call per row on tuple keys.
+        self._keys_of = (self.key_codec.encode_batch
+                         if self.key_codec is not None
+                         else lambda rows: list(map(self.sort_key, rows)))
         self._prefilter = leading_column_prefilter(
             self.sort_spec, binary=self.key_codec is not None)
         self.k = k
@@ -316,13 +322,14 @@ class HistogramTopK:
 
         Every arrival is tested against the *live* cutoff, interleaved
         with run generation exactly as Algorithm 1 prescribes.  When the
-        leading sort column is a non-nullable numeric one, one numpy
-        comparison of it against the bound current at the batch boundary
-        first drops the rows that cannot survive
-        (:func:`~repro.core.cutoff.leading_column_prefilter`, exact);
-        only the remaining rows pay for a key and a per-row test.  A
-        single numeric column's NaN keys are eliminated on arrival, as
-        the vectorized kernel eliminates them.
+        leading sort column is a non-nullable numeric one (or, on binary
+        keys, a string), one comparison of that column against the bound
+        current at the batch boundary first drops the rows that cannot
+        survive (:func:`~repro.core.cutoff.leading_column_prefilter`,
+        exact); only the remaining rows pay for a key, computed in one
+        call per batch, and a per-row test.  A single numeric column's
+        NaN keys are eliminated on arrival, as the vectorized kernel
+        eliminates them.
         """
         batches = iter(batches)
         if self._batch_key is not None:
@@ -380,6 +387,7 @@ class HistogramTopK:
         """
         needed = self.k + self.offset
         sort_key = self.sort_key
+        keys_of = self._keys_of
         row_size = self.row_size
         budget = self.memory_bytes
         stats = self.stats
@@ -404,15 +412,17 @@ class HistogramTopK:
                             heap, batch, index, batches)
                         return
             # Rows above the batch-start maximum can never enter the heap
-            # (the maximum only falls).
+            # (the maximum only falls).  The rest are keyed in one call.
             flags = (self._prefilter(batch, heap[0].key, index)
                      if self._prefilter is not None and index < len(rows)
                      else None)
-            candidates = enumerate(rows[index:] if index else rows, index)
+            candidates = rows[index:] if index else rows
+            positions = range(index, len(rows))
             if flags is not None:
-                candidates = itertools.compress(candidates, flags)
-            for i, row in candidates:
-                key = sort_key(row)
+                candidates = list(itertools.compress(candidates, flags))
+                positions = itertools.compress(positions, flags)
+            for i, row, key in zip(positions, candidates,
+                                   keys_of(candidates)):
                 if key < heap[0].key:
                     seq += 1
                     if budget is not None:
@@ -653,15 +663,15 @@ class HistogramTopK:
                               algorithm=self.run_generation) as span:
             # The first load was buffered before the regime was known, so
             # it enters without the arrival test.
-            generator.consume_batch(buffered)
+            generator.consume_batch(buffered, self._keys_of(buffered))
             del buffered
             stream = itertools.chain(
                 pending, ((batch, 0) for batch in batches))
             if self.run_generation == "quicksort":
                 for batch, start in stream:
+                    rows = batch.rows[start:] if start else batch.rows
                     generator.consume_batch(
-                        batch.rows[start:] if start else batch.rows,
-                        self._arrival_keys(batch, start),
+                        rows, self._arrival_keys(batch, rows, start),
                         arrival_filter=self.cutoff_filter)
             else:
                 for batch, start in stream:
@@ -672,18 +682,19 @@ class HistogramTopK:
                                    stats.rows_eliminated_on_arrival)
         yield from self._external_finish(generator)
 
-    def _arrival_keys(self, batch: RowBatch, start: int) -> list | None:
-        """Keys of ``batch.rows[start:]`` for load-sort-store, with
-        ``ABOVE_CUTOFF`` for each row the prefilter drops, or ``None``."""
+    def _arrival_keys(self, batch: RowBatch, rows: list[tuple],
+                      start: int) -> list:
+        """Keys of ``rows``, which are ``batch.rows[start:]``, for
+        load-sort-store, computed in one call: ``ABOVE_CUTOFF`` stands
+        in for each row the prefilter drops."""
         cutoff = self.cutoff_filter.cutoff_key
-        if self._prefilter is None or cutoff is None:
-            return None
-        flags = self._prefilter(batch, cutoff, start)
+        flags = (self._prefilter(batch, cutoff, start)
+                 if self._prefilter is not None and cutoff is not None
+                 else None)
         if flags is None or False not in flags:
-            return None
-        sort_key = self.sort_key
-        return [sort_key(row) if keep else ABOVE_CUTOFF for row, keep in
-                zip(batch.rows[start:] if start else batch.rows, flags)]
+            return self._keys_of(rows)
+        kept = iter(self._keys_of(list(itertools.compress(rows, flags))))
+        return [next(kept) if keep else ABOVE_CUTOFF for keep in flags]
 
     def _admit_batch(self, generator, batch: RowBatch, start: int) -> None:
         """Algorithm 1 line 4 over ``batch.rows[start:]`` for replacement

@@ -359,25 +359,27 @@ class CutoffPushdownFilter(Operator):
     exactly the rows the downstream top-k's arrival filter would reject
     (ties are retained, matching
     :meth:`~repro.core.cutoff.CutoffFilter.eliminate`).  Until the
-    consumer establishes a bound, everything passes.  ``key_of`` must
-    produce keys in the consumer's active key space (normalized tuples,
-    encoded bytes, or normalized floats, depending on the chosen top-k
-    lowering); ``prefilter`` (a
-    :func:`~repro.core.cutoff.leading_column_prefilter`) spares most
-    rows their ``key_of``.
+    consumer establishes a bound, everything passes.  ``keys_of`` maps
+    a list of rows to their keys in the consumer's active key space
+    (normalized tuples, encoded bytes, or normalized floats, depending
+    on the chosen top-k lowering) and is called once per batch; on
+    binary keys it is the codec's
+    :attr:`~repro.sorting.keycodec.KeyCodec.encode_batch`.
+    ``prefilter`` (a :func:`~repro.core.cutoff.leading_column_prefilter`)
+    spares most rows their key.
     """
 
     def __init__(
         self,
         child: Operator,
-        key_of: Callable[[tuple], Any],
+        keys_of: Callable[[list[tuple]], list],
         bound: SharedCutoffBound,
         description: str = "",
         prefilter: Callable | None = None,
     ):
         self.child = child
         self.schema = child.schema
-        self.key_of = key_of
+        self.keys_of = keys_of
         self.bound = bound
         self.description = description
         self.prefilter = prefilter
@@ -400,7 +402,7 @@ class CutoffPushdownFilter(Operator):
         return self._filtered(stats)
 
     def _filtered(self, stats: OperatorStats) -> Iterator[RowBatch]:
-        key_of = self.key_of
+        keys_of = self.keys_of
         bound = self.bound
         prefilter = self.prefilter
         for batch in self.child.batches():
@@ -418,9 +420,10 @@ class CutoffPushdownFilter(Operator):
                 continue
             stats.cutoff_comparisons += len(rows)
             flags = prefilter(batch, cutoff) if prefilter else None
-            kept = [row for row in (rows if flags is None
-                                    else compress(rows, flags))
-                    if not key_of(row) > cutoff]
+            candidates = (rows if flags is None
+                          else list(compress(rows, flags)))
+            kept = [row for row, key in zip(candidates, keys_of(candidates))
+                    if not key > cutoff]
             dropped = len(rows) - len(kept)
             if dropped:
                 self.rows_dropped += dropped

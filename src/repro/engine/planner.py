@@ -1028,12 +1028,15 @@ class Planner:
             description = ", ".join(
                 f"{column.name}{'' if column.ascending else ' DESC'}"
                 for column in source_columns)
+            source_spec = SortSpec(source_table.schema, source_columns)
+            binary = topk_decision.chosen.keys == "ovc"
+            keys_of = (compile_keycodec(source_spec).encode_batch if binary
+                       else lambda rows: list(map(key_of, rows)))
             pushdown_filter = CutoffPushdownFilter(
                 left_node if pushdown_side == "left" else right_node,
-                key_of, bound, description=description,
-                prefilter=leading_column_prefilter(
-                    SortSpec(source_table.schema, source_columns),
-                    binary=topk_decision.chosen.keys == "ovc"))
+                keys_of, bound, description=description,
+                prefilter=leading_column_prefilter(source_spec,
+                                                   binary=binary))
             pushdown_filter.estimated_drops = \
                 decision.chosen.cost.filter_rows_dropped
             if pushdown_side == "left":

@@ -152,9 +152,12 @@ def batches_from_rows(
     consumer sees exactly the rows a row-at-a-time reader would have.
     """
     if isinstance(rows, (list, tuple)):
-        # Sequence fast path: slicing beats accumulating row by row.
+        # Sequence fast path: slicing beats accumulating row by row.  A
+        # list's slice is already a new list for the batch to own.
         for start in range(0, len(rows), batch_rows):
-            yield RowBatch(schema, list(rows[start:start + batch_rows]))
+            chunk = rows[start:start + batch_rows]
+            yield RowBatch(schema, chunk if isinstance(chunk, list)
+                           else list(chunk))
         return
     iterator = iter(rows)
     while True:

@@ -53,10 +53,28 @@ so NULLs stay last.  Every per-column encoding is prefix-free, hence two
 distinct multi-column keys always differ at a byte index that exists in
 both — the property offset-value codes rely on.
 
+A value the column type cannot hold — an out-of-range int, a float,
+string or ``None`` in an INT64 column, an inexact int in a float column
+— raises :class:`~repro.errors.KeyEncodingError`.
+
+**Batch form.**  :meth:`KeyCodec.encode_batch` encodes a list of rows
+into the same keys as one ``encode`` call per row.  Non-nullable INT64,
+FLOAT64 and DECIMAL columns are transformed together in numpy: each
+column's values become 64-bit codes (the bias or the float flip, as
+above), the codes fill one big-endian ``uint64`` matrix, and its rows
+read back as ``bytes`` through a ``V`` view (an ``S`` view would strip
+trailing zero bytes).  A STRING column encodes each distinct value of
+the batch once.  Specs with a nullable, DATE or BOOL column, batches
+holding a value of another type, and batches below
+:data:`BATCH_MIN_ROWS` take the per-row encoder, so errors are the
+per-row ones too.
+
 ``decode`` is unsupported **by design**: rows travel next to their keys
 everywhere in this library, so a decoder would only invite drift between
-two representations of the same ordering.  Only a numeric leading
-column's 8-byte prefix decodes, for the arrival prefilter.
+two representations of the same ordering.  Only the leading column of a
+key decodes, for the arrival prefilter: a numeric column's 8-byte prefix,
+and a string column up to its terminator
+(:func:`leading_value_decoder`).
 
 Every column type has an encoder, so every spec compiles.  Whether a job
 *uses* the encoding is decided in one place, :func:`binary_key_codec`.
@@ -67,7 +85,10 @@ from __future__ import annotations
 import datetime
 import functools
 import struct
+from operator import add, itemgetter
 from typing import Callable
+
+import numpy as np
 
 from repro.errors import KeyEncodingError
 from repro.rows.schema import ColumnType, Schema
@@ -86,6 +107,21 @@ _NAN_BYTES = (0x7FF8000000000000 | _SIGN).to_bytes(8, "big")
 
 _NULL_FLAG = b"\x01"
 _VALUE_FLAG = b"\x00"
+
+#: Batches shorter than this encode row by row: below it the numpy
+#: calls' fixed cost exceeds what they save.  Break-even measured on a
+#: 2-vCPU host: about 30 rows for two numeric columns, 40 for ``STRING
+#: DESC, INT64, FLOAT64 DESC``, 130 for ``STRING, INT64``.
+BATCH_MIN_ROWS = 64
+
+# The batch encoder's numpy operands, all explicitly ``uint64`` so no
+# integer-promotion rule decides a result type.
+_U64_ZERO = np.uint64(0)
+_U64_SIGN = np.uint64(_SIGN)
+_U64_ALL = np.uint64(_ALL64)
+_U64_LOW = np.uint64(_ALL64 ^ _SIGN)
+#: The quiet-NaN bit pattern every NaN is canonicalized to.
+_U64_NAN = np.uint64(0x7FF8000000000000)
 
 
 def _coerce_float(value) -> float:
@@ -197,6 +233,124 @@ _HELPER_FACTORIES = {
 }
 
 
+# -- the batch form --------------------------------------------------------
+#
+# Each column function takes one column's values and returns its codes,
+# or ``None`` when a value is not of the types the per-row encoder
+# handles the same way (the batch then goes row by row).
+
+def _int_codes(values: list, ascending: bool):
+    """INT64 values as biased ``uint64`` codes (complemented for DESC)."""
+    if not set(map(type, values)) <= {int, bool}:
+        return None
+    try:
+        array = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        return None
+    # ``value + 2**63`` is the sign bit flipped; its complement for DESC
+    # flips the other 63 bits.
+    return array.view(np.uint64) ^ (_U64_SIGN if ascending else _U64_LOW)
+
+
+def _float_codes(values: list, ascending: bool):
+    """FLOAT64/DECIMAL ``float`` values as flipped ``uint64`` codes."""
+    if not set(map(type, values)) <= {float}:
+        return None
+    array = np.fromiter(values, dtype=np.float64, count=len(values))
+    array += 0.0  # -0.0 becomes 0.0; every other value stays as it is
+    bits = array.view(np.uint64)
+    nan = np.isnan(array)
+    if nan.any():
+        bits[nan] = _U64_NAN
+    negative = bits >= _U64_SIGN
+    if ascending:
+        return bits ^ np.where(negative, _U64_ALL, _U64_SIGN)
+    return bits ^ np.where(negative, _U64_ZERO, _U64_LOW)
+
+
+def _fixed_width_part(fields: list) -> Callable:
+    """``rows -> keys part`` for consecutive numeric columns: one
+    big-endian ``uint64`` matrix, one column per field, read back a row
+    at a time."""
+    view = f"V{8 * len(fields)}"
+
+    def encode_part(rows: list) -> list[bytes] | None:
+        matrix = np.empty((len(rows), len(fields)), dtype=">u8")
+        for position, (index, codes_of, ascending) in enumerate(fields):
+            codes = codes_of(list(map(itemgetter(index), rows)), ascending)
+            if codes is None:
+                return None
+            matrix[:, position] = codes
+        return matrix.view(view).ravel().tolist()
+
+    return encode_part
+
+
+def _string_part(index: int, encode_string: Callable) -> Callable:
+    """``rows -> keys part`` for a STRING column: each distinct value of
+    the batch is encoded once."""
+
+    def encode_part(rows: list) -> list[bytes] | None:
+        values = list(map(itemgetter(index), rows))
+        if not set(map(type, values)) <= {str}:
+            return None
+        table = {value: encode_string(value) for value in set(values)}
+        return list(map(table.__getitem__, values))
+
+    return encode_part
+
+
+def _batch_parts(schema: Schema, columns, helpers: dict) -> list | None:
+    """The batch form's per-column parts, or ``None`` when a column
+    needs the per-row encoder.  Runs of numeric columns share one
+    matrix; a string column reuses the per-row encoder's memoized
+    helper (``helpers``), so both forms share its cache."""
+    parts: list = []
+    fixed: list = []
+    for position, column in enumerate(columns):
+        index = schema.index_of(column.name)
+        schema_column = schema.columns[index]
+        ctype = schema_column.type
+        if schema_column.nullable or ctype in (ColumnType.DATE,
+                                               ColumnType.BOOL):
+            return None
+        if ctype is ColumnType.STRING:
+            if fixed:
+                parts.append(_fixed_width_part(fixed))
+                fixed = []
+            parts.append(_string_part(index, helpers[f"e{position}"]))
+        else:
+            fixed.append((index, _int_codes if ctype is ColumnType.INT64
+                          else _float_codes, column.ascending))
+    if fixed:
+        parts.append(_fixed_width_part(fixed))
+    return parts
+
+
+def _make_batch_encoder(parts: list | None,
+                        encode: Callable[[tuple], bytes]) -> Callable:
+    """``rows -> keys`` equal to ``list(map(encode, rows))``, built from
+    per-column ``parts`` (``None``: the spec has a column only the
+    per-row encoder handles)."""
+
+    def encode_batch(rows: list) -> list[bytes]:
+        if parts is None or len(rows) < BATCH_MIN_ROWS:
+            return list(map(encode, rows))
+        pieces = []
+        for part in parts:
+            piece = part(rows)
+            if piece is None:
+                return list(map(encode, rows))
+            pieces.append(piece)
+        if len(pieces) == 1:
+            return pieces[0]
+        if len(pieces) == 2:
+            return list(map(add, *pieces))
+        return list(map(b"".join, zip(*pieces)))
+
+    return encode_batch
+
+
 class KeyCodec:
     """A compiled order-preserving key encoder for one sort spec.
 
@@ -208,21 +362,27 @@ class KeyCodec:
             descending-numeric), whose C-level comparisons the encoding
             cannot beat — and which the vectorized batch paths rely on.
         encode: ``row -> bytes``; keys compare with plain ``<``.
+        encode_batch: ``rows -> list[bytes]``, equal element for element
+            to ``list(map(encode, rows))`` and raising the same errors,
+            at a fraction of the per-row cost on numeric and string
+            columns (see the module docstring).
     """
 
-    __slots__ = ("columns", "preferred", "encode")
+    __slots__ = ("columns", "preferred", "encode", "encode_batch")
 
     def __init__(self, columns, preferred: bool,
-                 encode: Callable[[tuple], bytes]):
+                 encode: Callable[[tuple], bytes],
+                 encode_batch: Callable[[list], list[bytes]]):
         self.columns = columns
         self.preferred = preferred
         self.encode = encode
+        self.encode_batch = encode_batch
 
     def decode(self, key: bytes) -> tuple:
         """Unsupported by design — see the module docstring."""
         raise NotImplementedError(
-            "whole binary sort keys are one-way by design; only a numeric "
-            "leading column's 8-byte prefix decodes (leading_value_decoder)")
+            "whole binary sort keys are one-way by design; only the "
+            "leading column decodes (leading_value_decoder)")
 
     def __repr__(self) -> str:
         clause = ", ".join(str(column) for column in self.columns)
@@ -255,8 +415,10 @@ def _compile(schema: Schema, columns) -> KeyCodec:
     # One generated function, one expression: per-row cost is the
     # column arithmetic plus a single bytes concatenation — no closure
     # dispatch, no join over a generator.  OverflowError can only come
-    # from an out-of-range INT64 (the float/date/bool helpers raise
-    # KeyEncodingError themselves).
+    # from an out-of-range INT64; TypeError and AttributeError from an
+    # INT64 column holding a float (which has no ``to_bytes``), a
+    # string or ``None``, or from an unhashable string-column value.
+    # The float/date/bool helpers raise KeyEncodingError themselves.
     source = (
         "def encode(row):\n"
         "    try:\n"
@@ -265,6 +427,10 @@ def _compile(schema: Schema, columns) -> KeyCodec:
         "        raise KeyEncodingError(\n"
         "            f'integer out of int64 range for binary sort "
         "keys: {row!r}') from exc\n"
+        "    except (TypeError, AttributeError) as exc:\n"
+        "        raise KeyEncodingError(\n"
+        "            f'a value of {row!r} does not fit its sort column "
+        "type: {exc}') from exc\n"
     )
     exec(compile(source, "<keycodec>", "exec"), namespace)
     encode = namespace["encode"]
@@ -275,18 +441,30 @@ def _compile(schema: Schema, columns) -> KeyCodec:
     primitive_tuple_key = (
         len(columns) == 1 and not first.nullable
         and (columns[0].ascending or numeric))
+    parts = _batch_parts(schema, columns, namespace)
     return KeyCodec(columns, preferred=not primitive_tuple_key,
-                    encode=encode)
+                    encode=encode,
+                    encode_batch=_make_batch_encoder(parts, encode))
 
 
-def leading_value_decoder(spec: SortSpec) -> Callable[[bytes], float]:
-    """``key -> value`` of ``spec``'s leading column (a non-nullable
-    INT64, FLOAT64 or DECIMAL; not negated for DESC) from a binary key's
-    first 8 bytes.  A shorter key (a hand-made seed) is zero-padded: a
-    key whose prefix reads greater still sorts above it."""
+def leading_value_decoder(spec: SortSpec) -> Callable[[bytes], object]:
+    """``key -> value`` of ``spec``'s leading column from a binary key,
+    for a non-nullable INT64, FLOAT64, DECIMAL or STRING column (not
+    negated for DESC).
+
+    A numeric value comes from the key's first 8 bytes; a shorter key (a
+    hand-made seed) is zero-padded, and a key whose prefix reads greater
+    still sorts above it.  A string is read up to its ``00 00``
+    terminator (complemented first for DESC, each ``00 FF`` back to a
+    NUL); a key cut before its terminator, or holding bytes no encoded
+    string produces, decodes to ``None``.
+    """
     column = spec.columns[0]
+    ctype = spec.schema.column(column.name).type
+    if ctype is ColumnType.STRING:
+        return _string_prefix_decoder(column.ascending)
     flip = 0 if column.ascending else _ALL64
-    integer = spec.schema.column(column.name).type is ColumnType.INT64
+    integer = ctype is ColumnType.INT64
 
     def decode(key: bytes) -> float:
         bits = int.from_bytes(key[:8].ljust(8, b"\0"), "big") ^ flip
@@ -294,6 +472,27 @@ def leading_value_decoder(spec: SortSpec) -> Callable[[bytes], float]:
             return bits - _SIGN
         bits ^= _SIGN if bits & _SIGN else _ALL64
         return _PACK_D.unpack(bits.to_bytes(8, "big"))[0]
+
+    return decode
+
+
+def _string_prefix_decoder(ascending: bool) -> Callable[[bytes], str | None]:
+    def decode(key: bytes) -> str | None:
+        if not ascending:
+            key = key.translate(COMPLEMENT)
+        # An escaped NUL is ``00 FF``, so the first ``00 00`` ends the
+        # string; any other ``00`` before it is no encoding's.
+        end = key.find(b"\x00\x00")
+        if end < 0:
+            return None
+        body = key[:end]
+        if body.count(b"\x00") != body.count(b"\x00\xff"):
+            return None
+        try:
+            return body.replace(b"\x00\xff", b"\x00").decode(
+                "utf-8", "surrogatepass")
+        except UnicodeDecodeError:
+            return None
 
     return decode
 

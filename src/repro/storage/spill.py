@@ -6,11 +6,18 @@ Two interchangeable backends implement the same small interface:
   accounting bytes and requests.  This is the default for experiments: it
   makes multi-million-row simulations fast and deterministic while the cost
   model still charges for every byte "written".
-* :class:`DiskSpillBackend` — writes length-prefixed pages to real
-  temporary files through a :class:`~repro.storage.codec.TypedPageCodec`
-  (see :mod:`repro.storage.codec`).  Used to validate that the
-  abstraction is honest and for workloads that genuinely exceed process
-  memory.
+* :class:`DiskSpillBackend` — writes framed pages to real temporary
+  files through a :class:`~repro.storage.codec.TypedPageCodec` (see
+  :mod:`repro.storage.codec`).  Used to validate that the abstraction is
+  honest and for workloads that genuinely exceed process memory.
+
+A disk page's frame holds the payload's length, a CRC-32 of the payload
+and a CRC-32 of its zone-map peek window.  A scan checks the length
+against the file's page table, the window's checksum before it trusts
+a zone map to skip the rest of the file, and the payload's checksum
+before every decode, so a corrupted page raises
+:class:`~repro.errors.SpillError` naming the file and page instead of
+decoding into wrong rows.
 
 The disk backend does all of its I/O on the calling thread.  Each
 appended page is encoded and written to the file's buffered handle;
@@ -38,6 +45,7 @@ import os
 import struct
 import tempfile
 import time
+import zlib
 from collections import deque
 from itertools import islice
 from typing import Callable, Iterator, Sequence
@@ -49,12 +57,14 @@ from repro.storage.codec import (TypedPageCodec, decode_page,
 from repro.storage.pages import DEFAULT_PAGE_BYTES, Page, PageBuilder
 from repro.storage.stats import IOStats
 
-_LENGTH_HEADER = struct.Struct("<Q")
-
 #: Bytes read to peek a page's zone-map header before committing to the
 #: full body read.  Large enough for any realistic pair of boundary
 #: keys; a header overflowing the window is simply not skipped.
 _ZONE_PEEK_BYTES = 4096
+
+#: A disk page's frame: payload length, CRC-32 of the payload, CRC-32 of
+#: its first ``_ZONE_PEEK_BYTES`` (the window a zone-map skip reads).
+_PAGE_FRAME = struct.Struct("<QII")
 
 #: Pages a prefetching scan keeps decoded ahead of the page its consumer
 #: holds.
@@ -285,7 +295,10 @@ class _DiskSpillFile(SpillFile):
         encoded = time.perf_counter()
         stats.encode_seconds += encoded - started
         stats.bytes_encoded += len(payload)
-        blob = _LENGTH_HEADER.pack(len(payload)) + payload
+        view = memoryview(payload)
+        peek_crc = zlib.crc32(view[:_ZONE_PEEK_BYTES])
+        crc = zlib.crc32(view[_ZONE_PEEK_BYTES:], peek_crc)
+        blob = _PAGE_FRAME.pack(len(payload), crc, peek_crc) + payload
         try:
             self._handle.write(blob)
         except (OSError, ValueError) as exc:  # ValueError: closed handle
@@ -308,30 +321,53 @@ class _DiskSpillFile(SpillFile):
     def supports_lazy(self) -> bool:
         return self._codec.late_materialization
 
+    def _where(self, index: int) -> str:
+        return (f"page {index} at byte offset {self._page_offsets[index]} "
+                f"of {self._path}")
+
+    def _read_frame(self, handle, index: int) -> tuple[int, int, int]:
+        """Read page ``index``'s frame: ``(length, crc, peek_crc)``."""
+        frame = handle.read(_PAGE_FRAME.size)
+        if len(frame) != _PAGE_FRAME.size:
+            raise SpillError(f"truncated page header ({self._where(index)})")
+        length, crc, peek_crc = _PAGE_FRAME.unpack(frame)
+        end = (self._page_offsets[index + 1]
+               if index + 1 < len(self._page_offsets)
+               else self._bytes_on_disk)
+        if length != end - self._page_offsets[index] - _PAGE_FRAME.size:
+            raise SpillError(f"corrupted page header: length {length} "
+                             f"disagrees with the page table "
+                             f"({self._where(index)})")
+        return length, crc, peek_crc
+
+    def _verify(self, data: bytes, crc: int, index: int, what: str) -> None:
+        actual = zlib.crc32(data)
+        if actual != crc:
+            raise SpillError(
+                f"spill {what} checksum mismatch: stored {crc:#010x}, "
+                f"computed {actual:#010x} ({self._where(index)})")
+
     def _load_pages(self, start_page: int = 0,
                     cutoff: bytes | None = None) -> Iterator[Page]:
         stats = self._stats
         lazy = self.lazy_reads
-        index = start_page
         with open(self._path, "rb") as handle:
-            if start_page:
-                if start_page >= len(self._page_offsets):
-                    return
+            if start_page < len(self._page_offsets):
                 handle.seek(self._page_offsets[start_page])
-            while True:
+            for index in range(start_page, len(self._page_offsets)):
                 started = time.perf_counter()
-                header = handle.read(_LENGTH_HEADER.size)
-                if not header:
-                    return
-                if len(header) != _LENGTH_HEADER.size:
-                    raise SpillError(f"truncated page header in {self._path}")
-                (length,) = _LENGTH_HEADER.unpack(header)
+                length, crc, peek_crc = self._read_frame(handle, index)
                 if cutoff is not None:
                     # Peek only the zone-map section before committing to
                     # the body read: the first skipped page costs at most
                     # the peek window, every later page costs nothing —
                     # they are never read off disk at all.
-                    peek = handle.read(min(length, _ZONE_PEEK_BYTES))
+                    window = min(length, _ZONE_PEEK_BYTES)
+                    peek = handle.read(window)
+                    if len(peek) != window:
+                        raise SpillError(
+                            f"truncated page body ({self._where(index)})")
+                    self._verify(peek, peek_crc, index, "zone-map window")
                     try:
                         zone_map = read_zone_map(peek)
                     except SpillError:
@@ -344,7 +380,7 @@ class _DiskSpillFile(SpillFile):
                         span = (self._bytes_on_disk
                                 - self._page_offsets[index])
                         self._charge_skip(
-                            pages, span - _LENGTH_HEADER.size * pages)
+                            pages, span - _PAGE_FRAME.size * pages)
                         return
                     payload = peek
                     if len(peek) < length:
@@ -353,9 +389,10 @@ class _DiskSpillFile(SpillFile):
                     payload = handle.read(length)
                 stats.stall_seconds += time.perf_counter() - started
                 if len(payload) != length:
-                    raise SpillError(f"truncated page body in {self._path}")
+                    raise SpillError(
+                        f"truncated page body ({self._where(index)})")
+                self._verify(payload, crc, index, "page")
                 yield self._decode_payload(payload, index, lazy)
-                index += 1
 
     def _decode_payload(self, payload: bytes, index: int,
                         lazy: bool) -> Page:
@@ -368,9 +405,7 @@ class _DiskSpillFile(SpillFile):
             else:
                 page, undecoded = decode_page(payload), 0
         except SpillError as exc:
-            raise SpillError(
-                f"{exc} (page {index} at byte offset "
-                f"{self._page_offsets[index]} of {self._path})") from exc
+            raise SpillError(f"{exc} ({self._where(index)})") from exc
         stats.decode_seconds += time.perf_counter() - started
         stats.bytes_decoded += len(payload) - undecoded
         if undecoded:
@@ -384,13 +419,12 @@ class _DiskSpillFile(SpillFile):
                 f"{self.file_id} ({self.page_count} pages)")
         with open(self._path, "rb") as handle:
             handle.seek(self._page_offsets[index])
-            header = handle.read(_LENGTH_HEADER.size)
-            if len(header) != _LENGTH_HEADER.size:
-                raise SpillError(f"truncated page header in {self._path}")
-            (length,) = _LENGTH_HEADER.unpack(header)
+            length, crc, _peek_crc = self._read_frame(handle, index)
             payload = handle.read(length)
             if len(payload) != length:
-                raise SpillError(f"truncated page body in {self._path}")
+                raise SpillError(
+                    f"truncated page body ({self._where(index)})")
+        self._verify(payload, crc, index, "page")
         return self._decode_payload(payload, index, lazy=False)
 
     def _discard(self) -> None:

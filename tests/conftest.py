@@ -5,10 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.rows.schema import single_key_schema
 from repro.rows.sortspec import SortSpec
 from repro.storage.spill import SpillManager
+
+#: ``pytest --hypothesis-profile=ci``: property tests that leave
+#: ``max_examples`` to the profile (the batch key encoder's among them)
+#: run ten times the default examples, with no deadline.
+settings.register_profile("ci", max_examples=1_000, deadline=None)
 
 
 @pytest.fixture

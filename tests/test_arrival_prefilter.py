@@ -2,15 +2,20 @@
 
 A binary-key top-k whose leading ORDER BY column is a non-nullable
 numeric one tests that column in numpy against the bound's leading value
-before it encodes a row (``repro.core.cutoff.leading_column_prefilter``).
-These tests hold it to the oracle where the codec's order and numpy's
-disagree (NaN, ``-0.0``, infinities, heavy ties), check that it engages
-in every regime and in the pushed-down join filter, and cover sort keys
-that float64 cannot hold.
+before it encodes a row (``repro.core.cutoff.leading_column_prefilter``);
+a non-nullable string one compares the native strings.  These tests hold
+it to the oracle where the codec's order and numpy's disagree (NaN,
+``-0.0``, infinities, heavy ties), hold the string form to a run with
+the prefilter off (NUL and non-BMP strings, ties at the bound, seeds cut
+before their terminator), check that it engages in every regime and in
+the pushed-down join filter, and cover sort keys that float64 cannot
+hold.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -161,18 +166,24 @@ def test_seed_shorter_than_the_leading_prefix(ascending, run_generation):
 
 
 class _EncoderCalls:
-    """Counts calls of the memoized codec of ``spec`` while installed."""
+    """Counts the rows the memoized codec of ``spec`` encodes, one at a
+    time or in batches, while installed."""
 
     def __init__(self, spec: SortSpec, monkeypatch):
         codec = compile_keycodec(spec)
-        encode = codec.encode
+        encode, encode_batch = codec.encode, codec.encode_batch
         self.calls = 0
 
         def counting(row):
             self.calls += 1
             return encode(row)
 
+        def counting_batch(rows):
+            self.calls += len(rows)
+            return encode_batch(rows)
+
         monkeypatch.setattr(codec, "encode", counting)
+        monkeypatch.setattr(codec, "encode_batch", counting_batch)
 
 
 def _random_rows(n: int = 100_000) -> list[tuple]:
@@ -214,6 +225,183 @@ def test_pushdown_filter_spares_most_arrivals_the_encoder(monkeypatch):
     (pushdown,) = _nodes(result.plan, CutoffPushdownFilter)
     assert pushdown.rows_dropped > 0.9 * pushdown.rows_in
     assert encoder.calls < 0.1 * pushdown.rows_in
+
+
+# -- string-led ORDER BY --------------------------------------------------
+
+NAMES = ("", "\x00", "\x00\x00", "a", "a\x00", "a\x00b", "ab", "müller",
+         "\U0001f600", "\U0010ffff")
+STRINGS = Schema([Column("S", ColumnType.STRING),
+                  Column("ID", ColumnType.INT64),
+                  Column("FK", ColumnType.INT64)])
+
+
+def _string_rows(n: int = 6_000) -> list[tuple]:
+    """Ten names, NUL-bearing and non-BMP ones among them, about 600 rows
+    each, so every bound ties with hundreds of rows."""
+    rng = np.random.default_rng(41)
+    picks = rng.integers(0, len(NAMES), size=n).tolist()
+    order = rng.permutation(n).tolist()
+    return [(NAMES[pick], ident, ident % 10)
+            for pick, ident in zip(picks, order)]
+
+
+def _string_spec(ascending: bool) -> SortSpec:
+    return SortSpec(STRINGS, [SortColumn("S", ascending=ascending),
+                              SortColumn("ID")])
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+def test_leading_string_decodes_to_the_encoded_value(ascending):
+    spec = _string_spec(ascending)
+    encode = compile_keycodec(spec).encode
+    decode = leading_value_decoder(spec)
+    for name in NAMES + ("\ud800", "z" * 300):
+        key = encode((name, 7, 0))
+        assert decode(key) == name
+        # Cut anywhere before the end of its terminator, the string part
+        # does not decode.
+        string_bytes = len(key) - 8
+        for cut in range(string_bytes):
+            assert decode(key[:cut]) is None
+    flip = (lambda data: data) if ascending else (
+        lambda data: bytes(255 - byte for byte in data))
+    assert decode(flip(b"a\x00\x01b\x00\x00")) is None  # no such escape
+    assert decode(flip(b"\xff\x00\x00")) is None  # not UTF-8
+
+
+def _prefilter_drops(operator: HistogramTopK) -> list[int]:
+    """Install a counter of the rows ``operator``'s prefilter drops."""
+    keep, dropped = operator._prefilter, [0]
+
+    def counting(*args):
+        flags = keep(*args)
+        if flags is not None:
+            dropped[0] += flags.count(False)
+        return flags
+
+    operator._prefilter = counting
+    return dropped
+
+
+def _all_counters(operator: HistogramTopK) -> tuple:
+    stats = dataclasses.asdict(operator.stats)
+    io = {name: value for name, value in stats.pop("io").items()
+          if not name.endswith("seconds")}
+    return (stats, io, dataclasses.asdict(operator.cutoff_filter.stats),
+            operator.cutoff_trace)
+
+
+def _with_and_without_prefilter(spec, rows, limit, memory_rows, **options):
+    """``(output, counters)`` with the prefilter on, the same with it
+    off, and the rows the prefilter dropped."""
+    runs = []
+    for prefilter in (True, False):
+        operator = HistogramTopK(spec, limit, memory_rows, trace_cutoff=True,
+                                 **options)
+        assert operator._prefilter is not None
+        if prefilter:
+            dropped = _prefilter_drops(operator)
+        else:
+            operator._prefilter = None
+        runs.append((list(operator.execute(rows)), _all_counters(operator)))
+    return runs[0], runs[1], dropped[0]
+
+
+# ``(ascending, limit, memory_rows)``: the priority-queue regime, then the
+# external one; every bound ties with hundreds of rows.
+STRING_LEGS = [(True, 100, 300), (False, 100, 300), (True, 1_200, 300),
+               (False, 1_200, 300), (True, 2_500, 300)]
+
+
+@pytest.mark.parametrize("run_generation",
+                         ["quicksort", "replacement_selection"])
+@pytest.mark.parametrize("ascending,limit,memory_rows", STRING_LEGS)
+def test_string_prefilter_changes_no_row_and_no_counter(
+        ascending, limit, memory_rows, run_generation):
+    rows = _string_rows()
+    spec = _string_spec(ascending)
+    with_prefilter, without, dropped = _with_and_without_prefilter(
+        spec, rows, limit, memory_rows, run_generation=run_generation)
+    assert with_prefilter == without
+    assert with_prefilter[0] == _oracle(rows, spec, limit)
+    assert dropped > 0
+
+
+def _cut_seed(spec: SortSpec) -> bytes:
+    """The key of the name sorting last, cut one byte before the end of
+    its terminator: it eliminates that name's rows until the filter's
+    own cutoff passes it."""
+    encode = compile_keycodec(spec).encode
+    key = max(encode((name, 0, 0)) for name in NAMES)
+    return key[:len(key) - 9]
+
+
+@pytest.mark.parametrize("run_generation",
+                         ["quicksort", "replacement_selection"])
+@pytest.mark.parametrize("ascending", [True, False])
+def test_string_seed_cut_before_its_terminator(ascending, run_generation):
+    """The prefilter cannot read a seed whose string has no terminator; it
+    waits for the filter's own cutoff and still changes nothing."""
+    rows = _string_rows()
+    spec = _string_spec(ascending)
+    seed = _cut_seed(spec)
+    assert leading_value_decoder(spec)(seed) is None
+    with_prefilter, without, dropped = _with_and_without_prefilter(
+        spec, rows, 1_200, 300, run_generation=run_generation,
+        cutoff_seed=seed)
+    assert with_prefilter == without
+    assert with_prefilter[0] == _oracle(rows, spec, 1_200)
+    assert without[1][2]["rows_eliminated_by_seed"] > 0
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("ascending,limit", [(True, 100), (False, 100),
+                                             (True, 1_200), (False, 1_200)])
+def test_string_prefilter_in_the_pushdown_filter(ascending, limit,
+                                                 monkeypatch):
+    rows = _string_rows()
+    dim = [(j, 100 + j) for j in range(10)]
+    direction = "" if ascending else " DESC"
+    sql = (f"SELECT * FROM S JOIN D ON S.FK = D.DK "
+           f"ORDER BY S.S{direction}, S.ID LIMIT {limit}")
+    runs = []
+    for prefilter in (True, False):
+        if not prefilter:
+            # ``repro.core.topk`` the attribute is the function of that
+            # name; the module is in the import system.
+            for name in ("repro.core.topk", "repro.engine.planner"):
+                monkeypatch.setattr(importlib.import_module(name),
+                                    "leading_column_prefilter",
+                                    lambda spec, binary: None)
+        db = Database(memory_rows=300)
+        db.planner.pushdown = True
+        db.register_table("S", STRINGS, rows)
+        db.register_table("D", DIM, dim)
+        result = db.sql(sql)
+        (pushdown,) = _nodes(result.plan, CutoffPushdownFilter)
+        assert (pushdown.prefilter is not None) == prefilter
+        runs.append((result.rows, pushdown.rows_in, pushdown.rows_dropped,
+                     dataclasses.asdict(pushdown.stats),
+                     dataclasses.asdict(result.stats)))
+    assert runs[0] == runs[1]
+    expected = [row + dim[row[2]]
+                for row in _oracle(rows, _string_spec(ascending), limit)]
+    assert runs[0][0] == expected
+    assert runs[0][2] > 0
+
+
+def test_string_prefilter_spares_most_arrivals_the_encoder(monkeypatch):
+    rng = np.random.default_rng(43)
+    names = [f"customer-{i:02d}" for i in range(64)]
+    rows = [(names[pick], ident, 0) for ident, pick in
+            enumerate(rng.integers(0, 64, size=100_000).tolist())]
+    spec = _string_spec(True)
+    expected = _oracle(rows, spec, 100)
+    encoder = _EncoderCalls(spec, monkeypatch)
+    operator = HistogramTopK(spec, 100, 1_000)
+    assert list(operator.execute(rows)) == expected
+    assert encoder.calls < 0.1 * len(rows)
 
 
 # -- sort keys beyond float64 --------------------------------------------

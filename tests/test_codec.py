@@ -427,12 +427,12 @@ class TestZoneMapCorruption:
                     Page(rows=[(value,)], byte_size=16))
             spill_file.seal()
             # Corrupt the second page's row count in place (the field
-            # after the 8-byte length header, version byte and stated
-            # size).
+            # after the 16-byte page frame, version byte and stated
+            # size); the page's checksum catches it.
             path = spill_file._path
             offset = spill_file._page_offsets[1]
             with open(path, "r+b") as handle:
-                handle.seek(offset + 8 + 5)
+                handle.seek(offset + 16 + 5)
                 handle.write(b"\xff\xff\xff\xff")
             assert spill_file.read_page(0).rows == [(0,)]  # still fine
             with pytest.raises(SpillError,

@@ -8,6 +8,10 @@ cutoff filter, histograms, merging) only ever compares keys, so this
 single property is what makes OVC engines byte-identical to tuple-key
 engines.
 
+The batch form ``KeyCodec.encode_batch`` is held to the per-row
+encoder: the same keys element for element, and the same error for a
+value its column type cannot hold.
+
 Offset-value codes get their own invariants: a code of zero exactly means
 equal-to-base, codes computed against a common base reconstruct the
 comparison verdict, codes along a sorted run (relative to the run's
@@ -24,10 +28,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.session import Database
 from repro.errors import KeyEncodingError
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
-from repro.sorting.keycodec import compile_keycodec
+from repro.sorting.keycodec import BATCH_MIN_ROWS, compile_keycodec
 from repro.sorting.merge import merge_keyed
 from repro.sorting.ovc import (
     INITIAL_CODE,
@@ -109,6 +114,150 @@ def test_sorting_by_encoded_key_matches_tuple_sort(case):
     encode = compile_keycodec(spec).encode
     # Stable sorts + order isomorphism => identical permutations.
     assert sorted(rows, key=encode) == sorted(rows, key=spec.key)
+
+
+# -- the batch form -------------------------------------------------------
+
+#: Values of each column's own type that the batch form must transform
+#: as the per-row encoder does: NaN and zeros of both signs, the int64
+#: bounds, bools in INT64, NUL, non-ASCII and non-BMP strings.
+_BATCH_SPECIALS = {
+    ColumnType.INT64: [-2**63, 2**63 - 1, 0, -1, True, False],
+    ColumnType.FLOAT64: [math.nan, -math.nan, 0.0, -0.0, math.inf,
+                         -math.inf],
+    ColumnType.DECIMAL: [math.nan, -0.0, 5e-324],
+    ColumnType.STRING: ["", "\x00", "a\x00", "müller", "\U0001f600",
+                        "\ud800"],
+    ColumnType.DATE: [datetime.date.min, datetime.date.max],
+    ColumnType.BOOL: [True, False],
+}
+_BATCH_VALUES = {**_VALUES, ColumnType.DECIMAL: _FLOATS}
+#: Values of another type that a column still encodes (ints, exact or
+#: not, in float columns) or rejects: the batch falls back to its rows.
+_ODD_VALUES = {
+    ColumnType.INT64: [1.5, "7", None, 2**63],
+    ColumnType.FLOAT64: [3, 2**53, 2**53 + 1, True, "1.5"],
+    ColumnType.DECIMAL: [7, -2**40, 2**53 + 1],
+    ColumnType.STRING: [5, b"x"],
+    ColumnType.DATE: [datetime.datetime(2020, 1, 1)],
+    ColumnType.BOOL: [1],
+}
+
+
+@st.composite
+def spec_and_batch(draw):
+    """A spec over 1-3 columns of any type (nullable one time in four)
+    and a batch on either side of the batch form's break-even size,
+    drawn with repeats from a few distinct rows, as ORDER BY strings
+    repeat; one example in four holds a value of another type."""
+    count = draw(st.integers(1, 3))
+    types = [draw(st.sampled_from(_TYPES)) for _ in range(count)]
+    nullable = [draw(st.integers(0, 3)) == 0 for _ in range(count)]
+    schema = Schema([Column(f"c{i}", types[i], nullable=nullable[i])
+                     for i in range(count)])
+    spec = SortSpec(schema, [SortColumn(f"c{i}", ascending=draw(
+        st.booleans())) for i in range(count)])
+
+    def value(i):
+        if nullable[i] and draw(st.integers(0, 4)) == 0:
+            return None
+        return draw(_BATCH_VALUES[types[i]]
+                    | st.sampled_from(_BATCH_SPECIALS[types[i]]))
+
+    pool = [[value(i) for i in range(count)]
+            for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.integers(0, 3)) == 0:
+        column = draw(st.integers(0, count - 1))
+        pool[draw(st.integers(0, len(pool) - 1))][column] = draw(
+            st.sampled_from(_ODD_VALUES[types[column]]))
+    size = draw(st.integers(0, BATCH_MIN_ROWS - 1)
+                | st.integers(BATCH_MIN_ROWS, 3 * BATCH_MIN_ROWS))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size,
+                          max_size=size))
+    return spec, [tuple(pool[pick]) for pick in picks]
+
+
+def _outcome(encode_rows, rows):
+    """The keys, or the error's type and message."""
+    try:
+        return encode_rows(rows)
+    except Exception as exc:  # compared with the other encoder's
+        return type(exc), str(exc)
+
+
+@given(spec_and_batch())
+@settings(deadline=None)
+def test_batch_encoding_equals_per_row_encoding(case):
+    spec, rows = case
+    codec = compile_keycodec(spec)
+    per_row = _outcome(lambda batch: list(map(codec.encode, batch)), rows)
+    assert _outcome(codec.encode_batch, rows) == per_row
+
+
+#: ``(column type, value)`` pairs the column type cannot hold.
+_MISTYPED = [
+    (ColumnType.INT64, 1.5), (ColumnType.INT64, 3.0),
+    (ColumnType.INT64, "7"), (ColumnType.INT64, None),
+    (ColumnType.INT64, 2**63), (ColumnType.INT64, -2**63 - 1),
+    (ColumnType.FLOAT64, "1.5"), (ColumnType.FLOAT64, None),
+    (ColumnType.FLOAT64, 2**53 + 1), (ColumnType.DECIMAL, "2"),
+    (ColumnType.STRING, 5), (ColumnType.STRING, None),
+    (ColumnType.STRING, b"x"), (ColumnType.STRING, ["a"]),
+    (ColumnType.DATE, "2020-01-01"),
+    (ColumnType.DATE, datetime.datetime(2020, 1, 1)),
+    (ColumnType.BOOL, 1),
+]
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+@pytest.mark.parametrize(
+    "ctype,value", _MISTYPED,
+    ids=[f"{ctype.name}-{value!r}" for ctype, value in _MISTYPED])
+def test_mistyped_value_raises_key_encoding_error(ctype, value, ascending):
+    schema = Schema([Column("v", ctype), Column("id", ColumnType.INT64)])
+    codec = compile_keycodec(SortSpec(
+        schema, [SortColumn("v", ascending=ascending), "id"]))
+    with pytest.raises(KeyEncodingError):
+        codec.encode((value, 1))
+    good = _BATCH_SPECIALS[ctype][0]
+    for size in (1, 2 * BATCH_MIN_ROWS):
+        rows = [(good, i) for i in range(size)]
+        rows[size // 2] = (value, 0)
+        with pytest.raises(KeyEncodingError):
+            codec.encode_batch(rows)
+
+
+def test_mistyped_int_sort_value_through_sql():
+    schema = Schema([Column("A", ColumnType.INT64),
+                     Column("B", ColumnType.STRING)])
+    db = Database(memory_rows=100)
+    db.register_table("T", schema, [(1, "x"), (1.5, "y"), (2, "z")])
+    with pytest.raises(KeyEncodingError):
+        db.sql("SELECT * FROM T ORDER BY B DESC, A LIMIT 2")
+
+
+@pytest.mark.parametrize("ascending", [True, False])
+def test_batch_form_canonicalizes_nan_and_negative_zero(ascending):
+    schema = Schema([Column("f", ColumnType.FLOAT64),
+                     Column("d", ColumnType.DECIMAL)])
+    codec = compile_keycodec(SortSpec(schema, [
+        SortColumn("f", ascending=ascending),
+        SortColumn("d", ascending=ascending)]))
+    values = [math.nan, -math.nan, 0.0, -0.0, math.inf, -math.inf, 1.5,
+              -1.5]
+    rows = [(first, second) for first in values for second in values]
+    assert len(rows) >= BATCH_MIN_ROWS
+    assert codec.encode_batch(rows) == list(map(codec.encode, rows))
+
+
+def test_batch_keys_keep_trailing_zero_bytes():
+    """An 8-byte code ending in zero bytes (``-2**63`` ascending is all
+    zeros) stays 8 bytes long in the batch form."""
+    schema = Schema([Column("a", ColumnType.INT64),
+                     Column("b", ColumnType.INT64)])
+    codec = compile_keycodec(SortSpec(schema, ["a", "b"]))
+    rows = [(-2**63, -2**63)] * BATCH_MIN_ROWS
+    assert codec.encode_batch(rows) == [bytes(16)] * BATCH_MIN_ROWS
 
 
 # -- directed edge cases --------------------------------------------------
