@@ -28,7 +28,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import ge, gt, itemgetter, le, lt
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.histogram import Bucket
 from repro.errors import ConfigurationError
@@ -285,43 +285,64 @@ class CutoffFilter:
                 self.on_refine(key)
 
     def insert(self, bucket: Bucket) -> None:
-        """Add one histogram bucket and re-derive the cutoff key.
+        """Add one histogram bucket and re-derive the cutoff key: the
+        one-bucket case of :meth:`insert_sorted`, without its stop rule."""
+        self.insert_sorted((bucket.boundary_key,), bucket.size, stop=False)
 
-        This is the whole update step: push, then pop while the remaining
-        buckets still cover ``k`` rows, then (maybe) consolidate.
+    def insert_sorted(self, boundaries: Sequence, size: int,
+                      stop: bool = True) -> int:
+        """Add buckets of ``size`` rows bounded by ``boundaries`` (non-
+        decreasing), in order; return how many went in.
+
+        This is the whole update step, per bucket: push, then pop while
+        the remaining buckets still cover ``k`` rows, then (maybe)
+        consolidate.  With ``stop``, the first boundary above the cutoff
+        live when it arrives is refused, and so is every later one.  A
+        sorted run piece's boundaries arrive this way (the paper's
+        ``rowSpilled``, Algorithm 1 line 13, for each histogram boundary
+        the piece crosses); a refused boundary is where the spill-time
+        re-check truncates the run.
         """
-        if bucket.size <= 0:
+        if size <= 0:
             raise ConfigurationError("bucket size must be positive")
-        self._seq += 1
-        queue = self._queue
-        insort(queue, (bucket.boundary_key, -self._seq, bucket.size))
-        self._coverage += bucket.size
-        self.stats.buckets_inserted += 1
+        k = self.k
+        stats = self.stats
+        capacity = self.bucket_capacity
+        inserted = 0
+        for key in boundaries:
+            cutoff = self._cutoff
+            if stop and cutoff is not None and key > cutoff:
+                break
+            inserted += 1
+            self._seq += 1
+            queue = self._queue
+            insort(queue, (key, -self._seq, size))
+            self._coverage += size
+            stats.buckets_inserted += 1
 
-        # Sharpen: drop the largest boundaries while coverage allows.
-        while queue and self._coverage - queue[-1][2] >= self.k:
-            self._coverage -= queue.pop()[2]
-            self.stats.buckets_popped += 1
+            # Sharpen: drop the largest boundaries while coverage allows.
+            while self._coverage - queue[-1][2] >= k:
+                self._coverage -= queue.pop()[2]
+                stats.buckets_popped += 1
 
-        if self._coverage >= self.k:
-            new_cutoff = queue[-1][0]
-            if self._cutoff is None or new_cutoff < self._cutoff:
-                if self._cutoff is None and \
-                        logger.isEnabledFor(logging.DEBUG):
-                    logger.debug(
-                        "cutoff established at %r after %d buckets "
-                        "(coverage %d >= k=%d)", new_cutoff,
-                        self.stats.buckets_inserted, self._coverage,
-                        self.k)
-                self._cutoff = new_cutoff
-                self._cutoff_from_seed = False
-                self.stats.refinements += 1
-                if self.on_refine is not None:
-                    self.on_refine(new_cutoff)
+            if self._coverage >= k:
+                new_cutoff = queue[-1][0]
+                if cutoff is None or new_cutoff < cutoff:
+                    if cutoff is None and \
+                            logger.isEnabledFor(logging.DEBUG):
+                        logger.debug(
+                            "cutoff established at %r after %d buckets "
+                            "(coverage %d >= k=%d)", new_cutoff,
+                            stats.buckets_inserted, self._coverage, k)
+                    self._cutoff = new_cutoff
+                    self._cutoff_from_seed = False
+                    stats.refinements += 1
+                    if self.on_refine is not None:
+                        self.on_refine(new_cutoff)
 
-        if (self.bucket_capacity is not None
-                and len(self._queue) > self.bucket_capacity):
-            self._consolidate()
+            if capacity is not None and len(queue) > capacity:
+                self._consolidate()
+        return inserted
 
     def _consolidate(self) -> None:
         """Collapse all buckets into one (Section 5.1.2).

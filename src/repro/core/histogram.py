@@ -14,8 +14,9 @@ to sort at or below the tracked boundaries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.core.policies import SizingPolicy
 
@@ -31,15 +32,25 @@ class Bucket:
         return f"Bucket(≤{self.boundary_key!r} ×{self.size})"
 
 
+def first_above_cutoff(keys: list, start: int, stop: int, check: Any) -> int:
+    """First position in the sorted ``keys[start:stop]`` above ``check``'s
+    cutoff (``check`` may be ``None``), else ``stop``."""
+    cutoff = None if check is None else check.cutoff_key
+    if cutoff is None:
+        return stop
+    return bisect_right(keys, cutoff, start, stop)
+
+
 class RunHistogramBuilder:
     """Builds a histogram incrementally from one run's spilled rows.
 
     The builder is fed every written row — one at a time via :meth:`add`
     (replacement selection wires it to the run writer's ``on_spill``
-    hook), or a sorted segment at a time via :meth:`extend` (load-sort-
-    store ends each segment where :meth:`rows_to_bucket` says the next
-    bucket falls) — and emits finished buckets to ``sink``, in practice
-    :meth:`repro.core.cutoff.CutoffFilter.insert`.
+    hook), or a sorted run piece at a time via :meth:`extend` (load-sort-
+    store) — and emits finished buckets: :meth:`add` one at a time to
+    ``sink``, in practice :meth:`repro.core.cutoff.CutoffFilter.insert`,
+    and :meth:`extend` all of a piece's in one call to ``insert_sorted``,
+    in practice :meth:`repro.core.cutoff.CutoffFilter.insert_sorted`.
 
     Args:
         policy: Sizing policy deciding the bucket stride and cap.
@@ -47,7 +58,9 @@ class RunHistogramBuilder:
             from which the policy derives the stride (Section 5.1.2: "a
             best effort is made to decide the target number of histogram
             buckets collected from each run").
-        sink: Receiver of emitted :class:`Bucket` objects.
+        sink: Receiver of the :class:`Bucket` objects :meth:`add` emits.
+        insert_sorted: ``(boundaries, size, stop) -> count``, the receiver
+            of :meth:`extend`'s buckets (needed only by :meth:`extend`).
     """
 
     def __init__(
@@ -55,8 +68,10 @@ class RunHistogramBuilder:
         policy: SizingPolicy,
         expected_run_rows: int,
         sink: Callable[[Bucket], None],
+        insert_sorted: Callable[[Sequence, int, bool], int] | None = None,
     ):
         self._sink = sink
+        self._insert_sorted = insert_sorted
         self._stride = policy.stride(expected_run_rows)
         self._cap = policy.max_buckets(expected_run_rows)
         self._rows_since_boundary = 0
@@ -79,29 +94,48 @@ class RunHistogramBuilder:
             self._rows_since_boundary = 0
             self._emitted += 1
 
-    def rows_to_bucket(self) -> int | None:
-        """Spilled rows until the next bucket is emitted, counting the row
-        that emits it; ``None`` when this run emits no more buckets."""
-        if self._stride is None or (self._cap is not None
-                                    and self._emitted >= self._cap):
-            return None
-        return self._stride - self._rows_since_boundary
+    def extend(self, keys: list, start: int, stop: int,
+               check: Any = None) -> int:
+        """Record the sorted run piece keyed ``keys[start:stop]`` and
+        return where its run ends: ``stop``, or the first row above the
+        cutoff.
 
-    def extend(self, keys: list, start: int, stop: int) -> None:
-        """Record the spilled rows keyed ``keys[start:stop]``: :meth:`add`
-        for each key in turn, emitting every bucket whose boundary the
-        segment crosses."""
-        while start < stop:
-            step = self.rows_to_bucket()
-            if step is None:
-                return
-            if start + step > stop:
-                self._rows_since_boundary += stop - start
-                return
-            start += step
-            self._sink(Bucket(boundary_key=keys[start - 1], size=self._stride))
+        The boundaries the piece crosses (every ``stride``-th key, within
+        the cap) go to ``insert_sorted`` in one call.  ``check`` is the
+        spill filter re-checked while the piece is written, or ``None``;
+        it must be the filter those buckets sharpen.  With it, the call
+        refuses the first boundary above the live cutoff, and the run
+        ends inside that boundary's segment; when every boundary went
+        in, it ends in the rows after the last one, against the cutoff
+        they left.  Either way one ``bisect_right`` finds the end: a
+        sorted segment's boundary is its largest key, so it is above the
+        cutoff exactly when some row of the segment is.  Without
+        ``check`` every boundary goes in and nothing is cut.
+        """
+        stride = self._stride
+        capped = self._cap is not None and self._emitted >= self._cap
+        if stride is None or capped:
+            return first_above_cutoff(keys, start, stop, check)
+        first = start + stride - 1 - self._rows_since_boundary
+        end = stop
+        if self._cap is not None:
+            end = min(stop, first + (self._cap - self._emitted) * stride)
+        boundaries = keys[first:end:stride]
+        inserted = (self._insert_sorted(boundaries, stride, check is not None)
+                    if boundaries else 0)
+        self._emitted += inserted
+        # The rows after the last boundary that went in: a refused
+        # boundary's segment, or the piece's tail.
+        segment = start
+        if inserted:
+            segment = first + (inserted - 1) * stride + 1
             self._rows_since_boundary = 0
-            self._emitted += 1
+        cut = first_above_cutoff(
+            keys, segment, first + inserted * stride + 1
+            if inserted < len(boundaries) else stop, check)
+        if self._cap is None or self._emitted < self._cap:
+            self._rows_since_boundary += cut - segment
+        return cut
 
     def close(self) -> None:
         """Finish the run: the partial tail bucket is discarded."""

@@ -38,7 +38,7 @@ from repro.core.cutoff import (
     _HeapEntry,
     leading_column_prefilter,
 )
-from repro.core.histogram import RunHistogramBuilder
+from repro.core.histogram import Bucket, RunHistogramBuilder
 from repro.core.rank_index import RankIndex
 from repro.core.policies import SizingPolicy, TargetBucketsPolicy
 from repro.errors import ConfigurationError, StaleCutoffSeed
@@ -490,17 +490,30 @@ class HistogramTopK:
             # every bucket in a side index so the merge can skip pages.
             self.rank_index = RankIndex()
 
-        def sink(bucket) -> None:
-            self.cutoff_filter.insert(bucket)
+        def observe(bucket) -> None:
             if self.rank_index is not None:
                 self.rank_index.add_bucket(bucket)
             if self.histogram_sink is not None:
                 self.histogram_sink(bucket)
 
+        def sink(bucket) -> None:
+            self.cutoff_filter.insert(bucket)
+            observe(bucket)
+
+        def insert_sorted(boundaries, size: int, stop: bool) -> int:
+            inserted = self.cutoff_filter.insert_sorted(boundaries, size,
+                                                        stop)
+            if self.rank_index is not None \
+                    or self.histogram_sink is not None:
+                for key in boundaries[:inserted]:
+                    observe(Bucket(boundary_key=key, size=size))
+            return inserted
+
         histogram_builder = RunHistogramBuilder(
             policy=self.sizing_policy,
             expected_run_rows=self.expected_run_rows,
             sink=sink,
+            insert_sorted=insert_sorted,
         )
 
         def on_run_closed(run: SortedRun) -> None:

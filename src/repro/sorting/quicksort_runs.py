@@ -16,22 +16,25 @@ decision equal to a row-at-a-time loop's:
   row that fills the load; the rest of the batch meets the cutoff that
   flush left behind.
 * **Spill (line 11).**  While a sorted load is written, the cutoff moves
-  only when the run histogram emits a bucket.  So the load goes out in
-  segments that end at the next bucket boundary or at the run-size cap,
-  and the re-check of a segment is one ``bisect_right`` for the first key
-  above the cutoff.  Because the load is sorted, that key *truncates* the
-  run: every later row is at least as large and is eliminated wholesale.
-  This reproduces the paper's "Writing run 8 ends immediately after
-  writing the key value equal to or higher than the new cutoff key".
+  only when the run histogram emits a bucket, and a bucket's boundary is
+  the largest key of the rows since the previous one.  So each run piece
+  hands all its boundaries to the cutoff filter in one call, which stops
+  at the first boundary above the live cutoff; one ``bisect_right`` in
+  that boundary's segment (or in the rows after the last boundary) finds
+  the first key above the cutoff.  Because the load is sorted, that key
+  *truncates* the run: every later row is at least as large and is
+  eliminated wholesale.  This reproduces the paper's "Writing run 8 ends
+  immediately after writing the key value equal to or higher than the
+  new cutoff key".
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import compress, islice, repeat
 from operator import le
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.core.histogram import first_above_cutoff
 from repro.errors import ConfigurationError
 from repro.sorting.runs import RunWriter, SortedRun
 from repro.storage.spill import SpillManager
@@ -57,9 +60,10 @@ class QuicksortRunGenerator:
             :class:`~repro.core.cutoff.CutoffFilter`, or anything with a
             ``cutoff_key`` and a ``count_eliminated(rows)``.
         histogram: Optional :class:`~repro.core.histogram.RunHistogramBuilder`
-            fed every written segment (the paper's ``rowSpilled``, line
+            fed every written run piece (the paper's ``rowSpilled``, line
             13) and closed with every run.  Its buckets are what move the
-            cutoff while a load is being written.
+            cutoff while a load is being written, so it must feed the
+            ``spill_filter``.
         on_run_closed: Optional ``SortedRun -> None`` callback as each run
             is sealed.
         memory_bytes: Optional byte budget: a load is flushed at the row
@@ -226,10 +230,10 @@ class QuicksortRunGenerator:
     def _write_load(self, keys: list, rows: list[tuple]) -> None:
         """Write one sorted load as runs of at most ``run_size_limit`` rows.
 
-        Each run piece is first walked in segments within which the
-        cutoff cannot move — a segment ends where the histogram's next
-        bucket falls — re-checking each segment with one bisection and
-        feeding it to the histogram; the piece is then written with one
+        Each run piece goes to the histogram in one
+        :meth:`~repro.core.histogram.RunHistogramBuilder.extend` call,
+        which inserts the buckets it crosses and says where the re-check
+        ends the run; the piece is then written with one
         :meth:`~repro.sorting.runs.RunWriter.write_batch`.  A full piece
         is sealed once the row after it has been re-checked: a load
         eliminated exactly at a run boundary marks the full run
@@ -239,34 +243,18 @@ class QuicksortRunGenerator:
         check = self._spill_filter
         histogram = self._histogram
         limit = self._run_size_limit or n
-
-        def survivors_end(start: int, stop: int) -> int:
-            """First position in ``[start, stop)`` above the cutoff."""
-            cutoff = None if check is None else check.cutoff_key
-            if cutoff is None:
-                return stop
-            return bisect_right(keys, cutoff, start, stop)
-
         position = 0
         cut = n
         while position < n and cut == n:
             piece_end = min(n, position + limit)
-            stop = position
-            while stop < piece_end:
-                end = piece_end
-                if check is not None and histogram is not None:
-                    step = histogram.rows_to_bucket()
-                    if step is not None:
-                        end = min(end, stop + step)
-                survivors = survivors_end(stop, end)
-                if histogram is not None:
-                    histogram.extend(keys, stop, survivors)
-                stop = survivors
-                if survivors < end:
-                    cut = survivors
-                    break
-            if cut == n and stop < n \
-                    and survivors_end(stop, stop + 1) == stop:
+            if histogram is not None:
+                stop = histogram.extend(keys, position, piece_end, check)
+            else:
+                stop = first_above_cutoff(keys, position, piece_end, check)
+            if stop < piece_end:
+                cut = stop
+            elif stop < n and first_above_cutoff(keys, stop, stop + 1,
+                                                 check) == stop:
                 cut = stop
             if stop > position:
                 writer = RunWriter(self._spill_manager, self._next_run_id)

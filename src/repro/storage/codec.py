@@ -77,6 +77,7 @@ import datetime
 import pickle
 import struct
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Any, Callable
 
 from repro.errors import SpillError
@@ -110,9 +111,6 @@ _TYPE_CODES = {
     ColumnType.BOOL: 6,
 }
 _CODE_TYPES = {code: type_ for type_, code in _TYPE_CODES.items()}
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 
 
 class _Fallback(Exception):
@@ -162,6 +160,9 @@ class TypedPageCodec:
                  _COLUMN_ENCODERS[column.type])
                 for column in schema.columns
             ]
+            self._layout = _U16.pack(len(self._encoders)) + b"".join(
+                struct.pack("<BB", code, 1 if nullable else 0)
+                for code, nullable, _encoder in self._encoders)
 
     def encode(self, page: Page) -> bytes:
         rows = page.rows
@@ -198,8 +199,8 @@ class TypedPageCodec:
             return None
         nulls = 0
         if self.null_key_prefix:
-            nulls = sum(1 for key in keys
-                        if key.startswith(self.null_key_prefix))
+            nulls = sum(map(bytes.startswith, keys,
+                            repeat(self.null_key_prefix)))
         return (_U32.pack(nulls) + _U16.pack(len(low)) + low
                 + _U16.pack(len(high)) + high)
 
@@ -212,9 +213,7 @@ class TypedPageCodec:
             # Rows of another arity (a projection upstream, or ragged
             # outside input) would lose or misplace values as columns.
             raise _Fallback
-        parts = [_U16.pack(width)]
-        for code, nullable, _encoder in encoders:
-            parts.append(struct.pack("<BB", code, 1 if nullable else 0))
+        parts = [self._layout]
         columns = list(zip(*rows)) if rows else [()] * width
         for column, (code, nullable, encoder) in zip(columns, encoders):
             if nullable:
@@ -227,15 +226,29 @@ class TypedPageCodec:
 
 def _pack_blobs(blobs) -> bytes:
     """``(n+1) x u32`` end offsets, then the concatenated blobs."""
-    offsets = [0]
-    total = 0
-    for blob in blobs:
-        total += len(blob)
-        offsets.append(total)
-    return struct.pack(f"<{len(offsets)}I", *offsets) + b"".join(blobs)
+    return _pack_offsets(map(len, blobs)) + b"".join(blobs)
+
+
+def _pack_offsets(lengths) -> bytes:
+    """``(n+1) x u32``: 0, then the running sums of the n ``lengths``."""
+    offsets = (0, *accumulate(lengths))
+    return struct.pack(f"<{len(offsets)}I", *offsets)
 
 
 # -- column packers ------------------------------------------------------
+#
+# Each packer encodes a whole column in one pass: one type check over
+# the column's set of value types (exact types: ``struct`` would coerce
+# an ``int`` to a float, a ``bool`` to an int, and an ordinal would drop
+# a ``datetime``'s time of day, so each of those pickles the page
+# instead), then one ``struct.pack``.  The bytes are those of packing
+# the values one at a time.
+
+
+def _require_type(column, kind: type) -> None:
+    """Raise :class:`_Fallback` unless every value's type is ``kind``."""
+    if column and set(map(type, column)) != {kind}:
+        raise _Fallback
 
 
 def _null_bitmap(column) -> bytes:
@@ -247,43 +260,36 @@ def _null_bitmap(column) -> bytes:
 
 
 def _encode_int64(column) -> bytes:
-    for value in column:
-        if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
-            raise _Fallback
-    return struct.pack(f"<{len(column)}q", *column)
+    _require_type(column, int)
+    try:
+        return struct.pack(f"<{len(column)}q", *column)
+    except struct.error:  # beyond int64
+        raise _Fallback from None
 
 
 def _encode_float64(column) -> bytes:
-    # ``struct`` would silently coerce ints to floats; strictness keeps
-    # the round trip type-exact (an int payload falls back to pickle).
-    for value in column:
-        if type(value) is not float:
-            raise _Fallback
+    _require_type(column, float)
     return struct.pack(f"<{len(column)}d", *column)
 
 
 def _encode_string(column) -> bytes:
-    for value in column:
-        if type(value) is not str:
-            raise _Fallback
+    _require_type(column, str)
+    text = "".join(column)
+    if text.isascii():
+        # One character per byte: the offsets are the running lengths.
+        return _pack_offsets(map(len, column)) + text.encode()
     return _pack_blobs([value.encode("utf-8", "surrogatepass")
                         for value in column])
 
 
 def _encode_date(column) -> bytes:
-    # ``datetime.datetime`` is a ``date`` subclass whose time-of-day an
-    # ordinal would silently drop — strict type identity is required.
-    for value in column:
-        if type(value) is not datetime.date:
-            raise _Fallback
+    _require_type(column, datetime.date)
     return struct.pack(f"<{len(column)}i",
-                       *[value.toordinal() for value in column])
+                       *map(datetime.date.toordinal, column))
 
 
 def _encode_bool(column) -> bytes:
-    for value in column:
-        if type(value) is not bool:
-            raise _Fallback
+    _require_type(column, bool)
     return bytes(column)
 
 

@@ -21,14 +21,16 @@ decoding into wrong rows.
 
 The disk backend does all of its I/O on the calling thread.  Each
 appended page is encoded and written to the file's buffered handle;
-``seal()`` closes the handle, which flushes it.  A failed write or flush
-raises :class:`~repro.errors.SpillError` chained to the ``OSError``.  A
-prefetching scan (:meth:`SpillFile.pages` with ``prefetch=True``, which
-every merge scan sets) keeps :data:`READ_AHEAD_PAGES` decoded pages
-ahead of its consumer, so a run scan reaches its zone-map cutoff page
-one window before the merge needs it.  The latency of the paper's
-disaggregated storage is modeled by :mod:`repro.storage.costmodel`
-from the counters, not by overlapping I/O threads.
+``seal()`` closes the handle, which flushes it.  A spill file that cannot
+be created (a missing directory, a full disk, no free descriptor) and a
+failed write or flush raise :class:`~repro.errors.SpillError` chained to
+the ``OSError``.  A prefetching scan (:meth:`SpillFile.pages` with
+``prefetch=True``, which every merge scan sets) keeps
+:data:`READ_AHEAD_PAGES` decoded pages ahead of its consumer, so a run
+scan reaches its zone-map cutoff page one window before the merge needs
+it.  The latency of the paper's disaggregated storage is modeled by
+:mod:`repro.storage.costmodel` from the counters, not by overlapping I/O
+threads.
 
 Accounting stays deterministic: the *accounting* counters
 (``bytes_written``/``bytes_read``/requests/rows) are charged from the
@@ -281,9 +283,19 @@ class _DiskSpillFile(SpillFile):
                  codec: TypedPageCodec):
         super().__init__(file_id, stats)
         self._codec = codec
-        fd, self._path = tempfile.mkstemp(
-            prefix=f"run{file_id:06d}_", suffix=".spill", dir=directory)
-        self._handle = os.fdopen(fd, "wb")
+        try:
+            fd, self._path = tempfile.mkstemp(
+                prefix=f"run{file_id:06d}_", suffix=".spill", dir=directory)
+        except OSError as exc:
+            raise SpillError(f"cannot create a spill file in {directory}: "
+                             f"{exc}") from exc
+        try:
+            self._handle = os.fdopen(fd, "wb")
+        except OSError as exc:
+            os.close(fd)
+            os.unlink(self._path)
+            raise SpillError(f"cannot open spill file {self._path}: "
+                             f"{exc}") from exc
         self._page_offsets: list[int] = []
         self._bytes_on_disk = 0
         self._deleted = False

@@ -130,12 +130,11 @@ class VectorizedHistogramTopK:
         #: ``cutoff_seed`` for a repeat of the same query; ``None`` when
         #: the output fell short.  Mirrors the row engine's attribute.
         self.final_cutoff: float | None = None
-        if buckets_per_run > 0:
-            stride = max(1, memory_rows // (buckets_per_run + 1))
-            self._positions = list(range(stride, memory_rows + 1, stride))
-            self._positions = self._positions[:buckets_per_run]
-        else:
-            self._positions = []
+        #: A sorted load's histogram boundaries: every ``_stride``-th key
+        #: among its first ``_histogram_rows``.
+        self._stride = max(1, memory_rows // (buckets_per_run + 1))
+        self._histogram_rows = self._stride * min(
+            buckets_per_run, memory_rows // self._stride)
 
     def _record_refinement(self, new_cutoff) -> None:
         if self.timeline is not None:
@@ -208,6 +207,21 @@ class VectorizedHistogramTopK:
               selector) -> tuple[np.ndarray, np.ndarray | None]:
         return keys[selector], (ids[selector] if ids is not None else None)
 
+    def _drop_nan(self, keys: np.ndarray, ids: np.ndarray | None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The arrival test before any cutoff exists: drop NaN keys.
+
+        NaN is unordered, so it is never a winner, and a NaN sorted
+        into a load could become a histogram boundary and then the
+        cutoff, which no key passes.  Once a cutoff exists the arrival
+        test (``keys <= cutoff``) drops NaN with the other losers.
+        """
+        nan = np.isnan(keys)
+        if not nan.any():
+            return keys, ids
+        self.stats.rows_eliminated_on_arrival += int(np.count_nonzero(nan))
+        return self._take(keys, ids, ~nan)
+
     # -- in-memory regime -----------------------------------------------------
 
     def _execute_in_memory(self, chunks) -> tuple[np.ndarray,
@@ -259,6 +273,8 @@ class VectorizedHistogramTopK:
                 if dropped:
                     self.stats.rows_eliminated_on_arrival += dropped
                     keys, ids = self._take(keys, ids, mask)
+            else:
+                keys, ids = self._drop_nan(keys, ids)
             buffer_keys.append(keys)
             if has_ids:
                 buffer_ids.append(ids)
@@ -286,36 +302,21 @@ class VectorizedHistogramTopK:
                          span) -> None:
         order = np.argsort(keys, kind="stable")
         keys, ids = self._take(keys, ids, order)
-        written = 0
-        cursor = 0
-        truncated = False
-        for index, position in enumerate(self._positions):
-            if position > keys.size:
-                break
-            cutoff = self.cutoff_filter.cutoff_key
-            if cutoff is not None:
-                writable = int(np.searchsorted(
-                    keys[cursor:position], cutoff, side="right"))
-                if cursor + writable < position:
-                    written = cursor + writable
-                    truncated = True
-                    break
-            previous = self._positions[index - 1] if index else 0
-            bucket = Bucket(boundary_key=float(keys[position - 1]),
-                            size=position - previous)
-            self.cutoff_filter.insert(bucket)
-            if self.histogram_sink is not None:
-                self.histogram_sink(bucket)
-            cursor = position
-            written = position
-        if not truncated and cursor < keys.size:
-            cutoff = self.cutoff_filter.cutoff_key
-            tail = keys[cursor:]
-            if cutoff is not None:
-                written = cursor + int(np.searchsorted(tail, cutoff,
-                                                       side="right"))
-            else:
-                written = int(keys.size)
+        stride = self._stride
+        boundaries = keys[stride - 1:min(keys.size, self._histogram_rows):
+                          stride].astype(np.float64).tolist()
+        inserted = self.cutoff_filter.insert_sorted(boundaries, stride)
+        if self.histogram_sink is not None:
+            for key in boundaries[:inserted]:
+                self.histogram_sink(Bucket(boundary_key=key, size=stride))
+        # The run ends in the first refused boundary's segment, or in the
+        # rows after the last boundary.
+        start = inserted * stride
+        end = (start + stride if inserted < len(boundaries)
+               else int(keys.size))
+        cutoff = self.cutoff_filter.cutoff_key
+        written = end if cutoff is None else start + int(
+            np.searchsorted(keys[start:end], cutoff, side="right"))
         dropped = int(keys.size) - written
         if dropped:
             self.stats.rows_eliminated_at_spill += dropped
@@ -379,6 +380,8 @@ class VectorizedHistogramTopK:
                 if dropped:
                     self.stats.rows_eliminated_on_arrival += dropped
                     keys, ids = self._take(keys, ids, mask)
+            else:
+                keys, ids = self._drop_nan(keys, ids)
             if keys.size:
                 pending_keys.append(keys)
                 if has_ids:

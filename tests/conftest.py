@@ -12,8 +12,9 @@ from repro.rows.sortspec import SortSpec
 from repro.storage.spill import SpillManager
 
 #: ``pytest --hypothesis-profile=ci``: property tests that leave
-#: ``max_examples`` to the profile (the batch key encoder's among them)
-#: run ten times the default examples, with no deadline.
+#: ``max_examples`` to the profile (the batch key encoder's, the cutoff
+#: filter's batch update and the page codec's reference encoder among
+#: them) run ten times the default examples, with no deadline.
 settings.register_profile("ci", max_examples=1_000, deadline=None)
 
 

@@ -302,3 +302,28 @@ class TestNullAndNanKeys:
                           key=lambda r: r[0])
         assert finite == expected[:len(finite)]
         assert len(result.rows) <= limit
+
+
+@pytest.mark.parametrize("path", ["vectorized", "batch"])
+def test_nan_heavy_key_returns_the_finite_top_k(path):
+    """Three keys in ten are NaN, so NaN sorts into loads before any
+    cutoff exists: both engines drop it on arrival and return the top k
+    of the finite keys (a NaN histogram boundary once became the
+    vectorized kernel's cutoff, and the query returned no rows)."""
+    import math
+    import random
+
+    rng = random.Random(5)
+    schema = Schema([Column("K", ColumnType.FLOAT64),
+                     Column("ID", ColumnType.INT64)])
+    rows = [(math.nan if rng.random() < 0.3 else rng.random(), i)
+            for i in range(20_000)]
+    db = Database(memory_rows=400)
+    db.register_table("T", schema, rows)
+    if path == "batch":
+        db.planner.path = "batch"
+    result = db.sql("SELECT * FROM T ORDER BY K LIMIT 1500")
+    assert isinstance(result.plan, VectorizedTopK) == (path == "vectorized")
+    assert result.rows == sorted(
+        (row for row in rows if not math.isnan(row[0])),
+        key=lambda row: row[0])[:1_500]

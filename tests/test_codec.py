@@ -10,7 +10,9 @@ must round-trip the same way.
 """
 
 import datetime
+import hashlib
 import math
+import pickle
 import struct
 
 import pytest
@@ -493,3 +495,245 @@ class TestCorruption:
         good[position] = 99
         with pytest.raises(SpillError, match="unknown column type code"):
             decode_page(bytes(good))
+
+
+# -- page bytes held -------------------------------------------------------
+
+#: Wire type codes, as written by the reference encoder below.
+_WIRE_CODES = {
+    ColumnType.INT64: (1, "q", int),
+    ColumnType.FLOAT64: (2, "d", float),
+    ColumnType.DECIMAL: (3, "d", float),
+    ColumnType.STRING: (4, None, str),
+    ColumnType.DATE: (5, "i", datetime.date),
+    ColumnType.BOOL: (6, "B", bool),
+}
+_NULL_VALUES = {
+    ColumnType.INT64: 0,
+    ColumnType.FLOAT64: 0.0,
+    ColumnType.DECIMAL: 0.0,
+    ColumnType.STRING: "",
+    ColumnType.DATE: datetime.date.min,
+    ColumnType.BOOL: False,
+}
+
+
+def _reference_blobs(blobs) -> bytes:
+    offsets, total = [0], 0
+    for blob in blobs:
+        total += len(blob)
+        offsets.append(total)
+    return b"".join(struct.pack("<I", offset) for offset in offsets) \
+        + b"".join(blobs)
+
+
+def _reference_typed(schema, rows):
+    """The typed payload, one value at a time; ``None`` when it pickles."""
+    if schema is None:
+        return None
+    width = len(schema.columns)
+    if any(len(row) != width for row in rows):
+        return None
+    parts = [struct.pack("<H", width)]
+    for column in schema.columns:
+        parts.append(struct.pack("<BB", _WIRE_CODES[column.type][0],
+                                 int(column.nullable)))
+    for index, column in enumerate(schema.columns):
+        _code, fmt, kind = _WIRE_CODES[column.type]
+        values = [row[index] for row in rows]
+        if column.nullable:
+            bitmap = bytearray((len(values) + 7) // 8)
+            for position, value in enumerate(values):
+                if value is None:
+                    bitmap[position >> 3] |= 1 << (position & 7)
+            parts.append(bytes(bitmap))
+            values = [_NULL_VALUES[column.type] if value is None else value
+                      for value in values]
+        if any(type(value) is not kind for value in values):
+            return None
+        if column.type is ColumnType.STRING:
+            parts.append(_reference_blobs(
+                [value.encode("utf-8", "surrogatepass")
+                 for value in values]))
+            continue
+        for value in values:
+            if kind is datetime.date:
+                value = value.toordinal()
+            try:
+                parts.append(struct.pack("<" + fmt, value))
+            except struct.error:
+                return None
+    return b"".join(parts)
+
+
+def _reference_page(codec, page) -> bytes:
+    """One page in the module docstring's wire format, written one value
+    at a time."""
+    rows, keys = page.rows, page.keys
+    count = len(rows)
+    keyed = (keys is not None and len(keys) == count and count > 0
+             and type(keys[0]) is bytes)
+    flags, sections = 0, b""
+    if codec.zone_maps and keyed:
+        low, high = min(keys), max(keys)
+        if len(low) <= 0xFFFF and len(high) <= 0xFFFF:
+            prefix = codec.null_key_prefix
+            nulls = (sum(key.startswith(prefix) for key in keys)
+                     if prefix else 0)
+            flags |= FLAG_ZONE_MAP
+            sections += (struct.pack("<IH", nulls, len(low)) + low
+                         + struct.pack("<H", len(high)) + high)
+    if codec.late_materialization and keyed:
+        flags |= FLAG_KEYS
+        sections += _reference_blobs(keys)
+    payload = _reference_typed(codec.schema, rows)
+    if payload is None:
+        flags |= FLAG_PICKLED
+        payload = pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+    return struct.pack("<BIIB", 1, page.byte_size, count, flags) \
+        + sections + payload
+
+
+_EVERY_TYPE = [("i", ColumnType.INT64), ("f", ColumnType.FLOAT64),
+               ("m", ColumnType.DECIMAL), ("s", ColumnType.STRING),
+               ("d", ColumnType.DATE), ("b", ColumnType.BOOL)]
+
+
+def _schema_of(nullable=False, columns=_EVERY_TYPE):
+    return Schema([Column(name, type_, nullable=nullable)
+                   for name, type_ in columns])
+
+
+_DAY = datetime.date(1998, 12, 1)
+_TYPED_ROWS = [
+    (7, 1.5, 0.25, "MAIL", _DAY, True),
+    (-3, float("nan"), -0.0, "", datetime.date.min, False),
+    (0, float("inf"), 1e300, "DELIVER IN PERSON", datetime.date.max, True),
+]
+_ONE_INT = [("i", ColumnType.INT64)]
+_ONE_STRING = [("s", ColumnType.STRING)]
+
+
+def _pinned_pages():
+    """``name -> (codec, page)``: every column type, NULLs, strings,
+    bounds, each pickle trigger and each section."""
+    keys = [b"\x00\x10", b"\x00\x20", b"\x01"]
+    nullable = [tuple(None if (row + col) % 3 == 0 else value
+                      for col, value in enumerate(values))
+                for row, values in enumerate(_TYPED_ROWS)]
+    return {
+        "every_type": (TypedPageCodec(_schema_of()), _TYPED_ROWS, None),
+        "nullable": (TypedPageCodec(_schema_of(True)), nullable, None),
+        "all_null": (TypedPageCodec(_schema_of(True)),
+                     [(None,) * 6] * 11, None),
+        "empty": (TypedPageCodec(_schema_of()), [], None),
+        "non_ascii": (TypedPageCodec(_schema_of(columns=_ONE_STRING)),
+                      [("naïve",), ("日本語",), ("",), ("emoji 🎉",),
+                       ("ascii",)], None),
+        "surrogates": (TypedPageCodec(_schema_of(columns=_ONE_STRING)),
+                       [("bad \udcff tail",), ("\ud800",), ("ok",)], None),
+        "int64_bounds": (TypedPageCodec(_schema_of(columns=_ONE_INT)),
+                         [(_INT64_MIN,), (-1,), (0,), (_INT64_MAX,)], None),
+        "bool_in_int64": (TypedPageCodec(_schema_of(columns=_ONE_INT)),
+                          [(1,), (True,)], None),
+        "int_in_float64": (TypedPageCodec(_schema_of(
+            columns=[("f", ColumnType.FLOAT64)])), [(1.5,), (2,)], None),
+        "datetime_in_date": (TypedPageCodec(_schema_of(
+            columns=[("d", ColumnType.DATE)])),
+            [(_DAY,), (datetime.datetime(2020, 1, 1, 12, 30),)], None),
+        "out_of_range_int": (TypedPageCodec(_schema_of(columns=_ONE_INT)),
+                             [(1,), (_INT64_MAX + 1,)], None),
+        "arity_drift": (TypedPageCodec(_schema_of(columns=_ONE_INT)),
+                        [(1,), (2, 3)], None),
+        "zone_map": (TypedPageCodec(_schema_of(), null_key_prefix=b"\x01"),
+                     _TYPED_ROWS, keys),
+        "zone_map_and_keys": (TypedPageCodec(
+            _schema_of(), late_materialization=True,
+            null_key_prefix=b"\x01"), _TYPED_ROWS, keys),
+        "oversized_key": (TypedPageCodec(_schema_of()), _TYPED_ROWS,
+                          [b"\x00" * 0x10000, b"\x00\x01", b"\x00\x02"]),
+        "schemaless": (TypedPageCodec(), _TYPED_ROWS, keys),
+    }
+
+
+#: sha256 of each pinned page's bytes.
+PAGE_DIGESTS = {
+    "all_null":
+        "ecc4da2b5d4f6d87d5d4c174cc5c0fc61b048cba44ada7f4c69ff0a1068a4c0c",
+    "arity_drift":
+        "ef9627dd0882ba31c37d2280b0e2e126a3a051f25fc78ee4962acb5dc42cdc42",
+    "bool_in_int64":
+        "3964dec426e60d0741fd21c152399842b46468111f85c340208c195aa5cf3c2c",
+    "datetime_in_date":
+        "bb534e7200afc535252b4d3365a98efc5552d56a7683fd13f54fd1266f2c7619",
+    "empty":
+        "00fae7a211162c9384e02807668b67a0aa2f0fced7d6ffa3012ddad16374c4fd",
+    "every_type":
+        "bee17aeae0276d16b390fa7d8205b349fe2d0148b253b1734a6f84b0b515e92e",
+    "int64_bounds":
+        "a0c1eb546a3649b09567f9a3605d137f69dbcd71692b980644345e21e94c168e",
+    "int_in_float64":
+        "bee748c2ff93461ef587229029917f3eeba6b902d6359a9a266b706fb4a7621f",
+    "non_ascii":
+        "2cb759c220da1f50ed8c86bb61a9d4665fe4f1ecab6f776dbc8f9a84c6c4c307",
+    "nullable":
+        "034b0f5c46e1c1a9650ab0e166daf350c0810624f4eb92137574e0dffe0d365e",
+    "out_of_range_int":
+        "3f4a950af99abdb0b32a3926e9385467729dabc164d3e21c94ae562e6489bbdd",
+    "oversized_key":
+        "bee17aeae0276d16b390fa7d8205b349fe2d0148b253b1734a6f84b0b515e92e",
+    "schemaless":
+        "3a3e2e9db9fde0482774c601975a4b7cc5fb5d38793e72973dc6e6b309162d66",
+    "surrogates":
+        "043047724e6ad72b7301715f01aea13f82f8dc2b6ffcf2edd50a58ee4445999b",
+    "zone_map":
+        "7a7d05cc7db3124e73c911744ef0e412b8a39c95a37d1ee7ea608799217cd682",
+    "zone_map_and_keys":
+        "761602dd6884a4d1963bc87715e2e526f0b84d9b1651f50eaafa64e23a2e95e6",
+}
+
+
+class TestPageBytes:
+    """The encoder's bytes are the wire format: held by digest and
+    against a reference written one value at a time."""
+
+    @pytest.mark.parametrize("name", sorted(_pinned_pages()))
+    def test_page_digest_is_pinned(self, name):
+        codec, rows, keys = _pinned_pages()[name]
+        payload = codec.encode(Page(rows=rows, byte_size=4096, keys=keys))
+        assert hashlib.sha256(payload).hexdigest() == PAGE_DIGESTS[name]
+        assert payload == _reference_page(
+            codec, Page(rows=rows, byte_size=4096, keys=keys))
+
+    @settings(deadline=None)
+    @given(data=st.data(), case=_schema_and_rows())
+    def test_typed_pages_equal_the_reference(self, data, case):
+        schema, rows = case
+        rows = list(rows)
+        text = st.text(st.one_of(
+            st.characters(max_codepoint=0x7F), st.characters(),
+            st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)),
+            max_size=12)
+        strings = [index for index, column in enumerate(schema.columns)
+                   if column.type is ColumnType.STRING]
+        if strings and rows:
+            slot = data.draw(st.integers(0, len(rows) - 1))
+            row = list(rows[slot])
+            row[strings[0]] = data.draw(text)
+            rows[slot] = tuple(row)
+        trigger = data.draw(st.sampled_from(
+            [None, None, True, 2, datetime.datetime(2020, 1, 1),
+             _INT64_MAX + 1, "arity"]))
+        if trigger is not None and rows:
+            slot = data.draw(st.integers(0, len(rows) - 1))
+            rows[slot] = (rows[slot] + (0,) if trigger == "arity"
+                          else (trigger,) + rows[slot][1:])
+        keys = None
+        if rows and data.draw(st.booleans()):
+            keys = [data.draw(_KEY) for _ in rows]
+        codec = TypedPageCodec(
+            schema, zone_maps=data.draw(st.booleans()),
+            late_materialization=data.draw(st.booleans()),
+            null_key_prefix=data.draw(st.sampled_from([None, NULL_PREFIX])))
+        page = Page(rows=rows, byte_size=len(rows) * 48, keys=keys)
+        assert codec.encode(page) == _reference_page(codec, page)

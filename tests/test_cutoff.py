@@ -1,9 +1,11 @@
 """Tests for the cutoff filter — the paper's core mechanism."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cutoff import CutoffFilter, _ReverseKey
+from repro.core.cutoff import CutoffFilter, CutoffFilterStats, _ReverseKey
 from repro.core.histogram import Bucket
 from repro.errors import ConfigurationError
 
@@ -227,3 +229,93 @@ class TestAgainstSortedListModel:
             assert filt.bucket_count == len(model)
             assert filt.top_bucket == (Bucket(model[0][0], model[0][2])
                                        if model else None)
+
+    @given(k=st.integers(1, 30),
+           capacity=st.one_of(st.none(), st.integers(1, 6)),
+           calls=st.lists(st.tuples(st.lists(st.integers(0, 8), max_size=12),
+                                    st.integers(1, 6), st.booleans()),
+                          max_size=12),
+           seed=st.one_of(st.none(), st.integers(0, 8)),
+           byte_keys=st.booleans())
+    @settings(deadline=None)
+    def test_batch_update_matches_model(self, k, capacity, calls, seed,
+                                        byte_keys):
+        """``insert_sorted`` against the model fed one bucket at a time
+        with the stop rule: a boundary above the cutoff live when it
+        arrives goes in with no later one (ties with the cutoff do)."""
+        key_of = (lambda value: bytes([value])) if byte_keys else int
+        refined: list = []
+        filt = CutoffFilter(k=k, bucket_capacity=capacity,
+                            on_refine=refined.append)
+        model = _FilterModel(k, capacity)
+        if seed is not None:
+            filt.seed(key_of(seed))
+            model.seed(key_of(seed))
+        for values, size, stop in calls:
+            boundaries = [key_of(value) for value in sorted(values)]
+            count = filt.insert_sorted(boundaries, size, stop)
+            assert count == model.insert_sorted(boundaries, size, stop)
+            assert filt.cutoff_key == model.cutoff
+            assert filt.cutoff_is_seed == model.from_seed
+            assert filt.coverage == model.coverage
+            assert filt.bucket_count == len(model.buckets)
+            assert filt.top_bucket == (
+                Bucket(model.buckets[0][0], model.buckets[0][2])
+                if model.buckets else None)
+            assert dataclasses.asdict(filt.stats) == model.stats
+            assert refined == model.refined
+
+    def test_batch_update_rejects_empty_buckets(self):
+        with pytest.raises(ConfigurationError):
+            CutoffFilter(k=3).insert_sorted([0.5], 0)
+
+
+class _FilterModel:
+    """The update step over a plain list kept sorted by boundary (largest
+    first) and, among equal boundaries, by insertion order, one bucket at
+    a time."""
+
+    def __init__(self, k, capacity):
+        self.k, self.capacity = k, capacity
+        self.buckets: list[tuple] = []  # (boundary, order, size)
+        self.order = 0
+        self.coverage = 0
+        self.cutoff = None
+        self.from_seed = False
+        self.refined: list = []
+        self.stats = dataclasses.asdict(CutoffFilterStats())
+
+    def _refine(self, key, from_seed):
+        self.cutoff = key
+        self.from_seed = from_seed
+        self.stats["refinements"] += 1
+        self.refined.append(key)
+
+    def seed(self, key):
+        if self.cutoff is None or key < self.cutoff:
+            self._refine(key, True)
+
+    def insert(self, key, size):
+        self.order += 1
+        self.buckets.append((key, self.order, size))
+        self.coverage += size
+        self.stats["buckets_inserted"] += 1
+        self.buckets.sort(key=lambda entry: entry[1])
+        self.buckets.sort(key=lambda entry: entry[0], reverse=True)
+        while self.coverage - self.buckets[0][2] >= self.k:
+            self.coverage -= self.buckets.pop(0)[2]
+            self.stats["buckets_popped"] += 1
+        if self.coverage >= self.k and (self.cutoff is None
+                                        or self.buckets[0][0] < self.cutoff):
+            self._refine(self.buckets[0][0], False)
+        if self.capacity is not None and len(self.buckets) > self.capacity:
+            self.order += 1
+            self.buckets = [(self.buckets[0][0], self.order, self.coverage)]
+            self.stats["consolidations"] += 1
+
+    def insert_sorted(self, boundaries, size, stop):
+        for count, key in enumerate(boundaries):
+            if stop and self.cutoff is not None and key > self.cutoff:
+                return count
+            self.insert(key, size)
+        return len(boundaries)

@@ -336,6 +336,114 @@ class TestDiskSpillLifecycle:
         assert list(spill_dir.iterdir()) == []
 
 
+def _spilling_database(spill_dir):
+    """A table whose ``ORDER BY K, S LIMIT 300`` spills to ``spill_dir``."""
+    from repro.engine.session import Database
+    from repro.rows.schema import Column, ColumnType, Schema
+    from repro.storage.codec import TypedPageCodec
+
+    schema = Schema([Column("K", ColumnType.FLOAT64),
+                     Column("S", ColumnType.STRING)])
+    rng = random.Random(12)
+    table = [(rng.random(), f"s{rng.randrange(500):03d}")
+             for _ in range(5_000)]
+    db = Database(memory_rows=100)
+    db.planner.spill_manager_factory = lambda: SpillManager(
+        backend=DiskSpillBackend(directory=str(spill_dir),
+                                 codec=TypedPageCodec(schema)))
+    db.register_table("T", schema, table)
+    return db, table
+
+
+class TestSpillFileCreation:
+    """A spill file that cannot be created ends the query in a typed
+    error naming the spill directory, with no file left behind."""
+
+    SQL = "SELECT * FROM T ORDER BY K, S LIMIT 300"
+
+    def test_spills_when_the_directory_exists(self, tmp_path):
+        from repro.engine.session import release_plan_storage
+
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        db, table = _spilling_database(spill_dir)
+        result = db.sql(self.SQL)
+        assert result.rows == sorted(table)[:300]
+        assert result.stats.io.rows_spilled > 0
+        release_plan_storage(result.plan)
+        assert list(spill_dir.iterdir()) == []
+
+    def test_missing_directory(self, tmp_path):
+        import errno
+
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        db, _table = _spilling_database(spill_dir)
+        spill_dir.rmdir()
+        with pytest.raises(SpillError, match=str(spill_dir)) as raised:
+            db.sql(self.SQL)
+        assert isinstance(raised.value.__cause__, FileNotFoundError)
+        assert raised.value.__cause__.errno == errno.ENOENT
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("code", ["ENOSPC", "EMFILE"])
+    def test_mkstemp_fails(self, tmp_path, monkeypatch, code):
+        import errno
+        import tempfile
+
+        number = getattr(errno, code)
+        created = itertools.count()
+        mkstemp = tempfile.mkstemp
+
+        def failing(*args, **kwargs):
+            # The first files land; a later one finds the disk full or
+            # the descriptors spent.
+            if next(created) >= 3:
+                raise OSError(number, os.strerror(number))
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", failing)
+        spill_dir = tmp_path / "spill"
+        spill_dir.mkdir()
+        db, _table = _spilling_database(spill_dir)
+        before = set(threading.enumerate())
+        with pytest.raises(SpillError, match=str(spill_dir)) as raised:
+            db.sql(self.SQL)
+        assert raised.value.__cause__.errno == number
+        assert set(threading.enumerate()) - before == set()
+        assert list(spill_dir.iterdir()) == []
+
+    def test_fdopen_failure_closes_the_descriptor(self, tmp_path,
+                                                  monkeypatch):
+        import errno
+        import tempfile
+
+        from repro.storage.stats import IOStats
+
+        descriptors = []
+        mkstemp = tempfile.mkstemp
+
+        def recording(*args, **kwargs):
+            fd, path = mkstemp(*args, **kwargs)
+            descriptors.append(fd)
+            return fd, path
+
+        def failing(fd, *args, **kwargs):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(tempfile, "mkstemp", recording)
+        monkeypatch.setattr(os, "fdopen", failing)
+        backend = DiskSpillBackend(directory=str(tmp_path))
+        with pytest.raises(SpillError, match="cannot open spill file"):
+            backend.create_file(0, IOStats())
+        monkeypatch.undo()
+        with pytest.raises(OSError) as closed:
+            os.fstat(descriptors[0])
+        assert closed.value.errno == errno.EBADF
+        backend.close()
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestInputFaults:
     def test_exception_from_input_iterator_propagates(self):
         def poisoned():

@@ -11,6 +11,9 @@ under six configurations each, and every case must reproduce them at
 batch sizes 1, 7 and 4,096.  A sixth input, random arrival led by a
 numeric column with ties, was pinned before the arrival prefilter on the
 leading column existed; it holds that prefilter to the same decisions.
+A seventh configuration, typed pages on a disk backend, was pinned while
+each histogram bucket still reached the cutoff filter in its own call;
+it also holds the bytes encoded and the filter's bucket counters.
 """
 
 from __future__ import annotations
@@ -130,6 +133,9 @@ CONFIGS = {
     "single_filter": {"double_filter": False},
     "short_runs": {"run_size_limit": MEMORY // 3},
     "byte_budget": {"memory_bytes": 40 * MEMORY, "row_size": _row_size},
+    # Typed pages on a disk backend, zone maps on; its pinned tuple also
+    # carries the bytes encoded and the filter's bucket counters.
+    "disk": {"disk": True},
 }
 
 
@@ -145,10 +151,20 @@ def _options(input_name: str, config: str, run_generation: str) -> dict:
 
 def _run(spec, rows, k, options, batch_rows=4_096,
          run_generation="quicksort"):
+    options = dict(options)
+    manager = None
+    if options.pop("disk", False):
+        manager = SpillManager(backend=DiskSpillBackend(
+            codec=TypedPageCodec(spec.schema, zone_maps=True)))
+        options["spill_manager"] = manager
     operator = HistogramTopK(spec, k, MEMORY, run_generation=run_generation,
                              trace_cutoff=True, **options)
-    output = list(operator.execute_batches(
-        batches_from_rows(rows, spec.schema, batch_rows)))
+    try:
+        output = list(operator.execute_batches(
+            batches_from_rows(rows, spec.schema, batch_rows)))
+    finally:
+        if manager is not None:
+            manager.close()
     return operator, output
 
 
@@ -156,13 +172,20 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def _counters(operator: HistogramTopK, output: list[tuple]) -> tuple:
+def _counters(operator: HistogramTopK, output: list[tuple],
+              disk: bool = False) -> tuple:
     stats = operator.stats
-    return (stats.rows_eliminated_on_arrival, stats.rows_eliminated_at_spill,
-            stats.cutoff_comparisons, stats.sort_comparisons,
-            stats.io.rows_spilled, stats.io.bytes_written,
-            stats.io.runs_written, len(operator.cutoff_trace),
-            _digest(operator.cutoff_trace), _digest(output))
+    counters = (stats.rows_eliminated_on_arrival,
+                stats.rows_eliminated_at_spill, stats.cutoff_comparisons,
+                stats.sort_comparisons, stats.io.rows_spilled,
+                stats.io.bytes_written, stats.io.runs_written,
+                len(operator.cutoff_trace), _digest(operator.cutoff_trace),
+                _digest(output))
+    if disk:
+        buckets = operator.cutoff_filter.stats
+        counters += (stats.io.bytes_encoded, buckets.buckets_inserted,
+                     buckets.buckets_popped, buckets.refinements)
+    return counters
 
 
 def _oracle(spec, rows, k, options) -> list:
@@ -174,7 +197,9 @@ def _oracle(spec, rows, k, options) -> list:
 #: ``(input, config) -> (rows_eliminated_on_arrival,
 #: rows_eliminated_at_spill, cutoff_comparisons, sort_comparisons,
 #: rows_spilled, bytes_written, runs_written, cutoff trace length,
-#: cutoff trace digest, output digest)`` of ``run_generation="quicksort"``.
+#: cutoff trace digest, output digest)`` of ``run_generation="quicksort"``;
+#: the ``disk`` configuration's tuples add ``(bytes_encoded,
+#: buckets_inserted, buckets_popped, refinements)``.
 PINNED = {
     ("composite", "plain"):
         (2286, 297, 9187, 29598, 3417, 164016, 16, 478, "4c730eadd06f45c7", "f36c9cb8cab2739d"),
@@ -248,6 +273,24 @@ PINNED = {
         (3503, 457, 7809, 19879, 2040, 65280, 32, 1341, "a311e1e77e48f5da", "8130f54217b2d09b"),
     ("numeric_led", "byte_budget"):
         (3518, 378, 7913, 19779, 2104, 67328, 13, 348, "9a93a453a7c39dcb", "8130f54217b2d09b"),
+    ("composite", "disk"):
+        (2286, 297, 9187, 29598, 3417, 164016, 16, 478, "4c730eadd06f45c7",
+         "f36c9cb8cab2739d", 134703, 852, 477, 478),
+    ("alternating", "disk"):
+        (3627, 382, 7756, 18984, 1991, 63712, 10, 323, "475e2ddccab6895a",
+         "9a8a0cf033e6fcee", 32016, 497, 322, 323),
+    ("all_equal", "disk"):
+        (0, 0, 5760, 23880, 3000, 96000, 13, 1, "ede12c2f29ec7ade",
+         "d05be266fb092778", 48208, 750, 625, 1),
+    ("null_heavy", "disk"):
+        (2893, 150, 6721, 16856, 1957, 62624, 9, 264, "ec93b3a127e35532",
+         "b5e75169252e808b", 32048, 488, 263, 264),
+    ("descending", "disk"):
+        (0, 0, 7760, 32000, 4000, 160000, 17, 851, "99c22d3a46a792a5",
+         "ecb717cf4b6ba40d", 96986, 1000, 850, 851),
+    ("numeric_led", "disk"):
+        (3490, 451, 7828, 19970, 2059, 65888, 11, 338, "b0c77ce14ff45fc1",
+         "8130f54217b2d09b", 33560, 512, 337, 338),
 }
 
 
@@ -261,7 +304,8 @@ def test_decisions_are_pinned(input_name, config, batch_rows):
     spec = case["spec"]
     assert [spec.key(row) for row in output] == _oracle(
         spec, case["rows"], case["k"], case["options"])
-    assert _counters(operator, output) == PINNED[input_name, config]
+    assert _counters(operator, output, disk=config == "disk") \
+        == PINNED[input_name, config]
 
 
 @pytest.mark.parametrize("config", ["plain", "offset", "seeded",

@@ -83,7 +83,8 @@ class TestTruncation:
         # end early even though every row passed the filter on entry.
         cutoff_filter = CutoffFilter(k=4)
         histogram = RunHistogramBuilder(FixedStridePolicy(4), 10,
-                                        cutoff_filter.insert)
+                                        cutoff_filter.insert,
+                                        cutoff_filter.insert_sorted)
         rows = [(i / 10.0,) for i in range(10)]
         generator = QuicksortRunGenerator(
             KEY, 10, spill, spill_filter=cutoff_filter, histogram=histogram)

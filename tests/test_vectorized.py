@@ -1,5 +1,7 @@
 """Tests for the vectorized execution path."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,147 @@ class TestFiltering:
         elapsed = time.perf_counter() - started
         assert out.size == 30_000
         assert elapsed < 10.0  # generous bound; typically < 0.5 s
+
+
+# -- pinned decisions ---------------------------------------------------------
+
+
+def _pinned_keys(name: str) -> np.ndarray:
+    rng = np.random.default_rng(23)
+    n = 12_000
+    if name == "random":
+        return rng.random(n)
+    if name == "descending":
+        return np.arange(n, 0, -1, dtype=float)
+    if name == "duplicates":
+        return rng.integers(0, 40, size=n).astype(float)
+    keys = rng.random(n)  # "nan": about one key in ten is NaN
+    keys[rng.random(n) < 0.1] = np.nan
+    return keys
+
+
+#: ``config -> (k, offset, memory_rows, buckets_per_run)``.
+PINNED_CONFIGS = {
+    "plain": (1_500, 0, 400, 50),
+    "offset": (700, 400, 300, 9),
+}
+
+
+def _pin_digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _pinned_run(name: str, config: str, chunk_rows: int):
+    keys = _pinned_keys(name)
+    k, offset, memory_rows, buckets_per_run = PINNED_CONFIGS[config]
+    buckets, cutoffs = [], []
+    operator = VectorizedHistogramTopK(
+        k=k, memory_rows=memory_rows, offset=offset,
+        buckets_per_run=buckets_per_run,
+        histogram_sink=lambda bucket: buckets.append(
+            (bucket.boundary_key, bucket.size)),
+        cutoff_listener=cutoffs.append)
+    output = operator.execute_keys(chunked(keys, chunk_rows))
+    finite = np.sort(keys[~np.isnan(keys)])
+    assert np.array_equal(output, finite[offset:offset + k])
+    stats, filter_stats = operator.stats, operator.cutoff_filter.stats
+    return (stats.rows_consumed, stats.rows_eliminated_on_arrival,
+            stats.rows_eliminated_at_spill, stats.cutoff_comparisons,
+            stats.io.rows_spilled, stats.io.runs_written,
+            filter_stats.buckets_inserted, filter_stats.buckets_popped,
+            filter_stats.refinements, len(buckets), _pin_digest(buckets),
+            len(cutoffs), _pin_digest(cutoffs), _pin_digest(output.tolist()))
+
+
+#: ``(input, config, chunk rows) -> (rows_consumed,
+#: rows_eliminated_on_arrival, rows_eliminated_at_spill,
+#: cutoff_comparisons, rows_spilled, runs_written, buckets_inserted,
+#: buckets_popped, refinements, histogram_sink length and digest,
+#: cutoff_listener length and digest, output digest)``.  Every input but
+#: ``nan`` was pinned before a run's buckets went to the filter in one
+#: call; the ``nan`` tuples were taken once NaN keys were dropped on
+#: arrival (before, a NaN boundary could become the cutoff, and the
+#: ``plain`` configuration returned wrong keys).
+PINNED = {
+    ("random", "plain", 1):
+        (12000, 6891, 749, 10000, 4360, 13, 591, 376, 377, 591,
+         "f25dd8a7740f2018", 377, "b90c1e9c8482a476", "b86baa65a415c2b0"),
+    ("random", "plain", 777):
+        (12000, 6891, 749, 9669, 4360, 13, 591, 376, 377, 591,
+         "f25dd8a7740f2018", 377, "b90c1e9c8482a476", "b86baa65a415c2b0"),
+    ("random", "plain", 4096):
+        (12000, 6891, 749, 7904, 4360, 13, 591, 376, 377, 591,
+         "f25dd8a7740f2018", 377, "b90c1e9c8482a476", "b86baa65a415c2b0"),
+    ("random", "offset", 1):
+        (12000, 7656, 581, 10500, 3763, 15, 118, 81, 82, 118,
+         "ed1aefdf2540d876", 82, "acfa10c3d60e75c5", "9b062e4d66a55404"),
+    ("random", "offset", 777):
+        (12000, 7656, 581, 10446, 3763, 15, 118, 81, 82, 118,
+         "ed1aefdf2540d876", 82, "acfa10c3d60e75c5", "9b062e4d66a55404"),
+    ("random", "offset", 4096):
+        (12000, 7656, 581, 7904, 3763, 15, 118, 81, 82, 118,
+         "ed1aefdf2540d876", 82, "acfa10c3d60e75c5", "9b062e4d66a55404"),
+    ("descending", "plain", 1):
+        (12000, 0, 0, 10000, 12000, 30, 1500, 1285, 1286, 1500,
+         "eca00f05c4f45e3d", 1286, "863d7de569f3038d", "7778a6865f7845f0"),
+    ("descending", "plain", 777):
+        (12000, 0, 0, 9669, 12000, 30, 1500, 1285, 1286, 1500,
+         "eca00f05c4f45e3d", 1286, "863d7de569f3038d", "7778a6865f7845f0"),
+    ("descending", "plain", 4096):
+        (12000, 0, 0, 7904, 12000, 30, 1500, 1285, 1286, 1500,
+         "eca00f05c4f45e3d", 1286, "863d7de569f3038d", "7778a6865f7845f0"),
+    ("descending", "offset", 1):
+        (12000, 0, 0, 10500, 12000, 40, 360, 323, 324, 360, "d6cc0a491354eab9",
+         324, "bcceda8788188df2", "5ced859c28207ea8"),
+    ("descending", "offset", 777):
+        (12000, 0, 0, 10446, 12000, 40, 360, 323, 324, 360, "d6cc0a491354eab9",
+         324, "bcceda8788188df2", "5ced859c28207ea8"),
+    ("descending", "offset", 4096):
+        (12000, 0, 0, 7904, 12000, 40, 360, 323, 324, 360, "d6cc0a491354eab9",
+         324, "bcceda8788188df2", "5ced859c28207ea8"),
+    ("duplicates", "plain", 1):
+        (12000, 6840, 670, 10000, 4490, 13, 609, 394, 31, 609,
+         "5660d6b30b1c9d98", 31, "f1072021fd2de1d8", "3cb00bb4cf44842a"),
+    ("duplicates", "plain", 777):
+        (12000, 6840, 670, 9669, 4490, 13, 609, 394, 31, 609,
+         "5660d6b30b1c9d98", 31, "f1072021fd2de1d8", "3cb00bb4cf44842a"),
+    ("duplicates", "plain", 4096):
+        (12000, 6840, 670, 7904, 4490, 13, 609, 394, 31, 609,
+         "5660d6b30b1c9d98", 31, "f1072021fd2de1d8", "3cb00bb4cf44842a"),
+    ("duplicates", "offset", 1):
+        (12000, 7488, 569, 10500, 3943, 16, 122, 85, 26, 122,
+         "048c34592cbf6696", 26, "d76bb24b47d15789", "6c7dd8f75c3f23cc"),
+    ("duplicates", "offset", 777):
+        (12000, 7488, 569, 10446, 3943, 16, 122, 85, 26, 122,
+         "048c34592cbf6696", 26, "d76bb24b47d15789", "6c7dd8f75c3f23cc"),
+    ("duplicates", "offset", 4096):
+        (12000, 7488, 569, 7904, 3943, 16, 122, 85, 26, 122,
+         "048c34592cbf6696", 26, "d76bb24b47d15789", "6c7dd8f75c3f23cc"),
+    ("nan", "plain", 1):
+        (12000, 7072, 701, 9762, 4227, 13, 570, 355, 356, 570,
+         "547ef92b87d54cd5", 356, "605d7166d5b54251", "f1952f1d08c32690"),
+    ("nan", "plain", 777):
+        (12000, 7072, 701, 9669, 4227, 13, 570, 355, 356, 570,
+         "547ef92b87d54cd5", 356, "605d7166d5b54251", "f1952f1d08c32690"),
+    ("nan", "plain", 4096):
+        (12000, 7072, 701, 7904, 4227, 13, 570, 355, 356, 570,
+         "547ef92b87d54cd5", 356, "605d7166d5b54251", "f1952f1d08c32690"),
+    ("nan", "offset", 1):
+        (12000, 7812, 584, 10329, 3604, 14, 113, 76, 77, 113,
+         "e46d1dd48db9e3d7", 77, "ad0d37e013177d63", "de0b32608ce8cc72"),
+    ("nan", "offset", 777):
+        (12000, 7812, 584, 9669, 3604, 14, 113, 76, 77, 113,
+         "e46d1dd48db9e3d7", 77, "ad0d37e013177d63", "de0b32608ce8cc72"),
+    ("nan", "offset", 4096):
+        (12000, 7812, 584, 7904, 3604, 14, 113, 76, 77, 113,
+         "e46d1dd48db9e3d7", 77, "ad0d37e013177d63", "de0b32608ce8cc72"),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", (1, 777, 4_096))
+@pytest.mark.parametrize("config", list(PINNED_CONFIGS))
+@pytest.mark.parametrize("name", ("random", "descending", "duplicates",
+                                  "nan"))
+def test_decisions_are_pinned(name, config, chunk_rows):
+    assert _pinned_run(name, config, chunk_rows) \
+        == PINNED[name, config, chunk_rows]
