@@ -71,7 +71,9 @@ class HistogramTopK:
 
     Args:
         sort_key: A :class:`~repro.rows.sortspec.SortSpec` or a plain
-            key-extraction callable.
+            key-extraction callable.  A callable's scalar NaN keys are
+            eliminated on arrival; a tuple key holding NaN is out of
+            scope (see :meth:`execute_batches`).
         k: Requested output row count (``LIMIT``).
         memory_rows: Operator memory capacity in rows.
         spill_manager: Secondary-storage substrate; a private in-memory one
@@ -327,13 +329,18 @@ class HistogramTopK:
         current at the batch boundary first drops the rows that cannot
         survive (:func:`~repro.core.cutoff.leading_column_prefilter`,
         exact); only the remaining rows pay for a key, computed in one
-        call per batch, and a per-row test.  A single numeric column's
-        NaN keys are eliminated on arrival, as the vectorized kernel
-        eliminates them.
+        call per batch, and a per-row test.  NaN keys are eliminated on
+        arrival, as the vectorized kernel eliminates them: a single
+        numeric column's, and a callable's scalar key that is not equal
+        to itself.  A tuple key holding NaN is out of scope (a tuple
+        compares its items by identity first, so it equals itself); a
+        composite spec's binary keys order NaN.
         """
         batches = iter(batches)
         if self._batch_key is not None:
             batches = self._drop_nan_keys(batches)
+        elif self.sort_spec is None:
+            batches = self._drop_unequal_keys(batches)
         if self.output_fits_in_memory:
             logger.debug("k+offset=%d fits in %d memory rows: "
                          "priority-queue regime", self.k + self.offset,
@@ -369,6 +376,22 @@ class HistogramTopK:
                     stats.rows_consumed += dropped
                     stats.rows_eliminated_on_arrival += dropped
                     batch = batch.take_mask(~nan)
+            yield batch
+
+    def _drop_unequal_keys(
+            self, batches: Iterator[RowBatch]) -> Iterator[RowBatch]:
+        """:meth:`_drop_nan_keys` for a callable key: a row whose key is
+        not equal to itself (a scalar NaN) is dropped and counted the
+        same way.  The key is computed here once more per row."""
+        sort_key = self.sort_key
+        stats = self.stats
+        for batch in batches:
+            keep = [key == key for key in map(sort_key, batch.rows)]
+            if False in keep:
+                dropped = keep.count(False)
+                stats.rows_consumed += dropped
+                stats.rows_eliminated_on_arrival += dropped
+                batch = batch.take_mask(keep)
             yield batch
 
     # -- in-memory regime ----------------------------------------------------

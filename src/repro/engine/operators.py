@@ -174,9 +174,9 @@ class Operator:
     def explain(self, depth: int = 0) -> str:
         """Render this operator subtree as indented text.
 
-        Nodes chosen by the cost-based planner carry a
-        ``PlanDecision`` (see :mod:`repro.engine.planner`); its costed
-        summary renders indented under the node's label.
+        Nodes the planner lowered by rule carry a ``PlanDecision`` or
+        ``JoinDecision`` (see :mod:`repro.engine.planner`); its rule and
+        estimates render indented under the node's label.
         """
         lines = ["  " * depth + "-> " + self.label()]
         decision = self.__dict__.get("decision")

@@ -3,20 +3,30 @@
 Plans are intentionally simple — scan, optional filter, then either a
 top-k, a full sort, or a plain limit, then a projection.  The paper
 makes the top-k *algorithm* choice moot (the histogram operator adapts
-at runtime, Section 5.2), but the physical path around it is a genuine
-choice: the batch operator or the vectorized numpy kernels.  It is made
-here by costing each eligible path with the
+at runtime, Sections 2.3 and 5.2), and the physical choices around it
+are made by rules, not by ranking costed alternatives:
+
+* a plain top-k lowers onto the vectorized numpy kernels when
+  :func:`vectorized_lowering_eligible` holds, and otherwise onto the
+  batch operator, whose key substrate the sort spec picks
+  (:func:`~repro.sorting.keycodec.binary_key_codec`);
+* a join runs as a hash join; the sort-merge join runs only when
+  ``join_method="merge"`` pins it;
+* a table's declared ``sorted_by`` order earns only Section 4.2's
+  sorted-prefix plans (a plain limit or a segmented top-k).
+
+``path=``, ``join_method=`` and ``pushdown=`` pin the choices.  The
 :class:`~repro.storage.costmodel.CostModel`, fed by the statistics
-catalog (:mod:`repro.stats`) when one is attached — with ``path=``
-retained as the override that pins the decision.  The key
-substrate is not a choice: it follows from the sort spec
-(:func:`~repro.sorting.keycodec.binary_key_codec`).
+catalog (:mod:`repro.stats`) when one is attached, estimates the chosen
+plan for ``EXPLAIN``; the one choice it still makes is whether to push
+a top-k's cutoff below a join, by costing pushdown on against off.
+Each decision records the rule that fired, and ``EXPLAIN`` prints it.
 """
 
 from __future__ import annotations
 
 import operator as _operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from repro.core.cutoff import leading_column_prefilter
@@ -80,6 +90,22 @@ def _resolve_column(schema: Schema, name: str) -> str:
         raise PlanError(str(exc)) from None
 
 
+def _vectorized_refusal(spec: SortSpec, algorithm: str,
+                        algorithm_options: dict | None,
+                        cutoff_seed: Any) -> str | None:
+    """Why a plain top-k may not lower onto the numpy kernels, or
+    ``None`` when it may (see :func:`vectorized_lowering_eligible`)."""
+    if algorithm != "histogram":
+        return f"algorithm={algorithm} runs on the row engine"
+    if algorithm_options:
+        return "algorithm options configure the row engine"
+    if cutoff_seed is not None:
+        return "a cutoff seed needs the row engine's stale-seed check"
+    if numeric_key_column(spec) is None:
+        return "the key is not one non-nullable numeric column"
+    return None
+
+
 def vectorized_lowering_eligible(
     spec: SortSpec,
     *,
@@ -97,11 +123,8 @@ def vectorized_lowering_eligible(
     * a single non-nullable numeric ORDER BY column, so batch key
       columns extract as float64 arrays (numpy present).
     """
-    if algorithm != "histogram" or algorithm_options:
-        return False
-    if cutoff_seed is not None:
-        return False
-    return numeric_key_column(spec) is not None
+    return _vectorized_refusal(spec, algorithm, algorithm_options,
+                               cutoff_seed) is None
 
 
 def _compile_predicates(schema: Schema,
@@ -134,8 +157,8 @@ def _compile_predicates(schema: Schema,
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """One costed physical alternative for a plain top-k plan."""
+class TopKChoice:
+    """The physical path a plain top-k lowers to, and its estimate."""
 
     path: str              # "batch" | "vectorized"
     keys: str              # "tuple" | "ovc" | "-" (vectorized)
@@ -148,11 +171,12 @@ class Candidate:
 
 @dataclass(frozen=True)
 class PlanDecision:
-    """The planner's costed choice for one top-k query, kept on the
-    operator node for ``EXPLAIN`` / ``EXPLAIN ANALYZE`` auditing."""
+    """The planner's lowering of one top-k query, kept on the operator
+    node for ``EXPLAIN`` / ``EXPLAIN ANALYZE`` auditing."""
 
-    chosen: Candidate
-    candidates: tuple[Candidate, ...]
+    chosen: TopKChoice
+    #: The rule that picked ``chosen.path``: a pin or the lowering rule.
+    rule: str
     #: Estimated input cardinality (after WHERE selectivity).
     estimated_rows: float
     #: Estimated WHERE selectivity applied to the base cardinality
@@ -162,35 +186,27 @@ class PlanDecision:
     #: feedback for this exact scope), ``"catalog"`` (column sketches),
     #: ``"table"`` (registered row count only), or ``"default"``.
     stats_source: str
-    #: Knobs that pinned (parts of) the decision, e.g. ``("fan_in",)``.
-    forced: tuple[str, ...] = field(default_factory=tuple)
 
     def describe(self) -> str:
         cost = self.chosen.cost
         fan_in = cost.fan_in if cost.fan_in is not None else "-"
-        lines = [
+        return "\n".join([
             (f"Planner: path={self.chosen.path} "
              f"keys={self.chosen.keys} "
              f"fan_in={fan_in} "
              f"cost={cost.seconds:.4f}s [stats={self.stats_source}]"),
+            f"  rule: {self.rule}",
             (f"  estimated: rows_in={self.estimated_rows:.0f} "
              f"(selectivity {self.estimated_selectivity:.3f}) "
              f"rows_spilled={cost.rows_spilled:.0f} runs={cost.runs} "
              f"merge_passes={cost.merge_passes} "
              f"cpu={cost.cpu_seconds:.4f}s io={cost.io_seconds:.4f}s"),
-        ]
-        if self.forced:
-            lines.append(f"  forced by: {', '.join(self.forced)}")
-        ranked = sorted(self.candidates, key=lambda c: c.cost.seconds)
-        lines.append("  candidates: " + " | ".join(
-            f"{candidate.label()}={candidate.cost.seconds:.4f}s"
-            for candidate in ranked))
-        return "\n".join(lines)
+        ])
 
 
 @dataclass(frozen=True)
-class JoinCandidate:
-    """One costed physical alternative for a two-table equi-join."""
+class JoinChoice:
+    """The physical join a query runs, and its estimate."""
 
     method: str            # "hash" | "merge"
     pushdown: bool         # cutoff pushdown below the join's sort side
@@ -202,12 +218,13 @@ class JoinCandidate:
 
 @dataclass(frozen=True)
 class JoinDecision:
-    """The planner's costed join choice, kept on the join node for
-    ``EXPLAIN`` / ``EXPLAIN ANALYZE`` auditing (rendered through the
-    same ``describe()`` surface as :class:`PlanDecision`)."""
+    """The planner's join choice, kept on the join node for ``EXPLAIN``
+    / ``EXPLAIN ANALYZE`` auditing (rendered through the same
+    ``describe()`` surface as :class:`PlanDecision`)."""
 
-    chosen: JoinCandidate
-    candidates: tuple[JoinCandidate, ...]
+    chosen: JoinChoice
+    #: The rules that picked the method and the pushdown, in one line.
+    rule: str
     estimated_left_rows: float
     estimated_right_rows: float
     estimated_out_rows: float
@@ -219,28 +236,21 @@ class JoinDecision:
     #: Where the cardinalities came from (``"catalog"``, ``"table"``,
     #: ``"default"``, possibly differing per side: ``"catalog/table"``).
     stats_source: str
-    forced: tuple[str, ...] = field(default_factory=tuple)
 
     def describe(self) -> str:
         cost = self.chosen.cost
         side = (f" (sort side: {self.pushdown_side})"
                 if self.pushdown_side else "")
-        lines = [
+        return "\n".join([
             (f"Planner: join={self.chosen.method} "
              f"pushdown={'on' if self.chosen.pushdown else 'off'}{side} "
              f"cost={cost.seconds:.4f}s [stats={self.stats_source}]"),
+            f"  rule: {self.rule}",
             (f"  estimated: left={self.estimated_left_rows:.0f} "
              f"right={self.estimated_right_rows:.0f} "
              f"out={self.estimated_out_rows:.0f} "
              f"pushdown_dropped={cost.filter_rows_dropped:.0f}"),
-        ]
-        if self.forced:
-            lines.append(f"  forced by: {', '.join(self.forced)}")
-        ranked = sorted(self.candidates, key=lambda c: c.cost.seconds)
-        lines.append("  candidates: " + " | ".join(
-            f"{candidate.label()}={candidate.cost.seconds:.4f}s"
-            for candidate in ranked))
-        return "\n".join(lines)
+        ])
 
 
 class _JoinNamespace:
@@ -329,18 +339,18 @@ class Planner:
             algorithm (e.g. ``sizing_policy=...``).  Any option pins plans
             to the row engine, whose behavior the knobs configure.
         cost_model: The :class:`~repro.storage.costmodel.CostModel`
-            pricing the candidates.
+            estimating the chosen plan and weighing cutoff pushdown.
         stats_catalog: Optional :class:`~repro.stats.StatsCatalog`
             feeding cardinality/selectivity estimates (the session wires
             its own by default).
-        path: Force one physical path (``"batch"`` or ``"vectorized"``)
-            instead of costing; the benchmark harness's hand-picking
-            knob.
-        join_method: Pin the physical join (``"hash"`` / ``"merge"``)
-            instead of costing; ``"auto"`` (default) costs both.
+        path: Pin one physical top-k path (``"batch"`` or
+            ``"vectorized"``) instead of the lowering rule; a pin the
+            query cannot take raises :class:`~repro.errors.PlanError`.
+        join_method: ``"merge"`` pins the sort-merge join; ``"auto"``
+            (default) and ``"hash"`` run the hash join.
         pushdown: Pin top-k cutoff pushdown below joins: ``True`` forces
             it on wherever it is valid, ``False`` disables it, ``None``
-            (default) lets the cost model decide.
+            (default) costs it on against off.
     """
 
     JOIN_METHODS = ("auto", "hash", "merge")
@@ -438,71 +448,50 @@ class Planner:
             total += width if width is not None else 20.0
         return total
 
-    # -- candidate enumeration / costing ---------------------------------
+    # -- lowering rules --------------------------------------------------
 
-    def _decide_topk(self, spec: SortSpec, query: ParsedQuery,
-                     table: Table, memory_rows: int,
-                     cutoff_seed: Any) -> PlanDecision:
-        """Estimate the input, then cost the eligible candidates."""
-        stats = self._table_stats(table)
-        rows, row_bytes, selectivity, source = self._estimate_input(
-            query, table, stats)
-        return self._decide_topk_costed(
-            spec, query, rows=rows, row_bytes=row_bytes,
-            selectivity=selectivity, source=source,
-            memory_rows=memory_rows, cutoff_seed=cutoff_seed)
-
-    def _decide_topk_costed(
+    def _decide_topk(
         self, spec: SortSpec, query: ParsedQuery, *, rows: float,
         row_bytes: float, selectivity: float, source: str,
         memory_rows: int, cutoff_seed: Any,
     ) -> PlanDecision:
-        """Cost the eligible paths and pick the cheapest."""
-        needed = query.limit + query.offset
-        forced: list[str] = []
+        """Lower a plain top-k by rule, then estimate the chosen plan.
 
-        def costed(path: str, keys: str) -> Candidate:
-            return Candidate(path, keys, self.cost_model.topk_plan_cost(
-                rows=rows, row_bytes=row_bytes, needed=needed,
-                memory_rows=memory_rows, path=path,
-                key_columns=len(spec.columns), binary_keys=keys == "ovc",
-                fan_in=self.algorithm_options.get("fan_in")))
-
-        # Enumeration order doubles as the cost tie-break (``min`` keeps
-        # the first of equals): vectorized before batch, so degenerate
-        # inputs (zero estimated rows) still get the vectorized plan.
-        candidates: list[Candidate] = []
-        if vectorized_lowering_eligible(
-                spec, algorithm=self.algorithm,
-                algorithm_options=self.algorithm_options,
-                cutoff_seed=cutoff_seed):
-            candidates.append(costed("vectorized", "-"))
+        The numpy kernels take every query they are eligible for: their
+        per-row cost is below the batch operator's and both pay the same
+        spill terms, so no estimate could rank them the other way.
+        """
+        refusal = _vectorized_refusal(spec, self.algorithm,
+                                      self.algorithm_options, cutoff_seed)
+        if self.path is not None:
+            if self.path == "vectorized" and refusal is not None:
+                raise PlanError(
+                    "forced path 'vectorized' is not eligible for this "
+                    f"query: {refusal}")
+            path, rule = self.path, f"path={self.path} pinned"
+        elif refusal is None:
+            path = "vectorized"
+            rule = "vectorized: one non-nullable numeric ORDER BY column"
+        else:
+            path, rule = "batch", f"batch: {refusal}"
         # The spec picks the row engine's key substrate (the baselines
         # always sort tuple keys).
-        keys = ("ovc" if self.algorithm == "histogram"
-                and binary_key_codec(spec) is not None else "tuple")
-        candidates.append(costed("batch", keys))
-
-        eligible = candidates
-        if self.path is not None:
-            forced.append(f"path={self.path}")
-            eligible = [c for c in candidates if c.path == self.path]
-            if not eligible:
-                raise PlanError(
-                    f"forced path {self.path!r} is not eligible for this "
-                    f"query (candidates: "
-                    f"{sorted({c.path for c in candidates})})")
-        if self.algorithm_options.get("fan_in") is not None:
-            forced.append("fan_in")
-
-        chosen = min(eligible, key=lambda c: c.cost.seconds)
+        keys = "-"
+        if path == "batch":
+            keys = ("ovc" if self.algorithm == "histogram"
+                    and binary_key_codec(spec) is not None else "tuple")
+        cost = self.cost_model.topk_plan_cost(
+            rows=rows, row_bytes=row_bytes,
+            needed=query.limit + query.offset, memory_rows=memory_rows,
+            path=path, key_columns=len(spec.columns),
+            binary_keys=keys == "ovc",
+            fan_in=self.algorithm_options.get("fan_in"))
         return PlanDecision(
-            chosen=chosen,
-            candidates=tuple(candidates),
+            chosen=TopKChoice(path, keys, cost),
+            rule=rule,
             estimated_rows=rows,
             estimated_selectivity=selectivity,
             stats_source=source,
-            forced=tuple(forced),
         )
 
     def _build_topk(self, decision: PlanDecision, node: Operator,
@@ -632,8 +621,13 @@ class Planner:
                 node = (Limit(segmented, query.limit, query.offset)
                         if query.offset else segmented)
             elif query.limit is not None:
+                rows, row_bytes, selectivity, source = \
+                    self._estimate_input(query, table,
+                                         self._table_stats(table))
                 decision = self._decide_topk(
-                    spec, query, table, memory_rows, cutoff_seed)
+                    spec, query, rows=rows, row_bytes=row_bytes,
+                    selectivity=selectivity, source=source,
+                    memory_rows=memory_rows, cutoff_seed=cutoff_seed)
                 node = self._build_topk(decision, node, spec, query,
                                         memory_rows, cutoff_seed, tracer)
             else:
@@ -752,105 +746,87 @@ class Planner:
         return out
 
     def _decide_join(
-        self, *, join_type: str, left_rows: float, right_rows: float,
-        out_rows: float, left_sorted: bool, right_sorted: bool,
-        pushdown_side: str | None, needed: int | None,
-        consumer_row_s: float, filter_row_s: float, stats_source: str,
-        memory_rows: int | None = None, row_bytes: float = 64.0,
-        merge_publisher_ok: bool = True,
+        self, *, left_rows: float, right_rows: float, out_rows: float,
+        pushdown_side: str | None, topk: PlanDecision | None,
+        needed: int | None, stats_source: str, memory_rows: int,
+        row_bytes: float, merge_publisher_ok: bool,
     ) -> JoinDecision:
-        """Cost hash vs merge, with and without cutoff pushdown.
+        """Pick the join method by rule, then cost pushdown on against off.
 
-        A pushdown candidate charges the filter's per-row test over the
-        whole sort side, then credits the join (and the downstream
-        top-k's consumption, ``consumer_row_s`` per output row) with the
-        reduced cardinality: in random arrival order only
-        ``expected_admitted(rows, k)`` sort-side rows survive the
-        published cutoff.
+        The method is ``hash`` unless ``join_method="merge"`` pins it.
+        ``SortMergeJoin`` sorts both sides whatever order a table
+        declares, so a declared order earns it nothing.
 
-        The credit applies to both methods.  Under *hash* the probe side
-        streams into a consumer whose top-k keeps publishing; under
-        *merge* the join's run-generation publisher sharpens the bound
-        while sort-side rows are still arriving, so the filter engages
-        before anything is buffered or spilled — and the merge
-        candidate's spill term (``memory_rows``-aware
-        :meth:`~repro.storage.costmodel.CostModel.join_plan_cost`)
-        shrinks with the surviving cardinality, which is exactly what
-        lets merge+pushdown win on large sort sides.  When the publisher
-        cannot be wired (``merge_publisher_ok=False``: residual
-        predicates filter join output, voiding its ≥``needed``-output
-        guarantee), merge pushdown is costed with no credit, as before.
+        Pushdown, where valid and not pinned, is the one costed choice.
+        The on estimate charges the filter's per-row test over the whole
+        sort side, then credits the join and the downstream top-k (its
+        per-row constant over the join's output) with the reduced
+        cardinality: in random arrival order only
+        ``expected_admitted(rows, needed)`` sort-side rows survive the
+        published cutoff.  Under *merge* the credit holds only when the
+        join's run-generation publisher is wired
+        (``merge_publisher_ok=False``: residual predicates filter join
+        output, voiding its ≥``needed``-output guarantee).  Ties keep
+        pushdown off.
         """
         model = self.cost_model
-        forced: list[str] = []
-        sort_side_rows = (left_rows if pushdown_side == "left"
-                          else right_rows)
-        candidates: list[JoinCandidate] = []
-        for method in ("hash", "merge"):
-            for pushdown in ((False, True) if pushdown_side is not None
-                             else (False,)):
-                if pushdown:
-                    engages = method == "hash" or merge_publisher_ok
-                    survivors = (model.expected_admitted(
-                        sort_side_rows, needed or 1)
-                        if engages else sort_side_rows)
-                    scale = (survivors / sort_side_rows
-                             if sort_side_rows else 1.0)
-                    filter_s = sort_side_rows * filter_row_s
-                    dropped = sort_side_rows - survivors
-                    if pushdown_side == "left":
-                        this_left, this_right = survivors, right_rows
-                    else:
-                        this_left, this_right = left_rows, survivors
-                    this_out = out_rows * scale
-                else:
-                    filter_s = 0.0
-                    dropped = 0.0
-                    this_left, this_right = left_rows, right_rows
-                    this_out = out_rows
-                # The physical operators build/materialize the right
-                # side and stream/probe the left.
-                cost = model.join_plan_cost(
-                    method=method, build_rows=this_right,
-                    probe_rows=this_left, out_rows=this_out,
-                    build_sorted=right_sorted, probe_sorted=left_sorted,
-                    memory_rows=memory_rows, row_bytes=row_bytes)
-                cost = JoinCost(
-                    seconds=(cost.seconds + filter_s
-                             + this_out * consumer_row_s),
-                    rows_build=cost.rows_build,
-                    rows_probe=cost.rows_probe,
-                    rows_out=cost.rows_out,
-                    filter_rows_dropped=dropped)
-                candidates.append(JoinCandidate(method, pushdown, cost))
+        method = "merge" if self.join_method == "merge" else "hash"
+        rule = ("hash: the default join" if self.join_method == "auto"
+                else f"join_method={self.join_method} pinned")
 
-        eligible = candidates
-        if self.join_method != "auto":
-            forced.append(f"join_method={self.join_method}")
-            eligible = [c for c in eligible
-                        if c.method == self.join_method]
-        if self.pushdown is not None:
-            subset = [c for c in eligible
-                      if c.pushdown == bool(self.pushdown)]
-            if subset:
-                forced.append(
-                    f"pushdown={'on' if self.pushdown else 'off'}")
-                eligible = subset
-            # pushdown=True on a query where it is invalid: nothing to
-            # force; the decision records validity via pushdown_side.
-        chosen = min(eligible, key=lambda c: c.cost.seconds)
+        def estimate(left: float, right: float, out: float) -> JoinCost:
+            # The physical operators build/materialize the right side and
+            # stream/probe the left.
+            return model.join_plan_cost(
+                method=method, build_rows=right, probe_rows=left,
+                out_rows=out, memory_rows=memory_rows, row_bytes=row_bytes)
+
+        cost = estimate(left_rows, right_rows, out_rows)
+        pushdown = False
+        if pushdown_side is None:
+            rule += "; pushdown not valid for this query"
+        else:
+            sort_rows = left_rows if pushdown_side == "left" else right_rows
+            survivors = (model.expected_admitted(sort_rows, needed or 1)
+                         if method == "hash" or merge_publisher_ok
+                         else sort_rows)
+            on_out = out_rows * (survivors / sort_rows if sort_rows
+                                 else 1.0)
+            if pushdown_side == "left":
+                on_left, on_right = survivors, right_rows
+            else:
+                on_left, on_right = left_rows, survivors
+            on_cost = replace(estimate(on_left, on_right, on_out),
+                              filter_rows_dropped=sort_rows - survivors)
+            if self.pushdown is not None:
+                pushdown = bool(self.pushdown)
+                rule += f"; pushdown={'on' if pushdown else 'off'} pinned"
+            else:
+                consumer_row_s = (model.plan_row_s_vectorized
+                                  if topk.chosen.path == "vectorized"
+                                  else model.plan_row_s_batch)
+                filter_row_s = model.plan_compare_base_s
+                if topk.chosen.keys == "ovc":
+                    filter_row_s += model.plan_key_encode_s
+                off_s = cost.seconds + out_rows * consumer_row_s
+                on_s = (on_cost.seconds + sort_rows * filter_row_s
+                        + on_out * consumer_row_s)
+                pushdown = on_s < off_s
+                rule += (f"; pushdown {'on' if pushdown else 'off'}: "
+                         f"estimated {on_s:.4f}s on vs {off_s:.4f}s off")
+            if pushdown:
+                cost = on_cost
         return JoinDecision(
-            chosen=chosen,
-            candidates=tuple(candidates),
+            chosen=JoinChoice(method, pushdown, cost),
+            rule=rule,
             estimated_left_rows=left_rows,
             estimated_right_rows=right_rows,
             estimated_out_rows=out_rows,
             pushdown_side=pushdown_side,
             stats_source=stats_source,
-            forced=tuple(forced),
         )
 
-    def _pushdown_key_of(self, chosen: Candidate, source_schema: Schema,
+    def _pushdown_key_of(self, chosen: TopKChoice, source_schema: Schema,
                          sort_columns: list[SortColumn]):
         """A row → key function over the *source-side* schema producing
         keys in the downstream top-k's active key space.
@@ -961,7 +937,7 @@ class Planner:
         stats_source = (left_source if left_source == right_source
                         else f"{left_source}/{right_source}")
 
-        # The consumer above the join, costed on the join's output.
+        # The consumer above the join, lowered over the join's output.
         grouped = query.is_grouped_topk
         plain_topk = (query.is_topk and not grouped
                       and not query.is_aggregate)
@@ -976,38 +952,22 @@ class Planner:
                                           query.order_by)])
 
         pushdown_side = None
+        topk_decision = None
         if plain_topk:
             sides = {location[0] for location in order_locations}
             if len(sides) == 1:
                 side = next(iter(sides))
                 if join.join_type == "inner" or side == "left":
                     pushdown_side = side
-
-        topk_decision = None
-        consumer_row_s = self.cost_model.plan_row_s_row
-        if plain_topk:
-            topk_decision = self._decide_topk_costed(
+            topk_decision = self._decide_topk(
                 spec, query, rows=out_rows,
                 row_bytes=self._schema_row_bytes(ns.schema),
                 selectivity=1.0, source=stats_source,
                 memory_rows=memory_rows, cutoff_seed=None)
-            consumer_row_s = {
-                "batch": self.cost_model.plan_row_s_batch,
-                "vectorized": self.cost_model.plan_row_s_vectorized,
-            }[topk_decision.chosen.path]
-
-        filter_row_s = self.cost_model.plan_compare_base_s
-        if (topk_decision is not None
-                and topk_decision.chosen.keys == "ovc"):
-            filter_row_s += self.cost_model.plan_key_encode_s
         needed = (query.limit + query.offset if plain_topk else None)
         decision = self._decide_join(
-            join_type=join.join_type, left_rows=left_rows,
-            right_rows=right_rows, out_rows=out_rows,
-            left_sorted=self._sorted_on(left_table, left_key[1]),
-            right_sorted=self._sorted_on(right_table, right_key[1]),
-            pushdown_side=pushdown_side, needed=needed,
-            consumer_row_s=consumer_row_s, filter_row_s=filter_row_s,
+            left_rows=left_rows, right_rows=right_rows, out_rows=out_rows,
+            pushdown_side=pushdown_side, topk=topk_decision, needed=needed,
             stats_source=stats_source, memory_rows=memory_rows,
             row_bytes=max(self._schema_row_bytes(left_table.schema),
                           self._schema_row_bytes(right_table.schema)),
@@ -1106,10 +1066,3 @@ class Planner:
             node = Project(node, [ns.output_name(name)
                                   for name in query.columns])
         return node
-
-    @staticmethod
-    def _sorted_on(table: Table, column: str) -> bool:
-        """Whether the table's physical order leads with ``column``
-        (filters preserve it, so a sort-merge join can skip that
-        side's sort)."""
-        return bool(table.sorted_by) and table.sorted_by[0] == column

@@ -91,18 +91,21 @@ class Database:
         stats_catalog: Inject a pre-built
             :class:`~repro.stats.StatsCatalog`; ``None`` builds one
             (persisting under ``stats_path`` when given).  The catalog
-            feeds the cost-based planner and is refilled by
+            feeds the planner's estimates and is refilled by
             :meth:`analyze` scans, run-generation histogram harvesting,
             and post-execution cardinality feedback.
         stats_path: Directory for the default catalog's per-table JSON
             files; statistics then survive process restarts.
         force_path: Pin every plain top-k plan to one physical path
-            (``"batch"`` or ``"vectorized"``) instead of costing — the
-            benchmark harness's hand-picking knob.
-        join_method: Pin the physical join operator (``"hash"`` /
-            ``"merge"``); ``"auto"`` (default) costs both.
+            (``"batch"`` or ``"vectorized"``) instead of the lowering
+            rule (vectorized when eligible, else batch) — a
+            differential and benchmark knob; a query the pinned path
+            cannot run raises :class:`~repro.errors.PlanError`.
+        join_method: ``"merge"`` pins the sort-merge join; ``"auto"``
+            (default) and ``"hash"`` run the hash join.
         pushdown: Pin top-k cutoff pushdown below joins (``True`` on
-            wherever valid, ``False`` off, ``None`` costed).
+            wherever valid, ``False`` off); ``None`` (default) costs it
+            on against off.
     """
 
     def __init__(
@@ -143,7 +146,8 @@ class Database:
 
         ``sorted_by`` declares the physical (ascending) sort order of the
         stored rows; the planner exploits shared prefixes with ORDER BY
-        clauses (Section 4.2).
+        clauses (Section 4.2) and nothing else: joins plan the same
+        whatever order a table declares.
 
         Re-registering a name bumps the table's content version so that
         caches keyed on ``(name, version)`` stop serving stale entries.

@@ -240,11 +240,12 @@ class PlanProbe:
             details.update(extra())
         decision = node.__dict__.get("decision")
         if decision is not None:
-            # Estimate-vs-actual: the planner's costed prediction next to
-            # what the execution measured, the audit trail for the cost
-            # model's calibration.
+            # The rule that picked the plan, then estimate-vs-actual: the
+            # cost model's prediction next to what the execution
+            # measured, the audit trail for its calibration.
             cost = decision.chosen.cost
             details["plan_choice"] = decision.chosen.label()
+            details["plan_rule"] = decision.rule
             details["plan_cost_seconds"] = round(cost.seconds, 4)
             estimated_in = getattr(decision, "estimated_rows", None)
             if estimated_in is not None:

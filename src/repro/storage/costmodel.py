@@ -60,11 +60,9 @@ class CostModel:
     #
     # Per-row wall costs of the physical top-k paths, calibrated from
     # ``BENCH_batch.json`` (1M uniform rows on the reference container:
-    # row 0.43s, batch 0.30s, vectorized 0.076s).  These drive the
-    # planner's path choice, where only *relative* magnitudes matter.
-    # ``plan_row_s_row`` prices a row-at-a-time consumer that is not a
-    # top-k (the join planner's default); every top-k path is batched.
-    plan_row_s_row: float = 4.3e-7
+    # batch 0.30s, vectorized 0.076s).  They price the chosen plan's
+    # estimates (``EXPLAIN``) and the cutoff-pushdown comparison; rules,
+    # not these constants, pick the path.
     plan_row_s_batch: float = 3.0e-7
     plan_row_s_vectorized: float = 7.6e-8
     #: Full key comparison: a base charge plus a per-column term (tuple
@@ -108,7 +106,7 @@ class CostModel:
         """Simulated end-to-end operator time (CPU + I/O)."""
         return self.cpu_seconds(stats) + self.io_seconds(stats.io)
 
-    # -- a-priori plan costing (the cost-based planner) ------------------
+    # -- a-priori plan estimates (EXPLAIN and the pushdown choice) -------
 
     def expected_admitted(self, rows: float, needed: float) -> float:
         """Expected rows surviving arrival filtering in random order.
@@ -235,8 +233,6 @@ class CostModel:
         build_rows: float,
         probe_rows: float,
         out_rows: float,
-        build_sorted: bool = False,
-        probe_sorted: bool = False,
         memory_rows: int | None = None,
         row_bytes: float = 64.0,
     ) -> "JoinCost":
@@ -244,15 +240,13 @@ class CostModel:
 
         * ``hash`` — in-memory: one hash-table insert per build row, one
           probe per probe row, one emit per output row;
-        * ``merge`` — streaming: an ``n log n`` sort of each *unsorted*
-          side plus a linear zip.  A side whose table is physically
-          sorted on the join key skips its sort term, which is exactly
-          when sort-merge beats hashing.  When ``memory_rows`` is given,
-          an unsorted side larger than the budget spills through run
-          generation: one sequential write plus one sequential read of
-          that side's rows (the streaming sorter merges in a single
-          pass), charged at the model's bandwidth and request-overhead
-          terms.
+        * ``merge`` — streaming: an ``n log n`` sort of each side plus a
+          linear zip (``SortMergeJoin`` sorts both sides whatever order
+          a table declares).  When ``memory_rows`` is given, a side
+          larger than the budget spills through run generation: one
+          sequential write plus one sequential read of that side's rows
+          (the streaming sorter merges in a single pass), charged at
+          the model's bandwidth and request-overhead terms.
         """
         build_rows = max(0.0, float(build_rows))
         probe_rows = max(0.0, float(probe_rows))
@@ -264,18 +258,16 @@ class CostModel:
         elif method == "merge":
             compare = self.plan_compare_base_s
 
-            def sort_s(rows: float, pre_sorted: bool) -> float:
-                if pre_sorted or rows <= 1:
+            def sort_s(rows: float) -> float:
+                if rows <= 1:
                     return rows * self.cpu_row_s
                 return rows * math.log2(max(2.0, rows)) * compare
 
-            cpu = (sort_s(build_rows, build_sorted)
-                   + sort_s(probe_rows, probe_sorted)
+            cpu = (sort_s(build_rows) + sort_s(probe_rows)
                    + (build_rows + probe_rows) * compare)
             if memory_rows is not None and memory_rows > 0:
-                for rows, pre_sorted in ((build_rows, build_sorted),
-                                         (probe_rows, probe_sorted)):
-                    if pre_sorted or rows <= memory_rows:
+                for rows in (build_rows, probe_rows):
+                    if rows <= memory_rows:
                         continue
                     spill_bytes = rows * row_bytes
                     io += spill_bytes * (
@@ -292,13 +284,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class JoinCost:
-    """An a-priori cost estimate for one candidate join method.
+    """An a-priori cost estimate for one join method.
 
-    ``seconds`` may include planner-side surcharges beyond the bare
-    join (a pushed-down cutoff filter's per-row cost, the downstream
-    top-k's consumption of the join output); ``filter_rows_dropped``
-    records how many sort-side rows the estimate expects a pushed-down
-    cutoff filter to eliminate before they reach the join.
+    ``seconds`` prices the join alone; ``filter_rows_dropped`` records
+    how many sort-side rows the planner expects a pushed-down cutoff
+    filter to eliminate before they reach the join.
     """
 
     seconds: float
@@ -310,7 +300,7 @@ class JoinCost:
 
 @dataclass(frozen=True)
 class PlanCost:
-    """An a-priori cost estimate for one candidate physical plan."""
+    """An a-priori cost estimate for one physical top-k plan."""
 
     seconds: float
     cpu_seconds: float

@@ -213,6 +213,47 @@ class TestDiskSpillLifecycle:
         assert [handle.closed for handle in opened] == [True]
         manager.close()
 
+    @pytest.mark.parametrize("join_method", ["merge", "hash"])
+    def test_closing_a_join_early_leaves_nothing(self, tmp_path,
+                                                 join_method):
+        """A consumer that stops reading a join after a few rows and
+        closes its iterator leaves no spill file and no open handle: the
+        sort-merge join's side sorts have spilled to disk by then, and
+        the hash join holds its build side in memory."""
+        import gc
+        import warnings
+
+        from repro.engine.session import Database
+        from repro.rows.schema import Column, ColumnType, Schema
+
+        def schema(prefix, key):
+            return Schema([Column(f"{prefix}ID", ColumnType.INT64),
+                           Column(key, ColumnType.INT64),
+                           Column(f"{prefix}V", ColumnType.INT64)])
+
+        rng = random.Random(3)
+        db = Database(memory_rows=100, join_method=join_method)
+        db.planner.spill_manager_factory = lambda: SpillManager(
+            backend=DiskSpillBackend(directory=str(tmp_path)))
+        db.register_table("L", schema("L", "JK"),
+                          [(i, rng.randrange(50), rng.randrange(10_000))
+                           for i in range(5_000)])
+        db.register_table("R", schema("R", "RK"),
+                          [(j, rng.randrange(50), rng.randrange(100))
+                           for j in range(400)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = db.plan("SELECT * FROM L JOIN R ON L.JK = R.RK").rows()
+            assert len(list(itertools.islice(rows, 5))) == 5
+            spilled = len(list(tmp_path.iterdir()))
+            rows.close()
+            assert list(tmp_path.iterdir()) == []
+            del rows
+            gc.collect()
+        assert (spilled > 0) == (join_method == "merge")
+        assert [warning for warning in caught
+                if issubclass(warning.category, ResourceWarning)] == []
+
     def test_unsealed_file_cleaned_up_by_backend_close(self, tmp_path):
         backend = DiskSpillBackend(directory=str(tmp_path))
         manager = SpillManager(backend=backend, page_bytes=64)

@@ -42,6 +42,7 @@ from repro.engine.session import Database
 from repro.engine.operators import (
     HashJoin,
     Operator,
+    SortMergeJoin,
     Table,
     TableScan,
     VectorizedTopK,
@@ -430,6 +431,94 @@ def test_float_join_keys_match_by_equality(shared_nan, nullable,
     result = db.sql(f"SELECT * FROM L {op} R ON L.JK = R.RK "
                     f"ORDER BY LV, LID, RID LIMIT {len(left) * len(right)}")
     assert exact(result.rows) == exact(expected)
+
+
+# -- tables declared sorted on the join key --------------------------------
+
+SORTED_SIDES = ["both", "left", "right"]
+
+
+def in_key_order(rows):
+    """Rows in ascending join-key order (column 1), NULL and NaN keys
+    last: the physical order a ``sorted_by`` on the key declares."""
+    def unordered(key):
+        return key is None or key != key
+
+    return sorted(rows, key=lambda row: (unordered(row[1]),
+                                         0 if unordered(row[1]) else row[1]))
+
+
+def declared_db(left, right, left_schema, right_schema, declared,
+                **kwargs):
+    """Both sides stored in join-key order; ``declared`` names the sides
+    that say so (``sorted_by``)."""
+    db = Database(**kwargs)
+    db.register_table(
+        "L", left_schema, in_key_order(left),
+        sorted_by=["JK"] if declared in ("both", "left") else None)
+    db.register_table(
+        "R", right_schema, in_key_order(right),
+        sorted_by=["RK"] if declared in ("both", "right") else None)
+    return db
+
+
+def join_node(node):
+    """The join operator under ``node``, on a chain of one-input nodes."""
+    while not isinstance(node, (HashJoin, SortMergeJoin)):
+        (node,) = node.children()
+    return node
+
+
+@given(tables=joined_tables(),
+       k=st.integers(1, 30),
+       memory=st.sampled_from([4, 100_000]),
+       declared=st.sampled_from(SORTED_SIDES),
+       join_type=st.sampled_from(["inner", "left"]),
+       join_method=st.sampled_from(["auto", "hash", "merge"]))
+@settings(max_examples=60, deadline=None)
+def test_declared_sorted_join_keys_differential(tables, k, memory, declared,
+                                                join_type, join_method):
+    """Tables declared sorted on the join key (both sides, or one) give
+    the reference answer under every join method, with NULL and
+    duplicate keys, and ``auto`` still plans the hash join: a declared
+    order earns only Section 4.2's sorted-prefix plans."""
+    left, right = (in_key_order(side) for side in tables)
+    oracle = reference_topk(nested_loop_join(left, right, join_type),
+                            [("LV", True), ("LID", True), ("RID", True)], k)
+    db = declared_db(left, right, LEFT_SCHEMA, RIGHT_SCHEMA, declared,
+                     memory_rows=memory, join_method=join_method)
+    op = "LEFT JOIN" if join_type == "left" else "JOIN"
+    result = db.sql(f"SELECT * FROM L {op} R ON L.JK = R.RK "
+                    f"ORDER BY LV, LID, RID LIMIT {k}")
+    assert result.rows == oracle
+    expected = SortMergeJoin if join_method == "merge" else HashJoin
+    assert type(join_node(result.plan)) is expected
+
+
+@pytest.mark.parametrize("memory", [8, 1000])
+@pytest.mark.parametrize("join_method", ["auto", "hash", "merge"])
+@pytest.mark.parametrize("join_type", ["inner", "left"])
+@pytest.mark.parametrize("declared", SORTED_SIDES)
+def test_declared_sorted_float_join_keys(declared, join_type, join_method,
+                                         memory):
+    """The same over FLOAT64 keys with NULL, NaN (distinct objects),
+    ±0.0, ±inf and duplicates: NaN matches nothing, and a LEFT join
+    pads its row."""
+    left, right, left_schema, right_schema = float_key_tables(
+        shared_nan=False, nullable=True)
+    limit = len(left) * len(right)
+    expected = reference_topk(nested_loop_join(left, right, join_type),
+                              [("LV", True), ("LID", True), ("RID", True)],
+                              limit)
+    op = "LEFT JOIN" if join_type == "left" else "JOIN"
+    sql = (f"SELECT * FROM L {op} R ON L.JK = R.RK "
+           f"ORDER BY LV, LID, RID LIMIT {limit}")
+    db = declared_db(left, right, left_schema, right_schema, declared,
+                     memory_rows=memory, join_method=join_method)
+    result = db.sql(sql)
+    assert exact(result.rows) == exact(expected)
+    expected_join = SortMergeJoin if join_method == "merge" else HashJoin
+    assert type(join_node(result.plan)) is expected_join
 
 
 # -- streaming merge + fused aggregation legs (ISSUE 10) ------------------

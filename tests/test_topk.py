@@ -1,5 +1,7 @@
 """Tests for the adaptive histogram top-k operator (Algorithm 1)."""
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -205,3 +207,41 @@ class TestTopkHelper:
         result = topk(rows, 200, KEY, memory_rows=50,
                       sizing_policy=TargetBucketsPolicy(5))
         assert result == sorted(rows)[:200]
+
+
+@pytest.mark.parametrize("k,memory_rows,run_generation", [
+    pytest.param(100, 1_000, "quicksort", id="in-memory"),
+    pytest.param(1_500, 400, "quicksort", id="load-sort-store"),
+    pytest.param(1_500, 400, "replacement_selection",
+                 id="replacement-selection"),
+])
+def test_callable_nan_keys_are_eliminated_on_arrival(k, memory_rows,
+                                                     run_generation):
+    """A callable's NaN key is dropped on arrival, in both regimes and
+    under both run generators: the output is the top k of the finite
+    keys, and every counter equals the same run over the finite rows
+    alone, plus one consumed and one eliminated-on-arrival row per NaN
+    (the way a spec's numeric column counts its NaN drops)."""
+    rng = random.Random(11)
+    rows = [(math.nan if rng.random() < 0.2 else rng.random(), i)
+            for i in range(20_000)]
+    finite = [row for row in rows if not math.isnan(row[0])]
+    nans = len(rows) - len(finite)
+
+    def run(data):
+        operator = HistogramTopK(KEY, k, memory_rows,
+                                 run_generation=run_generation)
+        output = list(operator.execute(data))
+        stats = dataclasses.asdict(operator.stats)
+        io = {name: value for name, value in stats.pop("io").items()
+              if not name.endswith("seconds")}
+        return output, (stats, io,
+                        dataclasses.asdict(operator.cutoff_filter.stats))
+
+    output, counters = run(rows)
+    assert output == sorted(finite, key=KEY)[:k]
+    finite_output, expected = run(finite)
+    assert output == finite_output
+    expected[0]["rows_consumed"] += nans
+    expected[0]["rows_eliminated_on_arrival"] += nans
+    assert counters == expected
