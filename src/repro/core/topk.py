@@ -616,6 +616,7 @@ class HistogramTopK:
             ovc=self.key_codec is not None,
             stats=self.stats,
             retain_files=set(payload_files) if lazy else None,
+            keys_of=self._keys_of,
         )
         with self.tracer.span("topk.merge", runs=len(self.runs)) as span:
             output = merger.merge_topk(

@@ -211,6 +211,10 @@ class Database:
     ) -> QueryResult:
         """Parse, plan and execute ``sql_text``; results are materialized.
 
+        The plan's spill storage (run files, run pages) is released
+        before this returns or raises, so a held result pins no spill
+        storage.
+
         Args:
             memory_rows: Per-query memory budget override (e.g. a shrunk
                 lease granted by a memory governor); ``None`` uses the
@@ -249,23 +253,25 @@ class Database:
                    if topk is not None else None)
         probe = PlanProbe(plan) if explain_analyze else None
         active = tracer if tracer is not None else NULL_TRACER
+        stale = None
         try:
             with active.span("query", table=query.table):
                 rows = list(plan.rows())
         except StaleCutoffSeed as exc:
+            stale = exc
+        finally:
+            # Drained or failed, the plan's runs are dead: the result
+            # holds its rows, never spill files or pages.
+            release_plan_storage(plan)
+        if stale is not None:
             # The seed asserted coverage the input did not have.  The
             # session owns replayable sources, so correctness degrades to
             # a plain (seedless) re-execution, never to a wrong answer.
-            release_plan_storage(plan)
-            logger.warning("discarding stale cutoff seed: %s", exc)
+            logger.warning("discarding stale cutoff seed: %s", stale)
             return self._execute(query, memory_rows=memory_rows,
                                  cutoff_seed=None,
                                  explain_analyze=explain_analyze,
                                  tracer=tracer)
-        except BaseException:
-            # Failed queries must not leak spill files (or pages).
-            release_plan_storage(plan)
-            raise
         if topk is not None:
             self._feed_stats(table, query, topk, harvest)
         stats = _collect_stats(plan)
@@ -463,7 +469,9 @@ def release_plan_storage(plan: Operator) -> None:
     Deletes all spill files a (possibly failed) execution left behind —
     sealed, unsealed, or merely undeleted — and releases backend
     resources.  Statistics counters survive (they are plain records).
-    After this, the plan must not be re-executed.
+    After this, the plan must not be re-executed.  :meth:`Database.sql`
+    calls it for every plan it runs; a caller needs it only for a plan
+    it runs itself (``db.plan(sql).rows()``).
     """
     stack = [plan]
     while stack:

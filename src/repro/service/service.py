@@ -41,7 +41,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.engine.session import Database, release_plan_storage
+from repro.engine.session import Database
 from repro.engine.sql import ParsedQuery, parse
 from repro.errors import (
     ConfigurationError,
@@ -412,9 +412,6 @@ class QueryService:
                                            cutoff_seed=seed)
             finally:
                 self._m_inflight.dec()
-            # The service materializes results, so the plan's spill
-            # storage goes now (``Database.sql`` releases it on failure).
-            release_plan_storage(result.plan)
             record.execution_seconds = time.monotonic() - started
 
         record.rows_spilled = result.stats.io.rows_spilled

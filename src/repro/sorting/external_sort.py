@@ -97,6 +97,8 @@ class ExternalSort:
             tracer=self.tracer,
             ovc=self.key_codec is not None,
             stats=self.stats,
+            keys_of=(self.key_codec.encode_batch
+                     if self.key_codec is not None else None),
         )
         self.runs: list[SortedRun] = []
 

@@ -59,6 +59,7 @@ def merge_keyed(
     sources: list[Iterator[tuple[Any, tuple]]] | None = None,
     stats: OperatorStats | None = None,
     cutoff: Any = None,
+    keys_of: Callable[[list], list] | None = None,
 ) -> Iterator[tuple[Any, tuple]]:
     """Yield ``(key, row)`` pairs from ``runs`` in global sort order.
 
@@ -70,9 +71,10 @@ def merge_keyed(
     to run creation order.  ``sources`` substitutes a custom ``(key,
     row)`` iterator per run (used by offset skipping, which starts each
     run mid-file).  Run scans read ahead on backends with real I/O
-    (:meth:`~repro.sorting.runs.SortedRun.keyed_rows`); per-run iterators
-    are closed on exit, so an early-terminated merge closes its runs'
-    files immediately.
+    (:meth:`~repro.sorting.runs.SortedRun.keyed_rows`), keying each page
+    read back without keys by ``keys_of`` (the batch form of
+    ``sort_key``) when given; per-run iterators are closed on exit, so an
+    early-terminated merge stops its runs' reads immediately.
 
     ``stats``, when given, accumulates ``full_key_comparisons`` — a
     ``2 * log2(heap size)``-per-operation estimate of the key
@@ -92,7 +94,8 @@ def merge_keyed(
             if sources is not None:
                 iterator = iter(sources[order])
             else:
-                iterator = run.keyed_rows(sort_key, cutoff=cutoff)
+                iterator = run.keyed_rows(sort_key, cutoff=cutoff,
+                                          keys_of=keys_of)
             iterators.append(iterator)
             first = next(iterator, None)
             if first is not None:
@@ -143,6 +146,10 @@ class Merger:
             uses this: original run files hold the payload sections that
             skeleton rows in intermediate runs still reference, so they
             must outlive the merge — the stitch deletes them itself.
+        keys_of: The batch form of ``sort_key`` (``rows -> keys``, such
+            as :attr:`~repro.sorting.keycodec.KeyCodec.encode_batch`);
+            the run scans key each page read back without keys in one
+            call.  One ``sort_key`` call per row when omitted.
     """
 
     def __init__(
@@ -155,6 +162,7 @@ class Merger:
         ovc: bool = False,
         stats: OperatorStats | None = None,
         retain_files: set[int] | None = None,
+        keys_of: Callable[[list], list] | None = None,
     ):
         if fan_in is not None and fan_in < 2:
             raise ConfigurationError("merge fan-in must be at least 2")
@@ -168,6 +176,7 @@ class Merger:
                           else SortedRun.keyed_rows_skipping)
         self._stats = stats if stats is not None else OperatorStats()
         self._retain_files = retain_files if retain_files else set()
+        self._keys_of = keys_of
         self._next_intermediate_id = 1_000_000  # distinct from run-gen ids
         #: Rows skipped unread by the last offset-optimized merge.
         self.offset_rows_skipped = 0
@@ -238,7 +247,8 @@ class Merger:
                                on_spill=on_spill)
             self._next_intermediate_id += 1
             for key, row in self._merge(runs, self._sort_key,
-                                        stats=self._stats, cutoff=cutoff):
+                                        stats=self._stats, cutoff=cutoff,
+                                        keys_of=self._keys_of):
                 if cutoff is not None and key > cutoff:
                     writer.truncated = True
                     break
@@ -324,7 +334,8 @@ class Merger:
                 sources = []
                 for run in runs:
                     skipped_rows, iterator = self._skipping(
-                        run, self._sort_key, skip_key, cutoff=cutoff)
+                        run, self._sort_key, skip_key, cutoff=cutoff,
+                        keys_of=self._keys_of)
                     self.offset_rows_skipped += skipped_rows
                     sources.append(iterator)
         remaining_offset = offset - self.offset_rows_skipped
@@ -336,7 +347,8 @@ class Merger:
             code_before = self._stats.code_comparisons
             for key, row in self._merge(runs, self._sort_key,
                                         sources=sources, stats=self._stats,
-                                        cutoff=cutoff):
+                                        cutoff=cutoff,
+                                        keys_of=self._keys_of):
                 if cutoff is not None and key > cutoff:
                     break
                 if skipped < remaining_offset:
@@ -383,7 +395,7 @@ class Merger:
                 runs = next_level
         try:
             yield from self._merge(runs, self._sort_key, stats=self._stats,
-                                   cutoff=cutoff)
+                                   cutoff=cutoff, keys_of=self._keys_of)
         finally:
             if self._spill_manager is not None:
                 for run in runs:

@@ -133,6 +133,7 @@ def merge_coded(
     sources: list[Iterator[tuple[bytes, tuple, int]]] | None = None,
     stats: Any = None,
     cutoff: bytes | None = None,
+    keys_of: Callable[[list], list] | None = None,
 ) -> Iterator[tuple[bytes, tuple]]:
     """Merge coded run scans with an OVC tree of losers.
 
@@ -146,8 +147,9 @@ def merge_coded(
     skipping); ``stats`` receives ``full_key_comparisons`` /
     ``code_comparisons`` increments.  ``cutoff`` enables zone-map page
     pruning within each run scan (the caller stops consuming at the
-    cutoff anyway, so pruning the tail is sound).  Per-run iterators
-    are closed on exit like the heap merge.
+    cutoff anyway, so pruning the tail is sound), and ``keys_of`` keys
+    pages read back without keys, as in the heap merge.  Per-run
+    iterators are closed on exit like the heap merge.
     """
     iterators: list[Iterator] = []
     full = code_only = 0
@@ -156,7 +158,8 @@ def merge_coded(
             if sources is not None:
                 iterators.append(iter(sources[order]))
             else:
-                iterators.append(run.coded_rows(encode, cutoff=cutoff))
+                iterators.append(run.coded_rows(encode, cutoff=cutoff,
+                                                keys_of=keys_of))
         m = len(iterators)
         if m == 0:
             return

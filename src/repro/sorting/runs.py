@@ -37,18 +37,26 @@ from repro.storage.pages import Page, PageBuilder
 from repro.storage.spill import SpillFile, SpillManager
 
 
-def _ensure_keys(sort_key: Callable[[tuple], Any]
+def _ensure_keys(sort_key: Callable[[tuple], Any],
+                 keys_of: Callable[[list], list] | None = None
                  ) -> Callable[[Page], Page]:
     """Page transform that populates the key cache when absent.
 
     Pages written through :class:`RunWriter` already carry their keys on
     the in-memory backend; disk pages come back without them, and this
     transform recomputes them one page at a time, as the scan loads the
-    page.
+    page: in one ``keys_of(rows)`` call when the caller has a batch form
+    of ``sort_key`` (a codec's
+    :attr:`~repro.sorting.keycodec.KeyCodec.encode_batch`), else one
+    ``sort_key`` call per row.
     """
+    if keys_of is None:
+        def keys_of(rows: list) -> list:
+            return list(map(sort_key, rows))
+
     def transform(page: Page) -> Page:
         if page.keys is None:
-            page.keys = [sort_key(row) for row in page.rows]
+            page.keys = keys_of(page.rows)
         return page
     return transform
 
@@ -71,19 +79,21 @@ class SortedRun:
         return self.file.rows(cutoff=cutoff)
 
     def keyed_rows(self, sort_key: Callable[[tuple], Any],
-                   start_page: int = 0,
-                   cutoff: Any = None) -> Iterator[tuple[Any, tuple]]:
+                   start_page: int = 0, cutoff: Any = None,
+                   keys_of: Callable[[list], list] | None = None
+                   ) -> Iterator[tuple[Any, tuple]]:
         """Scan ``(key, row)`` pairs using the page-level key cache.
 
         Keys cached at write time are reused; otherwise they are computed
-        one page at a time.  This is the merge's scan, so it reads ahead
-        on backends with real I/O: the next
+        one page at a time, by ``keys_of`` (the batch form of
+        ``sort_key``) when given.  This is the merge's scan, so it reads
+        ahead on backends with real I/O: the next
         :data:`~repro.storage.spill.READ_AHEAD_PAGES` pages are decoded
         and keyed before they are needed.  ``cutoff`` (binary keys only)
         enables zone-map pruning: the scan stops at the first page whose
         min key exceeds it, before decoding the page.
         """
-        transform = _ensure_keys(sort_key)
+        transform = _ensure_keys(sort_key, keys_of)
         for page in self.file.pages(start_page=start_page,
                                     prefetch=True,
                                     transform=transform,
@@ -91,7 +101,8 @@ class SortedRun:
             yield from zip(page.keys, page.rows)
 
     def coded_rows(self, encode: Callable[[tuple], bytes],
-                   start_page: int = 0, cutoff: Any = None
+                   start_page: int = 0, cutoff: Any = None,
+                   keys_of: Callable[[list], list] | None = None
                    ) -> Iterator[tuple[bytes, tuple, int]]:
         """Scan ``(key, row, code)`` triples for the OVC merge.
 
@@ -102,12 +113,12 @@ class SortedRun:
         A page's base is the previous page's last key, and the scan's
         first row gets :data:`~repro.sorting.ovc.INITIAL_CODE`, also
         when the scan starts mid-file (``start_page > 0``).  ``cutoff``
-        as in :meth:`keyed_rows`.
+        and ``keys_of`` as in :meth:`keyed_rows`.
         """
         base = None
         for page in self.file.pages(start_page=start_page,
                                     prefetch=True,
-                                    transform=_ensure_keys(encode),
+                                    transform=_ensure_keys(encode, keys_of),
                                     cutoff=cutoff):
             keys = page.keys
             yield from zip(keys, page.rows, code_sequence(base, keys))
@@ -131,21 +142,21 @@ class SortedRun:
 
     def keyed_rows_skipping(
         self, sort_key: Callable[[tuple], Any], skip_key: Any,
-        cutoff: Any = None,
+        cutoff: Any = None, keys_of: Callable[[list], list] | None = None,
     ) -> tuple[int, Iterator[tuple[Any, tuple]]]:
         """Keyed variant of :meth:`rows_skipping` (same skip rule)."""
         start, skipped = self._skip_start(skip_key)
         return skipped, self.keyed_rows(sort_key, start_page=start,
-                                        cutoff=cutoff)
+                                        cutoff=cutoff, keys_of=keys_of)
 
     def coded_rows_skipping(
         self, encode: Callable[[tuple], bytes], skip_key: Any,
-        cutoff: Any = None,
+        cutoff: Any = None, keys_of: Callable[[list], list] | None = None,
     ) -> tuple[int, Iterator[tuple[bytes, tuple, int]]]:
         """Coded variant of :meth:`rows_skipping` (same skip rule)."""
         start, skipped = self._skip_start(skip_key)
         return skipped, self.coded_rows(encode, start_page=start,
-                                        cutoff=cutoff)
+                                        cutoff=cutoff, keys_of=keys_of)
 
     def rows_skipping(self, skip_key: Any, cutoff: Any = None
                       ) -> tuple[int, Iterator[tuple]]:

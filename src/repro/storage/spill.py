@@ -6,31 +6,39 @@ Two interchangeable backends implement the same small interface:
   accounting bytes and requests.  This is the default for experiments: it
   makes multi-million-row simulations fast and deterministic while the cost
   model still charges for every byte "written".
-* :class:`DiskSpillBackend` — writes framed pages to real temporary
-  files through a :class:`~repro.storage.codec.TypedPageCodec` (see
-  :mod:`repro.storage.codec`).  Used to validate that the abstraction is
-  honest and for workloads that genuinely exceed process memory.
+* :class:`DiskSpillBackend` — writes framed pages through a
+  :class:`~repro.storage.codec.TypedPageCodec` (see
+  :mod:`repro.storage.codec`) into one append-only temporary file, in
+  which each run (each :class:`SpillFile` it creates) is a page table of
+  byte ranges.  Used to validate that the abstraction is honest and for
+  workloads that genuinely exceed process memory.
 
 A disk page's frame holds the payload's length, a CRC-32 of the payload
 and a CRC-32 of its zone-map peek window.  A scan checks the length
-against the file's page table, the window's checksum before it trusts
-a zone map to skip the rest of the file, and the payload's checksum
+against the run's page table, the window's checksum before it trusts
+a zone map to skip the rest of the run, and the payload's checksum
 before every decode, so a corrupted page raises
-:class:`~repro.errors.SpillError` naming the file and page instead of
-decoding into wrong rows.
+:class:`~repro.errors.SpillError` naming the file, offset and page
+instead of decoding into wrong rows.
 
-The disk backend does all of its I/O on the calling thread.  Each
-appended page is encoded and written to the file's buffered handle;
-``seal()`` closes the handle, which flushes it.  A spill file that cannot
-be created (a missing directory, a full disk, no free descriptor) and a
-failed write or flush raise :class:`~repro.errors.SpillError` chained to
-the ``OSError``.  A prefetching scan (:meth:`SpillFile.pages` with
-``prefetch=True``, which every merge scan sets) keeps
-:data:`READ_AHEAD_PAGES` decoded pages ahead of its consumer, so a run
-scan reaches its zone-map cutoff page one window before the merge needs
-it.  The latency of the paper's disaggregated storage is modeled by
-:mod:`repro.storage.costmodel` from the counters, not by overlapping I/O
-threads.
+The disk backend does all of its I/O on the calling thread, on one
+descriptor.  Each appended page is encoded and written at the file's
+end, a short write continued until the page has landed; ``seal()``
+flushes.  Scans and the late-materialization stitch read each page with
+``os.pread`` at its offset, so no scan opens a file and runs being
+written and runs being read share it (a merge step writes its output
+run while it reads its inputs).  Deleting a run marks it dead; the
+backend closes and unlinks the file when its last live run is deleted
+and on ``close()``, so the disk it holds is at most the bytes written
+over its life.  A spill file that cannot be created (a missing
+directory, a full disk, no free descriptor) and a failed write or flush
+raise :class:`~repro.errors.SpillError` chained to the ``OSError``.  A
+prefetching scan (:meth:`SpillFile.pages` with ``prefetch=True``, which
+every merge scan sets) keeps :data:`READ_AHEAD_PAGES` decoded pages
+ahead of its consumer, so a run scan reaches its zone-map cutoff page
+one window before the merge needs it.  The latency of the paper's
+disaggregated storage is modeled by :mod:`repro.storage.costmodel` from
+the counters, not by overlapping I/O threads.
 
 Accounting stays deterministic: the *accounting* counters
 (``bytes_written``/``bytes_read``/requests/rows) are charged from the
@@ -43,6 +51,7 @@ into a shared :class:`~repro.storage.stats.IOStats` via the owning
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 import tempfile
@@ -139,8 +148,8 @@ class SpillFile:
     def seal(self) -> None:
         """Finish writing; the file becomes readable.
 
-        On the disk backend this closes the file's buffered handle,
-        which flushes it; a failed flush raises :class:`SpillError`.
+        On the disk backend this flushes the backend's file; a failed
+        flush raises :class:`SpillError`.
         """
         self._sealed = True
 
@@ -164,7 +173,8 @@ class SpillFile:
         exceeds it too.  The test runs *before* the page body is read
         and decoded, so skipped pages are never pulled off disk.
         Skipping is sound for a top-k merge because such a page cannot
-        contribute a winner.  Closing the scan early closes its file.
+        contribute a winner.  Closing the scan early stops its reads and
+        drops its read-ahead.
         """
         if not self._sealed:
             raise SpillError("spill file must be sealed before reading")
@@ -205,7 +215,8 @@ class SpillFile:
         return page
 
     def delete(self) -> None:
-        """Release the file's storage (idempotent)."""
+        """Release the file's storage (idempotent).  A disk run is
+        marked dead; its bytes go with its backend's last live run."""
         self._discard()
 
     # -- backend hooks ---------------------------------------------------
@@ -274,31 +285,99 @@ class _MemorySpillFile(SpillFile):
         self._pages = []
 
 
-class _DiskSpillFile(SpillFile):
-    """Spill file backed by a real temporary file of codec-encoded pages."""
+class _RunFile:
+    """The one append-only temporary file a :class:`DiskSpillBackend`
+    keeps every run's pages in.
 
-    supports_prefetch = True
+    Pages are appended at the end with raw writes, looping on short
+    ones, and read back by offset with ``os.pread``, which leaves the
+    write position alone.  ``end`` counts every byte that landed, also
+    those of a write that failed part way, so later pages land at the
+    offsets their runs record.  ``live`` counts the runs not yet deleted.
+    """
 
-    def __init__(self, file_id: int, stats: IOStats, directory: str,
-                 codec: TypedPageCodec):
-        super().__init__(file_id, stats)
-        self._codec = codec
+    def __init__(self, directory: str):
         try:
-            fd, self._path = tempfile.mkstemp(
-                prefix=f"run{file_id:06d}_", suffix=".spill", dir=directory)
+            fd, self.path = tempfile.mkstemp(
+                prefix="runs_", suffix=".spill", dir=directory)
         except OSError as exc:
             raise SpillError(f"cannot create a spill file in {directory}: "
                              f"{exc}") from exc
         try:
-            self._handle = os.fdopen(fd, "wb")
+            self.handle = os.fdopen(fd, "wb", buffering=0)
         except OSError as exc:
             os.close(fd)
-            os.unlink(self._path)
-            raise SpillError(f"cannot open spill file {self._path}: "
+            os.unlink(self.path)
+            raise SpillError(f"cannot open spill file {self.path}: "
                              f"{exc}") from exc
+        self.fd = fd
+        self.end = 0
+        self.live = 0
+        self.closed = False
+
+    def append(self, blob: bytes) -> int:
+        """Write ``blob`` at the file's end; returns its offset."""
+        offset = self.end
+        view = memoryview(blob)
+        while view:
+            written = self.handle.write(view)
+            if not written:
+                raise OSError(errno.EIO, f"a write landed 0 of {len(view)} "
+                                         f"bytes")
+            self.end += written
+            view = view[written:]
+        return offset
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Up to ``length`` bytes at ``offset`` (fewer at end of file)."""
+        if self.closed:
+            raise SpillError(f"spill file {self.path} is already released")
+        try:
+            return os.pread(self.fd, length, offset)
+        except OSError as exc:
+            raise SpillError(f"spill read failed: {exc}") from exc
+
+    def release_run(self) -> None:
+        """One run died; the last one closes the file."""
+        self.live -= 1
+        if self.live == 0:
+            self.close()
+
+    def close(self) -> None:
+        """Close and unlink the file (idempotent, never raises)."""
+        if self.closed:
+            return
+        self.closed = True
+        try:
+            self.handle.close()
+        except OSError:
+            pass  # the file is unlinked anyway
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass  # its directory was removed under it
+
+
+class _DiskSpillFile(SpillFile):
+    """One run in its backend's :class:`_RunFile`: a page table of byte
+    ranges, each page a frame and a codec-encoded payload."""
+
+    supports_prefetch = True
+
+    def __init__(self, file_id: int, stats: IOStats, run_file: _RunFile,
+                 codec: TypedPageCodec):
+        super().__init__(file_id, stats)
+        self._codec = codec
+        self._run_file = run_file
+        run_file.live += 1
+        #: Each page's frame offset in the run file, and payload length.
         self._page_offsets: list[int] = []
-        self._bytes_on_disk = 0
+        self._page_lengths: list[int] = []
         self._deleted = False
+
+    @property
+    def _path(self) -> str:
+        return self._run_file.path
 
     def _store_page(self, page: Page) -> None:
         stats = self._stats
@@ -312,19 +391,19 @@ class _DiskSpillFile(SpillFile):
         crc = zlib.crc32(view[_ZONE_PEEK_BYTES:], peek_crc)
         blob = _PAGE_FRAME.pack(len(payload), crc, peek_crc) + payload
         try:
-            self._handle.write(blob)
+            offset = self._run_file.append(blob)
         except (OSError, ValueError) as exc:  # ValueError: closed handle
             raise SpillError(f"spill write failed: {exc}") from exc
         stats.write_seconds += time.perf_counter() - encoded
-        self._page_offsets.append(self._bytes_on_disk)
-        self._bytes_on_disk += len(blob)
+        self._page_offsets.append(offset)
+        self._page_lengths.append(len(payload))
 
     def seal(self) -> None:
         if not self._sealed:
             started = time.perf_counter()
             try:
-                self._handle.close()
-            except OSError as exc:
+                self._run_file.handle.flush()
+            except (OSError, ValueError) as exc:
                 raise SpillError(f"spill write failed: {exc}") from exc
             self._stats.write_seconds += time.perf_counter() - started
         super().seal()
@@ -337,20 +416,23 @@ class _DiskSpillFile(SpillFile):
         return (f"page {index} at byte offset {self._page_offsets[index]} "
                 f"of {self._path}")
 
-    def _read_frame(self, handle, index: int) -> tuple[int, int, int]:
-        """Read page ``index``'s frame: ``(length, crc, peek_crc)``."""
-        frame = handle.read(_PAGE_FRAME.size)
-        if len(frame) != _PAGE_FRAME.size:
+    def _read_framed(self, index: int,
+                     size: int) -> tuple[int, int, bytes]:
+        """Read page ``index``'s frame and the first ``size`` bytes of
+        its payload; returns ``(crc, peek_crc, payload_bytes)``."""
+        data = self._run_file.read(self._page_offsets[index],
+                                   _PAGE_FRAME.size + size)
+        if len(data) < _PAGE_FRAME.size:
             raise SpillError(f"truncated page header ({self._where(index)})")
-        length, crc, peek_crc = _PAGE_FRAME.unpack(frame)
-        end = (self._page_offsets[index + 1]
-               if index + 1 < len(self._page_offsets)
-               else self._bytes_on_disk)
-        if length != end - self._page_offsets[index] - _PAGE_FRAME.size:
+        length, crc, peek_crc = _PAGE_FRAME.unpack_from(data)
+        if length != self._page_lengths[index]:
             raise SpillError(f"corrupted page header: length {length} "
                              f"disagrees with the page table "
                              f"({self._where(index)})")
-        return length, crc, peek_crc
+        payload = data[_PAGE_FRAME.size:]
+        if len(payload) != size:
+            raise SpillError(f"truncated page body ({self._where(index)})")
+        return crc, peek_crc, payload
 
     def _verify(self, data: bytes, crc: int, index: int, what: str) -> None:
         actual = zlib.crc32(data)
@@ -363,48 +445,41 @@ class _DiskSpillFile(SpillFile):
                     cutoff: bytes | None = None) -> Iterator[Page]:
         stats = self._stats
         lazy = self.lazy_reads
-        with open(self._path, "rb") as handle:
-            if start_page < len(self._page_offsets):
-                handle.seek(self._page_offsets[start_page])
-            for index in range(start_page, len(self._page_offsets)):
-                started = time.perf_counter()
-                length, crc, peek_crc = self._read_frame(handle, index)
-                if cutoff is not None:
-                    # Peek only the zone-map section before committing to
-                    # the body read: the first skipped page costs at most
-                    # the peek window, every later page costs nothing —
-                    # they are never read off disk at all.
-                    window = min(length, _ZONE_PEEK_BYTES)
-                    peek = handle.read(window)
-                    if len(peek) != window:
+        lengths = self._page_lengths
+        for index in range(start_page, len(lengths)):
+            started = time.perf_counter()
+            length = lengths[index]
+            if cutoff is not None:
+                # Read only the frame and the zone-map window before
+                # committing to the body: the first skipped page costs at
+                # most the window, every later page costs nothing — they
+                # are never read off disk at all.
+                window = min(length, _ZONE_PEEK_BYTES)
+                crc, peek_crc, payload = self._read_framed(index, window)
+                self._verify(payload, peek_crc, index, "zone-map window")
+                try:
+                    zone_map = read_zone_map(payload)
+                except SpillError:
+                    # Section larger than the peek window (or corrupt —
+                    # the full decode below reports it with page context).
+                    zone_map = None
+                if zone_map is not None and zone_map.min_key > cutoff:
+                    self._charge_skip(len(lengths) - index,
+                                      sum(lengths[index:]))
+                    return
+                if window < length:
+                    rest = self._run_file.read(
+                        self._page_offsets[index] + _PAGE_FRAME.size
+                        + window, length - window)
+                    if len(rest) != length - window:
                         raise SpillError(
                             f"truncated page body ({self._where(index)})")
-                    self._verify(peek, peek_crc, index, "zone-map window")
-                    try:
-                        zone_map = read_zone_map(peek)
-                    except SpillError:
-                        # Section larger than the peek window (or corrupt
-                        # — the full decode below reports it with page
-                        # context).
-                        zone_map = None
-                    if zone_map is not None and zone_map.min_key > cutoff:
-                        pages = self.page_count - index
-                        span = (self._bytes_on_disk
-                                - self._page_offsets[index])
-                        self._charge_skip(
-                            pages, span - _PAGE_FRAME.size * pages)
-                        return
-                    payload = peek
-                    if len(peek) < length:
-                        payload = peek + handle.read(length - len(peek))
-                else:
-                    payload = handle.read(length)
-                stats.stall_seconds += time.perf_counter() - started
-                if len(payload) != length:
-                    raise SpillError(
-                        f"truncated page body ({self._where(index)})")
-                self._verify(payload, crc, index, "page")
-                yield self._decode_payload(payload, index, lazy)
+                    payload += rest
+            else:
+                crc, _peek_crc, payload = self._read_framed(index, length)
+            stats.stall_seconds += time.perf_counter() - started
+            self._verify(payload, crc, index, "page")
+            yield self._decode_payload(payload, index, lazy)
 
     def _decode_payload(self, payload: bytes, index: int,
                         lazy: bool) -> Page:
@@ -429,26 +504,15 @@ class _DiskSpillFile(SpillFile):
             raise SpillError(
                 f"page {index} out of range for spill file "
                 f"{self.file_id} ({self.page_count} pages)")
-        with open(self._path, "rb") as handle:
-            handle.seek(self._page_offsets[index])
-            length, crc, _peek_crc = self._read_frame(handle, index)
-            payload = handle.read(length)
-            if len(payload) != length:
-                raise SpillError(
-                    f"truncated page body ({self._where(index)})")
+        crc, _peek_crc, payload = self._read_framed(
+            index, self._page_lengths[index])
         self._verify(payload, crc, index, "page")
         return self._decode_payload(payload, index, lazy=False)
 
     def _discard(self) -> None:
-        if self._deleted:
-            return
-        self._deleted = True
-        try:
-            self._handle.close()
-        except OSError:
-            pass  # an unsealed file's failed flush: it is unlinked anyway
-        if os.path.exists(self._path):
-            os.unlink(self._path)
+        if not self._deleted:
+            self._deleted = True
+            self._run_file.release_run()
 
 
 class MemorySpillBackend:
@@ -462,7 +526,8 @@ class MemorySpillBackend:
 
 
 class DiskSpillBackend:
-    """Creates real temporary spill files under one directory.
+    """Keeps every run it creates in one temporary file under one
+    directory.
 
     Args:
         directory: Spill directory; a private temporary one is created
@@ -471,11 +536,17 @@ class DiskSpillBackend:
             encodes every page; give it the rows' schema for typed
             columns.  The default has no schema, so its payloads pickle.
 
-    The backend tracks every file it creates so that :meth:`close` can
-    remove them all — including files that were never sealed (a query
-    failed mid-write) or never deleted (a query failed before its merge
-    consumed them).  ``close()`` is idempotent, and the backend is a
-    context manager, so error paths can simply ``with`` it.
+    The file is created at the first :meth:`create_file`, and each run
+    is a page table of byte ranges in it.  A deleted run's ranges stay
+    until the backend's last live run is deleted, which closes and
+    unlinks the file (the next run opens a fresh one), so the disk
+    held is at most the bytes written over the backend's life.
+    :meth:`close` closes and unlinks the file too, whatever runs are
+    still live, sealed or not.  ``close()`` is idempotent, and the
+    backend is a context manager, so error paths can simply ``with`` it.
+    A backend dropped unclosed with live runs never unlinks its file,
+    and when the collector closes the file's handle, ``python -X dev``
+    reports a ``ResourceWarning``.
     """
 
     def __init__(self, directory: str | None = None,
@@ -483,26 +554,24 @@ class DiskSpillBackend:
         self._own_directory = directory is None
         self._directory = directory or tempfile.mkdtemp(prefix="repro_spill_")
         self._codec = codec if codec is not None else TypedPageCodec()
-        self._files: list[_DiskSpillFile] = []
+        self._run_file: _RunFile | None = None
         self._closed = False
 
     def create_file(self, file_id: int, stats: IOStats) -> SpillFile:
         if self._closed:
             raise SpillError("spill backend is closed")
-        spill_file = _DiskSpillFile(file_id, stats, self._directory,
-                                    self._codec)
-        self._files.append(spill_file)
-        return spill_file
+        if self._run_file is None or self._run_file.closed:
+            self._run_file = _RunFile(self._directory)
+        return _DiskSpillFile(file_id, stats, self._run_file, self._codec)
 
     def close(self) -> None:
-        """Delete every created file (sealed or not), then the directory
-        if this backend created it.  Safe to call more than once."""
+        """Close and unlink the run file, then remove the directory if
+        this backend created it.  Safe to call more than once."""
         if self._closed:
             return
         self._closed = True
-        for spill_file in self._files:
-            spill_file.delete()
-        self._files.clear()
+        if self._run_file is not None:
+            self._run_file.close()
         if self._own_directory and os.path.isdir(self._directory):
             for name in os.listdir(self._directory):
                 os.unlink(os.path.join(self._directory, name))

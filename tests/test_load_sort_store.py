@@ -374,7 +374,11 @@ def test_truncated_first_row_leaks_nothing(tmp_path):
     assert operator.stats.rows_eliminated_at_spill > 0
     assert operator.stats.io.rows_spilled < len(rows)
     assert set(threading.enumerate()) - before == set()
-    # Only the sealed runs' files remain until the manager closes.
-    assert len(os.listdir(tmp_path)) == len(operator.runs)
+    # One file holds the sealed runs until the manager closes; the
+    # truncated load's run is dead in it.
+    assert len(os.listdir(tmp_path)) == 1
+    run_files = {run.file._run_file for run in operator.runs}
+    assert len(run_files) == 1
+    assert run_files.pop().live == len(operator.runs)
     manager.close()
     assert os.listdir(tmp_path) == []

@@ -158,3 +158,62 @@ def test_grouped_merge_counters_are_pinned(rows):
     assert output == expected
     assert operator.stats.code_comparisons > 0
     assert _counters(operator.stats, output) == PINNED["per"]
+
+
+def test_disk_pages_are_keyed_a_page_at_a_time(rows, tmp_path, monkeypatch):
+    """Disk pages come back without keys.  The merge scans key each page
+    in one ``encode_batch`` call, where a merge handed only the per-row
+    encoder calls it once per row; the keys, the output and every
+    counter are the same either way."""
+    from repro.sorting.merge import Merger
+    from repro.sorting.runs import write_run
+
+    codec = compile_keycodec(SPEC)
+    ordered = sorted(rows[:2_000], key=codec.encode)
+    with _manager("disk", tmp_path) as manager:
+        run = write_run(manager, 0, ((codec.encode(row), row)
+                                     for row in ordered))
+        batches = []
+
+        def keys_of(page_rows):
+            batches.append(len(page_rows))
+            return codec.encode_batch(page_rows)
+
+        per_row = list(run.coded_rows(codec.encode))
+        batched = list(run.coded_rows(codec.encode, keys_of=keys_of))
+        assert batched == per_row
+        assert [key for key, _row, _code in per_row] == \
+            [codec.encode(row) for row in ordered]
+        assert batches == run.file.page_row_counts and len(batches) > 1
+
+    case = ("quicksort", 3, 3_000, "disk")
+    encoded = {"rows": 0}
+    encode = codec.encode
+
+    def counting(row):
+        encoded["rows"] += 1
+        return encode(row)
+
+    monkeypatch.setattr(codec, "encode", counting)
+
+    def run_topk(directory) -> tuple:
+        encoded["rows"] = 0
+        with _manager("disk", directory) as manager:
+            operator = HistogramTopK(SPEC, K, MEMORY, spill_manager=manager,
+                                     run_generation="quicksort", fan_in=3,
+                                     offset=3_000)
+            output = list(operator.execute(rows))
+        return _counters(operator.stats, output), encoded["rows"]
+
+    (tmp_path / "batched").mkdir()
+    (tmp_path / "per_row").mkdir()
+    counters, batched_encodes = run_topk(tmp_path / "batched")
+    init = Merger.__init__
+
+    def per_row_keys(merger, *args, keys_of=None, **kwargs):
+        init(merger, *args, **kwargs)
+
+    monkeypatch.setattr(Merger, "__init__", per_row_keys)
+    per_row_counters, per_row_encodes = run_topk(tmp_path / "per_row")
+    assert counters == per_row_counters == PINNED[case]
+    assert batched_encodes == 0 < per_row_encodes

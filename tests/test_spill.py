@@ -231,6 +231,146 @@ class TestDiskBackendThreads:
         assert held / files < 2048
 
 
+class TestRunsShareOneFile:
+    """A disk backend keeps every run in one append-only file; each run
+    is a page table of byte ranges in it."""
+
+    SPEC = SortSpec(LINEITEM_SCHEMA, ["L_ORDERKEY", "L_LINENUMBER"])
+
+    def _pages(self, rows, per_page):
+        encode = compile_keycodec(self.SPEC).encode
+        rows = sorted(rows, key=encode)
+        return [Page(rows=rows[i:i + per_page], byte_size=96,
+                     keys=[encode(row) for row in rows[i:i + per_page]])
+                for i in range(0, len(rows), per_page)]
+
+    def test_alternating_runs_read_back_identical(self, tmp_path):
+        codec = TypedPageCodec(LINEITEM_SCHEMA, zone_maps=True)
+        rows = list(generate_lineitem(80, seed=11))
+        first = self._pages(rows[:40], 4)
+        second = self._pages(rows[40:], 4)
+        with DiskSpillBackend(str(tmp_path), codec=codec) as backend:
+            manager = SpillManager(backend=backend)
+            runs = manager.create_file(), manager.create_file()
+            for pair in zip(first, second):
+                for spill_file, page in zip(runs, pair):
+                    spill_file.append_page(page)
+            for spill_file in runs:
+                spill_file.seal()
+            assert runs[0]._run_file is runs[1]._run_file
+            assert len(os.listdir(tmp_path)) == 1
+            # The runs' pages alternate in the file.
+            offsets = sorted((offset, run) for run, spill_file
+                             in enumerate(runs)
+                             for offset in spill_file._page_offsets)
+            assert [run for _offset, run in offsets] == [0, 1] * 10
+            for spill_file, pages in zip(runs, (first, second)):
+                assert [page.rows for page in spill_file.pages()] == \
+                    [page.rows for page in pages]
+                assert [spill_file.read_page(i).rows
+                        for i in (9, 0, 4)] == \
+                    [pages[i].rows for i in (9, 0, 4)]
+            # A zone-map skip charges the skipped pages' own payloads,
+            # not the other run's pages between them.
+            stats = manager.stats
+            kept = [page.rows
+                    for page in runs[0].pages(cutoff=first[6].keys[0])]
+            assert kept == [page.rows for page in first[:7]]
+            assert stats.pages_skipped_zone_map == 3
+            assert stats.bytes_skipped_decode == sum(
+                len(codec.encode(page)) for page in first[7:])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_last_live_run_closes_the_file(self, tmp_path):
+        """Deleting the backend's last live run closes and unlinks its
+        file; the next run opens a fresh one."""
+        backend = DiskSpillBackend(str(tmp_path))
+        manager = SpillManager(backend=backend)
+        first, second = manager.create_file(), manager.create_file()
+        for spill_file in (first, second):
+            spill_file.append_page(_page([(1,)]))
+            spill_file.seal()
+        run_file = first._run_file
+        manager.delete_file(first)
+        assert not run_file.closed and len(os.listdir(tmp_path)) == 1
+        assert list(second.rows()) == [(1,)]
+        manager.delete_file(second)
+        assert run_file.closed and os.listdir(tmp_path) == []
+        third = manager.create_file()
+        assert third._run_file is not run_file
+        third.append_page(_page([(2,)]))
+        third.seal()
+        assert list(third.rows()) == [(2,)]
+        with pytest.raises(SpillError, match="released"):
+            list(second.rows())
+        manager.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_an_unreleased_backend_warns(self, tmp_path):
+        """A backend dropped with a live run and never closed is a leak:
+        collecting its file handle raises a ``ResourceWarning``."""
+        import gc
+        import warnings
+
+        backend = DiskSpillBackend(str(tmp_path))
+        spill_file = backend.create_file(0, IOStats())
+        spill_file.append_page(_page([(1,)]))
+        path, fd = spill_file._path, spill_file._run_file.fd
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del backend, spill_file
+            gc.collect()
+        assert [warning.category for warning in caught
+                if f"name={fd} " in str(warning.message)] == \
+            [ResourceWarning]
+        os.unlink(path)
+
+    def test_fan_in_2_external_sort_matches_the_memory_backend(
+            self, tmp_path, monkeypatch):
+        """Every merge step writes its output run into the file its
+        input runs are read from."""
+        from repro.sorting.external_sort import ExternalSort
+
+        rows = list(generate_lineitem(3_000, seed=4))
+        created = []
+        create_file = DiskSpillBackend.create_file
+
+        def recording(backend, file_id, stats):
+            spill_file = create_file(backend, file_id, stats)
+            created.append(spill_file)
+            return spill_file
+
+        monkeypatch.setattr(DiskSpillBackend, "create_file", recording)
+
+        def run(backend):
+            with SpillManager(backend=backend,
+                              page_bytes=4_096) as manager:
+                sort = ExternalSort(self.SPEC, 200, manager,
+                                    run_generation="quicksort", fan_in=2)
+                output = list(sort.sort(iter(rows)))
+                stats, io = sort.stats, manager.stats
+                counters = (stats.full_key_comparisons,
+                            stats.code_comparisons, stats.rows_consumed,
+                            io.rows_spilled, io.runs_written,
+                            io.runs_deleted, io.rows_read,
+                            io.read_requests, io.write_requests,
+                            io.bytes_written, io.bytes_read)
+            return output, counters
+
+        expected = run(MemorySpillBackend())
+        disk = run(DiskSpillBackend(
+            str(tmp_path), codec=TypedPageCodec(LINEITEM_SCHEMA)))
+        assert disk == expected
+        assert [self.SPEC.key(row) for row in disk[0]] == \
+            sorted(map(self.SPEC.key, rows))
+        # 15 loads and 13 merge steps (15 -> 8 -> 4 -> 2 runs), all in
+        # one file.
+        assert len(created) == disk[1][4] == 28
+        assert len({spill_file._run_file for spill_file in created}) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDiskBackendCleanup:
     def test_close_removes_unsealed_and_undeleted_files(self, tmp_path):
         """Error-path hygiene: files abandoned mid-write (never sealed) or
