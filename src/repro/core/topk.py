@@ -25,6 +25,7 @@ import heapq
 import itertools
 import logging
 import time
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 try:  # numpy powers the vectorized batch admission; optional.
@@ -41,7 +42,8 @@ from repro.core.cutoff import (
 from repro.core.histogram import Bucket, RunHistogramBuilder
 from repro.core.rank_index import RankIndex
 from repro.core.policies import SizingPolicy, TargetBucketsPolicy
-from repro.errors import ConfigurationError, StaleCutoffSeed
+from repro.errors import (ConfigurationError, KeyEncodingError,
+                          StaleCutoffSeed)
 from repro.obs.timeline import CutoffTimeline
 from repro.obs.trace import NULL_TRACER
 from repro.rows.batch import RowBatch, batches_from_rows, numeric_key_column
@@ -364,12 +366,28 @@ class HistogramTopK:
     def _drop_nan_keys(
             self, batches: Iterator[RowBatch]) -> Iterator[RowBatch]:
         """Drop NaN-keyed rows: NaN is unordered, so it is never a winner,
-        and one inside the heap or a sorted load misorders the output."""
+        and one inside the heap or a sorted load misorders the output.
+
+        A batch without a key array holds a value float64 rejected: an
+        int beyond its range compares exactly in a tuple key, and any
+        value that is not a number raises :class:`KeyEncodingError`.
+        """
         index = self._batch_key[0]
         stats = self.stats
         for batch in batches:
             keys = batch.key_array(index)
-            if keys is not None:
+            if keys is None:
+                for value in map(itemgetter(index), batch.rows):
+                    try:
+                        float(value)
+                    except OverflowError:
+                        pass
+                    except (TypeError, ValueError) as exc:
+                        name = self.sort_spec.schema.names[index]
+                        raise KeyEncodingError(
+                            f"a {name} value is not a number: {exc}"
+                        ) from exc
+            else:
                 nan = np.isnan(keys)
                 dropped = int(np.count_nonzero(nan))
                 if dropped:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import threading
 from itertools import compress, repeat
 from math import inf
 from operator import itemgetter
@@ -42,6 +43,7 @@ from repro.rows.batch import (
     RowBatch,
     batches_from_rows,
     flatten,
+    numeric_key_array,
     numeric_key_column,
 )
 from repro.rows.schema import Column, ColumnType, Schema
@@ -76,6 +78,10 @@ class Table:
         version: Monotonic content version.  The session bumps it when a
             table is re-registered under the same name; caches key on
             ``(name, version)`` so entries for replaced data never serve.
+
+    A list or tuple source is this version's content: the table caches
+    the numeric key columns queries read from it (:meth:`key_column`),
+    and change the rows only by registering them again.
     """
 
     def __init__(
@@ -100,6 +106,9 @@ class Table:
             self.row_count = len(source)  # type: ignore[arg-type]
         else:
             self.row_count = None
+        #: Column index -> (row count it was built at, array or None).
+        self._key_columns: dict[int, tuple[int, Any]] = {}
+        self._key_columns_lock = threading.Lock()
 
     def rows(self) -> Iterator[tuple]:
         """A fresh iterator over the table's rows.
@@ -131,12 +140,39 @@ class Table:
         """A fresh batch iterator over the table's rows.
 
         Sequence sources are chunked by slicing (no per-row Python
-        work); callable sources stream through :meth:`rows`, so they get
-        the same row-count learning.
+        work), and a list or tuple's batches carry the table, so their
+        key arrays are slices of :meth:`key_column`; callable sources
+        stream through :meth:`rows`, so they get the same row-count
+        learning.
         """
         if callable(self._source):
             return batches_from_rows(self.rows(), self.schema, batch_rows)
-        return batches_from_rows(self._source, self.schema, batch_rows)
+        return batches_from_rows(self._source, self.schema, batch_rows,
+                                 table=self)
+
+    def key_column(self, column_index: int):
+        """The whole column at ``column_index`` as one float64 array.
+
+        Built by :func:`~repro.rows.batch.numeric_key_array` on first
+        request and kept while the table lives (8 bytes a row), and
+        rebuilt if the row list's length has changed.  ``None`` for a
+        callable source, a column that is nullable or not numeric, or a
+        column holding any value the conversion rejects; batches then
+        convert their own rows.
+        """
+        rows = self._source
+        if not isinstance(rows, (list, tuple)):
+            return None
+        with self._key_columns_lock:
+            built = self._key_columns.get(column_index)
+            if built is None or built[0] != len(rows):
+                array = numeric_key_array(self.schema, rows, column_index)
+                if array is not None:
+                    # Every query's batches share it: read-only.
+                    array.flags.writeable = False
+                built = (len(rows), array)
+                self._key_columns[column_index] = built
+        return built[1]
 
 
 class Operator:
@@ -1491,6 +1527,10 @@ class VectorizedTopK(TopK):
                 raise KeyEncodingError(
                     f"a {self.schema.names[index]} value is beyond float64"
                 ) from exc
+            except (TypeError, ValueError) as exc:
+                raise KeyEncodingError(
+                    f"a {self.schema.names[index]} value is not a number: "
+                    f"{exc}") from exc
         return -keys if self.negate else keys
 
     def rows(self) -> Iterator[tuple]:
@@ -1531,7 +1571,8 @@ class VectorizedTopK(TopK):
                         stats.cutoff_comparisons += dropped
                         stats.rows_eliminated_on_arrival += dropped
                         keys = keys[mask]
-                        rows = [rows[i] for i in np.flatnonzero(mask)]
+                        rows = list(map(rows.__getitem__,
+                                        np.flatnonzero(mask).tolist()))
                 if not rows:
                     continue
                 ids = np.arange(len(store), len(store) + len(rows),
@@ -1542,7 +1583,7 @@ class VectorizedTopK(TopK):
         _keys, out_ids = impl.execute(chunks())
         # ``out_ids`` is None only when the input was empty (the kernel
         # never saw a chunk, so it cannot know ids were intended).
-        output = ([store[int(i)] for i in out_ids]
+        output = (list(map(store.__getitem__, out_ids.tolist()))
                   if out_ids is not None else [])
         del store
         return iter(output)

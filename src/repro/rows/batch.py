@@ -12,6 +12,11 @@ Operators exchange batches via ``Operator.batches()``; the historical
 (see :mod:`repro.engine.operators`), so row-at-a-time callers keep
 working unchanged.
 
+A batch sliced from a registered table's row list carries that table
+and its start row, and ``key_array`` serves a slice of the table's
+cached key column (:meth:`~repro.engine.operators.Table.key_column`)
+instead of converting its own rows; derived batches convert their own.
+
 numpy is optional at this layer: without it (or for non-numeric key
 columns) ``key_array`` returns ``None`` and callers fall back to the
 row-at-a-time path, which is always correct.
@@ -39,12 +44,36 @@ DEFAULT_BATCH_ROWS = 4_096
 NUMERIC_TYPES = (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL)
 
 
+def numeric_key_array(schema: Schema, rows: Sequence[tuple],
+                      column_index: int):
+    """``rows``' column at ``column_index`` as one float64 array, or ``None``.
+
+    The one conversion rule for key columns: the column must be a
+    non-nullable INT64, FLOAT64 or DECIMAL column, and every value must
+    convert (a string float64 cannot parse, or an int beyond float64's
+    range, gives ``None``).  Returns ``None`` without numpy.
+    """
+    if np is None:
+        return None
+    column = schema.columns[column_index]
+    if column.type not in NUMERIC_TYPES or column.nullable:
+        return None
+    try:
+        return np.fromiter(map(operator.itemgetter(column_index), rows),
+                           dtype=np.float64, count=len(rows))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 class RowBatch:
     """A fixed-capacity chunk of rows with cached per-batch key columns.
 
     Args:
         schema: Schema shared by every row in the batch.
         rows: The row tuples (the batch takes ownership of the list).
+        table: The registered table whose row list the batch was sliced
+            from, or ``None`` for a derived batch.
+        start: The index of the batch's first row in ``table``'s rows.
 
     The batch is append-free: operators produce new batches rather than
     mutating existing ones, so a batch can be shared between consumers.
@@ -52,12 +81,15 @@ class RowBatch:
     cutoff test over the same column pay for one extraction.
     """
 
-    __slots__ = ("schema", "rows", "_key_arrays")
+    __slots__ = ("schema", "rows", "_key_arrays", "table", "start")
 
-    def __init__(self, schema: Schema, rows: list[tuple]):
+    def __init__(self, schema: Schema, rows: list[tuple],
+                 table: Any = None, start: int = 0):
         self.schema = schema
         self.rows = rows
         self._key_arrays: dict[int, Any] = {}
+        self.table = table
+        self.start = start
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -73,24 +105,26 @@ class RowBatch:
     def key_array(self, column_index: int, cache: bool = True):
         """The column at ``column_index`` as a float64 numpy array.
 
-        Extracted once and, unless ``cache`` is false, cached for the
-        batch's lifetime.  Returns ``None`` when numpy is unavailable,
-        the column is not numeric, or a value (e.g. ``None`` in a
-        nullable column, or an int beyond float64's range) defeats the
-        conversion — callers must then use the row-at-a-time path.
+        A batch sliced from a table returns its rows' slice of the
+        table's cached column (a view, no copy) whenever the table
+        serves one; any other batch converts its own rows by
+        :func:`numeric_key_array`, once and, unless ``cache`` is false,
+        cached for the batch's lifetime.  Returns ``None`` when numpy is
+        unavailable, the column is not numeric, or a value (e.g.
+        ``None`` in a nullable column, or an int beyond float64's range)
+        defeats the conversion — callers must then use the row-at-a-time
+        path.
         """
         if column_index in self._key_arrays:
             return self._key_arrays[column_index]
         array = None
-        if np is not None:
-            column = self.schema.columns[column_index]
-            if column.type in NUMERIC_TYPES and not column.nullable:
-                try:
-                    array = np.fromiter(
-                        map(operator.itemgetter(column_index), self.rows),
-                        dtype=np.float64, count=len(self.rows))
-                except (TypeError, ValueError, OverflowError):
-                    array = None
+        if self.table is not None:
+            column = self.table.key_column(column_index)
+            if column is not None:
+                array = column[self.start:self.start + len(self.rows)]
+        # A slice comes up short when the list shrank after slicing.
+        if array is None or len(array) != len(self.rows):
+            array = numeric_key_array(self.schema, self.rows, column_index)
         if cache:
             self._key_arrays[column_index] = array
         return array
@@ -144,12 +178,15 @@ def batches_from_rows(
     rows: Iterable[tuple],
     schema: Schema,
     batch_rows: int = DEFAULT_BATCH_ROWS,
+    table: Any = None,
 ) -> Iterator[RowBatch]:
     """Chunk a row iterable into :class:`RowBatch` es of ``batch_rows``.
 
     If the source raises, the rows it produced before failing are still
     delivered as a final short batch, then the error propagates — a
     consumer sees exactly the rows a row-at-a-time reader would have.
+    ``table``, when ``rows`` is that table's list or tuple of rows, tags
+    each batch with it and the batch's start row.
     """
     if isinstance(rows, (list, tuple)):
         # Sequence fast path: slicing beats accumulating row by row.  A
@@ -157,7 +194,7 @@ def batches_from_rows(
         for start in range(0, len(rows), batch_rows):
             chunk = rows[start:start + batch_rows]
             yield RowBatch(schema, chunk if isinstance(chunk, list)
-                           else list(chunk))
+                           else list(chunk), table, start)
         return
     iterator = iter(rows)
     while True:

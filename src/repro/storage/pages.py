@@ -23,7 +23,7 @@ page (:meth:`~repro.sorting.runs.SortedRun.coded_rows`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Sequence
 
@@ -31,6 +31,11 @@ from repro.errors import SpillError
 
 #: Default page capacity: 64 KiB, a common unit for log-structured writes.
 DEFAULT_PAGE_BYTES = 64 * 1024
+
+
+def default_row_size(row: Sequence[Any]) -> int:
+    """The default byte estimate of one row: 16 bytes plus 8 per column."""
+    return 16 + 8 * len(row)
 
 
 @dataclass
@@ -57,13 +62,13 @@ class PageBuilder:
     Args:
         page_bytes: Byte capacity per page.
         row_size: Callable estimating the byte footprint of one row;
-            defaults to a cheap length-insensitive constant suitable for
-            synthetic keys-only workloads.
+            defaults to :func:`default_row_size`, a cheap
+            length-insensitive constant suitable for synthetic keys-only
+            workloads.
     """
 
     page_bytes: int = DEFAULT_PAGE_BYTES
-    row_size: Callable[[Sequence[Any]], int] = field(
-        default=lambda row: 16 + 8 * len(row))
+    row_size: Callable[[Sequence[Any]], int] = default_row_size
 
     def __post_init__(self) -> None:
         if self.page_bytes <= 0:
@@ -109,8 +114,7 @@ class PageBuilder:
         # ``running[i]``: bytes of the open page plus the first ``i`` rows.
         # A page ends at the first row that brings its bytes to the
         # capacity, found by bisection; whole slices move into it.
-        running = list(accumulate(map(self.row_size, rows),
-                                  initial=self._bytes))
+        running = self._running_bytes(rows)
         total = len(rows)
         pages: list[Page] = []
         opened = 0  # ``running`` value where the open page began
@@ -127,6 +131,22 @@ class PageBuilder:
             pages.append(self.flush())
             opened = running[end]
             start = end
+
+    def _running_bytes(self, rows: Sequence[tuple]) -> Sequence[int]:
+        """The open page's bytes, then that plus each prefix of ``rows``.
+
+        Under :func:`default_row_size`, rows of one width cost the same,
+        so a ``range`` holds the sums without a call per row; any other
+        estimator is called once per row.
+        """
+        if self.row_size is default_row_size:
+            widths = set(map(len, rows))
+            if len(widths) == 1:
+                size = default_row_size(rows[0])
+                return range(self._bytes,
+                             self._bytes + (len(rows) + 1) * size, size)
+        return list(accumulate(map(self.row_size, rows),
+                               initial=self._bytes))
 
     def flush(self) -> Page | None:
         """Emit whatever is buffered as a page, or ``None`` if empty."""

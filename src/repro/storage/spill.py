@@ -65,7 +65,8 @@ from repro.errors import SpillError
 from repro.obs.trace import NULL_TRACER
 from repro.storage.codec import (TypedPageCodec, decode_page,
                                  decode_page_skeleton, read_zone_map)
-from repro.storage.pages import DEFAULT_PAGE_BYTES, Page, PageBuilder
+from repro.storage.pages import (DEFAULT_PAGE_BYTES, Page, PageBuilder,
+                                 default_row_size)
 from repro.storage.stats import IOStats
 
 #: Bytes read to peek a page's zone-map header before committing to the
@@ -608,7 +609,7 @@ class SpillManager:
         self.backend = backend or MemorySpillBackend()
         self.stats = stats if stats is not None else IOStats()
         self.page_bytes = page_bytes
-        self.row_size = row_size or (lambda row: 16 + 8 * len(row))
+        self.row_size = row_size or default_row_size
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._next_file_id = 0
         self._open_files: list[SpillFile] = []

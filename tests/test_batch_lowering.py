@@ -28,7 +28,7 @@ from repro.engine.operators import (
     VectorizedTopK,
 )
 from repro.engine.session import Database
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, KeyEncodingError
 from repro.rows.lineitem import LINEITEM_SCHEMA, generate_lineitem
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
@@ -327,3 +327,108 @@ def test_nan_heavy_key_returns_the_finite_top_k(path):
     assert result.rows == sorted(
         (row for row in rows if not math.isnan(row[0])),
         key=lambda row: row[0])[:1_500]
+
+
+# -- key columns served from the table ---------------------------------------
+
+PAIR_SCHEMA = Schema([Column("K", ColumnType.FLOAT64),
+                      Column("ID", ColumnType.INT64)])
+
+
+def pair_rows(count: int, seed: int) -> list[tuple]:
+    import random
+
+    rng = random.Random(seed)
+    return [(rng.random(), i) for i in range(count)]
+
+
+class TestTableKeyColumns:
+    """The kernel reads a scan's key column from the table's cache: the
+    rows it returns are those the batch engine returns, the column is
+    built once per table version, and a replaced table serves its own."""
+
+    SQL = "SELECT * FROM T ORDER BY K LIMIT 1500"
+
+    @staticmethod
+    def oracle(rows, limit=1_500):
+        return sorted(rows)[:limit]
+
+    def test_vectorized_and_batch_paths_return_identical_rows(self):
+        rows = pair_rows(30_000, seed=41)  # 8 scan batches, the last short
+        results = {}
+        for path in ("vectorized", "batch"):
+            db = Database(memory_rows=400, force_path=path)
+            db.register_table("T", PAIR_SCHEMA, rows)
+            result = db.sql(self.SQL)
+            assert isinstance(result.plan, VectorizedTopK) == (
+                path == "vectorized")
+            results[path] = result
+        assert results["vectorized"].rows == results["batch"].rows
+        assert results["vectorized"].rows == self.oracle(rows)
+
+    def test_two_queries_build_the_column_once(self, monkeypatch):
+        import repro.engine.operators as operators
+
+        builds = []
+        convert = operators.numeric_key_array
+
+        def counting(schema, rows, column_index):
+            builds.append(len(rows))
+            return convert(schema, rows, column_index)
+
+        monkeypatch.setattr(operators, "numeric_key_array", counting)
+        rows = pair_rows(20_000, seed=43)
+        db = Database(memory_rows=400)
+        table = db.register_table("T", PAIR_SCHEMA, rows)
+        assert builds == []  # registering builds nothing
+        first = db.sql(self.SQL)
+        column = table.key_column(0)
+        second = db.sql(self.SQL)
+        assert builds == [20_000]
+        assert table.key_column(0) is column
+        assert first.rows == second.rows == self.oracle(rows)
+
+    def test_re_registering_serves_the_new_keys(self):
+        db = Database(memory_rows=400)
+        old = pair_rows(20_000, seed=47)
+        db.register_table("T", PAIR_SCHEMA, old)
+        assert db.sql(self.SQL).rows == self.oracle(old)
+        new = [(-key, i) for key, i in pair_rows(12_000, seed=53)]
+        db.register_table("T", PAIR_SCHEMA, new)
+        assert db.sql(self.SQL).rows == self.oracle(new)
+
+    def test_a_grown_list_serves_the_new_keys(self):
+        db = Database(memory_rows=400)
+        rows = pair_rows(20_000, seed=59)
+        db.register_table("T", PAIR_SCHEMA, rows)
+        db.sql(self.SQL)
+        rows.extend((-1.0 - key, 20_000 + i)
+                    for key, i in pair_rows(2_000, seed=61))
+        assert db.sql(self.SQL).rows == self.oracle(rows)
+
+    def test_callable_source_and_filtered_scan_return_the_top_k(self):
+        rows = pair_rows(20_000, seed=67)
+        db = Database(memory_rows=400)
+        db.register_table("S", PAIR_SCHEMA, lambda: iter(rows))
+        streamed = db.sql("SELECT * FROM S ORDER BY K LIMIT 1500")
+        assert isinstance(streamed.plan, VectorizedTopK)
+        assert streamed.rows == self.oracle(rows)
+        db.register_table("T", PAIR_SCHEMA, rows)
+        filtered = db.sql("SELECT * FROM T WHERE ID >= 5000 "
+                          "ORDER BY K DESC LIMIT 1500")
+        assert filtered.rows == sorted(
+            (row for row in rows if row[1] >= 5_000), reverse=True)[:1_500]
+
+
+@pytest.mark.parametrize("order", ["", " DESC"])
+@pytest.mark.parametrize("limit", [10, 1_000])
+@pytest.mark.parametrize("path", ["vectorized", "batch"])
+def test_a_key_that_is_not_a_number_is_a_typed_error(path, limit, order):
+    """One string in a FLOAT64 sort column ends either engine's query in
+    a ``KeyEncodingError`` naming the column, in both regimes."""
+    rows = pair_rows(20_000, seed=71)
+    rows[12_345] = ("abc", 12_345)
+    db = Database(memory_rows=400, force_path=path)
+    db.register_table("T", PAIR_SCHEMA, rows)
+    with pytest.raises(KeyEncodingError, match="a K value is not a number"):
+        db.sql(f"SELECT * FROM T ORDER BY K{order} LIMIT {limit}")

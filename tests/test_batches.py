@@ -182,6 +182,175 @@ class TestTableRowCount:
         assert table.row_count == 10
 
 
+# -- key columns served from the table ---------------------------------------
+
+PAIR_SCHEMA = Schema([Column("K", ColumnType.FLOAT64),
+                      Column("ID", ColumnType.INT64)])
+
+
+def own_array(batch: RowBatch, column_index: int):
+    """The array the batch's rows give when converted on their own."""
+    return RowBatch(batch.schema, batch.rows).key_array(column_index)
+
+
+def same_bits(left, right) -> bool:
+    """Both ``None``, or arrays equal bit for bit (NaN and -0.0 too)."""
+    if left is None or right is None:
+        return left is None and right is None
+    return left.dtype == right.dtype and left.tobytes() == right.tobytes()
+
+
+class TestTableKeyColumns:
+    """A list or tuple source's scan batches slice one cached float64
+    column per key column instead of converting their own rows."""
+
+    def test_scan_batches_slice_the_table_column(self):
+        rows = [(float(i) * 0.5, i) for i in range(1_000)]
+        table = Table("T", PAIR_SCHEMA, rows)
+        batches = list(table.batches(batch_rows=96))
+        assert len(batches[-1]) == 1_000 % 96  # the last batch is short
+        for column_index in (0, 1):
+            column = table.key_column(column_index)
+            for batch in batches:
+                array = batch.key_array(column_index)
+                assert np.shares_memory(array, column)
+                assert same_bits(array, np.fromiter(
+                    (row[column_index] for row in batch.rows),
+                    dtype=np.float64, count=len(batch)))
+
+    def test_tuple_source_is_served_too(self):
+        rows = tuple((float(i), i) for i in range(50))
+        table = Table("T", PAIR_SCHEMA, rows)
+        batch = next(iter(table.batches(batch_rows=20)))
+        assert isinstance(batch.rows, list)
+        assert np.shares_memory(batch.key_array(0), table.key_column(0))
+
+    def test_an_unconvertible_value_leaves_other_batches_served(self):
+        rows = [(float(i), i) for i in range(100)]
+        rows[45] = ("abc", 45)
+        table = Table("T", PAIR_SCHEMA, rows)
+        assert table.key_column(0) is None
+        arrays = [batch.key_array(0) for batch in table.batches(batch_rows=20)]
+        assert arrays[2] is None  # rows 40..59 hold the bad value
+        for index, array in enumerate(arrays):
+            if index != 2:
+                assert array.tolist() == [float(i) for i in
+                                          range(20 * index, 20 * index + 20)]
+
+    def test_nullable_column_gives_none(self):
+        schema = Schema([Column("K", ColumnType.FLOAT64, nullable=True)])
+        table = Table("T", schema, [(1.0,), (2.0,), (3.0,)])
+        assert table.key_column(0) is None
+        assert all(batch.key_array(0) is None
+                   for batch in table.batches(batch_rows=2))
+
+    def test_a_changed_length_rebuilds_the_column(self):
+        rows = [(float(i), i) for i in range(10)]
+        table = Table("T", PAIR_SCHEMA, rows)
+        first = table.key_column(0)
+        rows.extend([(float(i), i) for i in range(10, 15)])
+        batches = list(table.batches(batch_rows=4))
+        assert [batch.key_array(0).tolist() for batch in batches] == [
+            [float(i) for i in range(start, min(start + 4, 15))]
+            for start in range(0, 15, 4)]
+        assert table.key_column(0) is not first
+        del rows[3:]
+        assert table.key_column(0).tolist() == [0.0, 1.0, 2.0]
+
+    def test_a_batch_longer_than_the_column_converts_its_own_rows(self):
+        rows = [(float(i), i) for i in range(10)]
+        table = Table("T", PAIR_SCHEMA, rows)
+        batch = next(iter(table.batches(batch_rows=8)))
+        del rows[5:]
+        assert batch.key_array(0).tolist() == [float(i) for i in range(8)]
+
+    def test_callable_source_and_derived_batches_carry_no_table(self):
+        rows = [(float(i), i) for i in range(30)]
+        table = Table("T", PAIR_SCHEMA, lambda: rows)
+        assert table.key_column(0) is None
+        streamed = list(table.batches(batch_rows=7))
+        assert all(batch.table is None for batch in streamed)
+        assert [batch.key_array(0).tolist() for batch in streamed] == [
+            [float(i) for i in range(start, min(start + 7, 30))]
+            for start in range(0, 30, 7)]
+        sliced = next(iter(Table("T", PAIR_SCHEMA, rows).batches(7)))
+        assert sliced.table is not None
+        for derived in (sliced.filter(lambda row: row[1] % 2),
+                        sliced.take_mask(np.arange(7) % 2 == 1),
+                        sliced.map(lambda row: row, PAIR_SCHEMA)):
+            assert derived.table is None
+            assert derived.key_array(0).tolist() == [
+                row[0] for row in derived.rows]
+
+
+def test_concurrent_first_reads_build_the_column_once(monkeypatch):
+    """Eight threads asking for an unbuilt column at once, switching
+    every microsecond, get one array object from one build."""
+    import sys
+    import threading
+    import time
+
+    import repro.engine.operators as operators
+
+    builds = []
+    convert = operators.numeric_key_array
+
+    def counting(schema, rows, column_index):
+        builds.append(column_index)
+        time.sleep(0.05)  # every thread arrives while the build runs
+        return convert(schema, rows, column_index)
+
+    monkeypatch.setattr(operators, "numeric_key_array", counting)
+    table = Table("T", PAIR_SCHEMA, [(float(i), i) for i in range(20_000)])
+    barrier = threading.Barrier(8)
+    served = []
+
+    def read():
+        barrier.wait(timeout=10)
+        served.append(next(iter(table.batches())).key_array(0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert builds == [0]
+    assert len(served) == 8
+    column = table.key_column(0)
+    assert all(array.base is column for array in served)
+    assert not column.flags.writeable  # shared by every batch: read-only
+
+
+@given(values=st.lists(st.one_of(
+           st.floats(allow_nan=True, allow_infinity=True),
+           st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                            -0.0, 0.0]),
+           st.integers(-2**60, 2**60),
+           st.sampled_from([2**53 + 1, -(2**53 + 1), 2**63 - 1]),
+           st.sampled_from([2**1024, -(2**1100)])), max_size=300),
+       batch_rows=st.integers(1, 64))
+@settings(deadline=None)
+def test_table_served_arrays_equal_per_batch_extraction(values, batch_rows):
+    """Every scan batch's array equals, bit for bit, the one its own rows
+    convert to, and is ``None`` exactly when theirs is: ints beyond
+    2**53 round alike, and an int beyond float64 costs only its batch."""
+    schema = Schema([Column("F", ColumnType.FLOAT64),
+                     Column("I", ColumnType.INT64)])
+    rows = [(value, value) for value in values]
+    table = Table("T", schema, rows)
+    for batch in table.batches(batch_rows):
+        assert batch.table is table
+        for column_index in (0, 1):
+            assert same_bits(batch.key_array(column_index),
+                             own_array(batch, column_index))
+
+
 # -- batches() == rows() for every operator ----------------------------------
 
 

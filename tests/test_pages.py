@@ -131,3 +131,26 @@ def test_extend_pages_like_repeated_add(batches, page_bytes):
         assert pages_one == pages_two
         assert one.pending_rows == two.pending_rows
     assert one.flush() == two.flush()
+
+
+@given(batches=st.lists(
+           st.one_of(
+               st.lists(st.integers(0, 6), max_size=30),
+               st.integers(0, 6).flatmap(
+                   lambda width: st.lists(st.just(width), max_size=30))),
+           max_size=6),
+       page_bytes=st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_default_size_extend_pages_like_repeated_add(batches, page_bytes):
+    """Under the default row size, batches whose rows share one width
+    (summed without a call per row) and batches of mixed widths page
+    exactly like ``add``: the same rows, byte sizes and remainder."""
+    one = PageBuilder(page_bytes=page_bytes)
+    two = PageBuilder(page_bytes=page_bytes)
+    for index, widths in enumerate(batches):
+        rows = [(index,) * width for width in widths]
+        pages_one = [page for row in rows
+                     if (page := one.add(row)) is not None]
+        assert two.extend(rows) == pages_one
+        assert one.pending_rows == two.pending_rows
+    assert one.flush() == two.flush()

@@ -17,6 +17,7 @@ from hypothesis.stateful import (
 from repro.engine.session import Database
 from repro.errors import (
     ConfigurationError,
+    KeyEncodingError,
     QueryTimeoutError,
     ServiceOverloadedError,
 )
@@ -471,12 +472,27 @@ class TestObservability:
         assert outcome_counts(service) == counts(submitted=1, error=1)
 
     def test_non_repro_error_counts_once(self):
-        """An engine failure outside the library's error hierarchy (the
-        vectorized plan converting a string score) still counts one
-        error."""
+        """An engine failure outside the library's error hierarchy (a
+        table source raising mid-scan) still counts one error."""
+        def failing_source():
+            yield from make_rows(300)
+            raise ValueError("source failed")
+
+        db = Database(memory_rows=256)
+        db.register_table("events", SCHEMA, failing_source)
+        service = QueryService(db, workers=1)
+        with pytest.raises(ValueError, match="source failed"):
+            service.execute("SELECT id FROM events ORDER BY score "
+                            "LIMIT 200")
+        service.shutdown()
+        assert outcome_counts(service) == counts(submitted=1, error=1)
+
+    def test_unconvertible_score_is_a_typed_error_counted_once(self):
+        """A string score in the FLOAT64 sort column ends the vectorized
+        plan in ``KeyEncodingError``, counted as one error."""
         db = make_database(rows=make_rows(300) + [(300, "x", "a")])
         service = QueryService(db, workers=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyEncodingError, match="score"):
             service.execute("SELECT id FROM events ORDER BY score "
                             "LIMIT 200")
         service.shutdown()
