@@ -46,7 +46,8 @@ from repro.errors import (ConfigurationError, KeyEncodingError,
                           StaleCutoffSeed)
 from repro.obs.timeline import CutoffTimeline
 from repro.obs.trace import NULL_TRACER
-from repro.rows.batch import RowBatch, batches_from_rows, numeric_key_column
+from repro.rows.batch import (RowBatch, batches_from_rows, float_key,
+                              numeric_key_column)
 from repro.rows.sortspec import SortSpec
 from repro.sorting.keycodec import binary_key_codec
 from repro.sorting.merge import Merger, MergePolicy
@@ -370,7 +371,8 @@ class HistogramTopK:
 
         A batch without a key array holds a value float64 rejected: an
         int beyond its range compares exactly in a tuple key, and any
-        value that is not a number raises :class:`KeyEncodingError`.
+        value that is not a number (text too, even ``'0.5'``) raises
+        :class:`KeyEncodingError`.
         """
         index = self._batch_key[0]
         stats = self.stats
@@ -379,7 +381,7 @@ class HistogramTopK:
             if keys is None:
                 for value in map(itemgetter(index), batch.rows):
                     try:
-                        float(value)
+                        float_key(value)
                     except OverflowError:
                         pass
                     except (TypeError, ValueError) as exc:
@@ -425,6 +427,10 @@ class HistogramTopK:
         external regime — the adaptivity that makes an a-priori
         algorithm choice (and its failure modes on variable-size rows)
         unnecessary.
+
+        Rows are gathered from each batch by position (``take``): the
+        heap fill takes only the prefix it needs and the arrival test
+        only its survivors, so a join's deferred batch builds just those.
         """
         needed = self.k + self.offset
         sort_key = self.sort_key
@@ -438,30 +444,31 @@ class HistogramTopK:
         bytes_used = 0
         seq = 0
         for batch in batches:
-            rows = batch.rows
-            stats.rows_consumed += len(rows)
+            count = len(batch)
+            stats.rows_consumed += count
             index = 0
-            while index < len(rows) and len(heap) < needed:
-                row = rows[index]
-                index += 1
-                seq += 1
-                heapq.heappush(heap, _HeapEntry(sort_key(row), seq, row))
-                if budget is not None:
-                    bytes_used += row_size(row)
-                    if bytes_used > budget:
-                        yield from self._switch_to_external(
-                            heap, batch, index, batches)
-                        return
+            if len(heap) < needed:
+                for row in batch.take(range(min(count,
+                                                needed - len(heap)))):
+                    index += 1
+                    seq += 1
+                    heapq.heappush(heap,
+                                   _HeapEntry(sort_key(row), seq, row))
+                    if budget is not None:
+                        bytes_used += row_size(row)
+                        if bytes_used > budget:
+                            yield from self._switch_to_external(
+                                heap, batch, index, batches)
+                            return
             # Rows above the batch-start maximum can never enter the heap
             # (the maximum only falls).  The rest are keyed in one call.
             flags = (self._prefilter(batch, heap[0].key, index)
-                     if self._prefilter is not None and index < len(rows)
+                     if self._prefilter is not None and index < count
                      else None)
-            candidates = rows[index:] if index else rows
-            positions = range(index, len(rows))
+            positions = range(index, count)
             if flags is not None:
-                candidates = list(itertools.compress(candidates, flags))
-                positions = itertools.compress(positions, flags)
+                positions = list(itertools.compress(positions, flags))
+            candidates = batch.take(positions)
             for i, row, key in zip(positions, candidates,
                                    keys_of(candidates)):
                 if key < heap[0].key:
@@ -475,8 +482,8 @@ class HistogramTopK:
                         yield from self._switch_to_external(
                             heap, batch, i + 1, batches)
                         return
-            stats.cutoff_comparisons += len(rows) - index
-            stats.rows_eliminated_on_arrival += len(rows) - index
+            stats.cutoff_comparisons += count - index
+            stats.rows_eliminated_on_arrival += count - index
             # Downstream sees this batch's consequences only after the
             # loop yields control, so one publication per batch is as
             # sharp as per-replacement publication.

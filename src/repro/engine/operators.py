@@ -40,9 +40,11 @@ from repro.obs.trace import NULL_TRACER
 from repro.rows.batch import (
     DEFAULT_BATCH_ROWS,
     NUMERIC_TYPES,
+    JoinedBatch,
     RowBatch,
     batches_from_rows,
     flatten,
+    float_key,
     numeric_key_array,
     numeric_key_column,
 )
@@ -151,7 +153,8 @@ class Table:
                                  table=self)
 
     def key_column(self, column_index: int):
-        """The whole column at ``column_index`` as one float64 array.
+        """The whole column at ``column_index`` as one read-only float64
+        array, which every query's batches share.
 
         Built by :func:`~repro.rows.batch.numeric_key_array` on first
         request and kept while the table lives (8 bytes a row), and
@@ -166,11 +169,8 @@ class Table:
         with self._key_columns_lock:
             built = self._key_columns.get(column_index)
             if built is None or built[0] != len(rows):
-                array = numeric_key_array(self.schema, rows, column_index)
-                if array is not None:
-                    # Every query's batches share it: read-only.
-                    array.flags.writeable = False
-                built = (len(rows), array)
+                built = (len(rows), numeric_key_array(self.schema, rows,
+                                                      column_index))
                 self._key_columns[column_index] = built
         return built[1]
 
@@ -317,21 +317,21 @@ class Limit(Operator):
         produced = 0
         skipped = 0
         for batch in self.child.batches():
-            rows = batch.rows
+            count = len(batch)
             start = 0
             if skipped < self.offset:
-                start = min(self.offset - skipped, len(rows))
+                start = min(self.offset - skipped, count)
                 skipped += start
-                if start >= len(rows):
+                if start >= count:
                     continue
-            end = len(rows)
+            end = count
             if self.limit is not None:
                 end = min(end, start + self.limit - produced)
             produced += end - start
-            if start == 0 and end == len(rows):
+            if start == 0 and end == count:
                 yield batch  # untouched: pass the child's batch through
             elif end > start:
-                yield RowBatch(self.schema, rows[start:end])
+                yield RowBatch(self.schema, batch.take(range(start, end)))
             if self.limit is not None and produced >= self.limit:
                 return
 
@@ -657,22 +657,38 @@ class HashJoin(_JoinBase):
     right-input order — which makes the output deterministic and
     independent of hashing.
 
-    The join is batch-native: it probes one left batch at a time with a
-    single comprehension.  An INNER join whose build keys are all unique
-    (an FK→PK join) maps each key to its one row and probes flat, at
-    most one output row per probe row.  Every other join maps each key
-    to its bucket of rows and builds its output lazily, so a probe batch
-    whose matches fan out past ``batch_rows`` holds one output chunk at
-    a time.  No output batch holds more than ``batch_rows`` rows, and
-    the counters move as each batch goes out.
+    The join is batch-native: it probes one left batch at a time.  An
+    INNER join whose build keys are all unique (an FK→PK join) maps each
+    key to its one row and probes flat, at most one output row per probe
+    row: it looks up the batch's keys and emits a
+    :class:`~repro.rows.batch.JoinedBatch`, which concatenates a joined
+    row only when a consumer takes it or reads ``rows``.  Every other
+    join maps each key to its bucket of rows and builds its output
+    lazily, so a probe batch whose matches fan out past ``batch_rows``
+    holds one output chunk at a time.  No output batch holds more than
+    ``batch_rows`` rows, and the counters move as each batch goes out;
+    :attr:`rows_built` counts the joined rows actually concatenated.
     """
+
+    #: Joined rows concatenated on the last execution: every output row
+    #: of a bucket probe, only the rows consumers took of a flat one.
+    rows_built = 0
 
     def rows(self) -> Iterator[tuple]:
         return flatten(self.batches())
 
     def batches(self) -> Iterator[RowBatch]:
         stats = self._reset()
+        self.rows_built = 0
         return self._joined(stats)
+
+    def _count_built(self, count: int) -> None:
+        self.rows_built += count
+
+    def analyze_details(self) -> dict:
+        details = super().analyze_details()
+        details["join_rows_built"] = self.rows_built
+        return details
 
     def _build(self) -> tuple[dict, bool]:
         """The build table and whether the probe is flat (then it maps
@@ -718,28 +734,52 @@ class HashJoin(_JoinBase):
                 rows = batch.rows
                 self.rows_probe += len(rows)
                 stats.rows_consumed += len(rows)
-                keys = map(left_key, rows)
                 if flat:
-                    joined = [row + match for row, match
-                              in zip(rows, map(get, keys))
-                              if match is not None]
-                    # At most one output row per probe row: a batch that
-                    # fits goes out as built, without a chunking copy.
-                    chunks = ((RowBatch(schema, joined),)
-                              if 0 < len(joined) <= batch_rows else
-                              batches_from_rows(joined, schema, batch_rows))
-                else:
-                    chunks = batches_from_rows(
+                    for chunk in self._flat_chunks(batch, table):
+                        output = len(chunk)
+                        self.rows_matched += output
+                        stats.rows_output += output
+                        yield chunk
+                    continue
+                for chunk in batches_from_rows(
                         (row + match for row, bucket
-                         in zip(rows, map(get, keys, repeat(miss)))
-                         for match in bucket), schema, batch_rows)
-                for chunk in chunks:
+                         in zip(rows, map(get, map(left_key, rows),
+                                          repeat(miss)))
+                         for match in bucket), schema, batch_rows):
                     output = len(chunk.rows)
+                    self.rows_built += output
                     self.rows_matched += output - (
                         list(map(right_key, chunk.rows)).count(None)
                         if left_outer else 0)
                     stats.rows_output += output
                     yield chunk
+
+    def _flat_chunks(self, batch: RowBatch,
+                     table: dict) -> Iterator[JoinedBatch]:
+        """The flat probe of ``batch``: its matches as deferred batches
+        of at most ``batch_rows`` rows, none when nothing matched."""
+        rows = batch.rows
+        key = itemgetter(self.left_index)
+        try:
+            # An FK→PK probe usually matches every row: no miss test.
+            matches = list(map(table.__getitem__, map(key, rows)))
+        except KeyError:
+            # A build row is a non-empty tuple: only a miss is falsy.
+            rows = list(compress(rows, map(table.get, map(key, rows))))
+            matches = list(map(table.__getitem__, map(key, rows)))
+            batch = RowBatch(batch.schema, rows)
+        count = len(matches)
+        if count <= self.batch_rows:
+            if count:
+                yield JoinedBatch(self.schema, batch, matches,
+                                  self._count_built)
+            return
+        for start in range(0, count, self.batch_rows):
+            stop = start + self.batch_rows
+            probe = RowBatch(batch.schema, rows[start:stop],
+                             table=batch.table, start=batch.start + start)
+            yield JoinedBatch(self.schema, probe, matches[start:stop],
+                              self._count_built)
 
 
 class SortMergeJoin(_JoinBase):
@@ -1521,8 +1561,9 @@ class VectorizedTopK(TopK):
         if keys is None:
             index = self.key_index
             try:
-                keys = np.fromiter((float(row[index]) for row in batch.rows),
-                                   dtype=np.float64, count=len(batch.rows))
+                keys = np.fromiter(
+                    map(float_key, map(itemgetter(index), batch.rows)),
+                    dtype=np.float64, count=len(batch))
             except OverflowError as exc:
                 raise KeyEncodingError(
                     f"a {self.schema.names[index]} value is beyond float64"
@@ -1553,28 +1594,28 @@ class VectorizedTopK(TopK):
         def chunks():
             for batch in self.child.batches():
                 keys = self._batch_keys(batch)
-                rows = batch.rows
+                positions = range(len(batch))
                 # Arrival-side pre-filter (Algorithm 1 line 4) against
                 # the kernel's live cutoff: rows that are already out of
-                # contention are never stored.  The kernel would drop
-                # their keys anyway; doing it here keeps the payload
-                # store proportional to surviving rows.  Eliminations are
-                # charged at this site so counters match an unfiltered
-                # feed.
+                # contention are never stored (nor, from a join, built).
+                # The kernel would drop their keys anyway; doing it here
+                # keeps the payload store proportional to surviving rows.
+                # Eliminations are charged at this site so counters match
+                # an unfiltered feed.
                 cutoff = impl.live_cutoff
                 if cutoff is not None:
                     mask = keys <= cutoff
                     kept = int(mask.sum())
-                    dropped = len(rows) - kept
+                    dropped = len(positions) - kept
                     if dropped:
                         stats.rows_consumed += dropped
                         stats.cutoff_comparisons += dropped
                         stats.rows_eliminated_on_arrival += dropped
                         keys = keys[mask]
-                        rows = list(map(rows.__getitem__,
-                                        np.flatnonzero(mask).tolist()))
-                if not rows:
+                        positions = np.flatnonzero(mask)
+                if not len(positions):
                     continue
+                rows = batch.take(positions)
                 ids = np.arange(len(store), len(store) + len(rows),
                                 dtype=np.int64)
                 store.extend(rows)

@@ -17,6 +17,16 @@ and its start row, and ``key_array`` serves a slice of the table's
 cached key column (:meth:`~repro.engine.operators.Table.key_column`)
 instead of converting its own rows; derived batches convert their own.
 
+A consumer that knows its survivors by position gathers them with
+``take(positions)`` instead of reading ``rows``.  On a plain batch the
+two are the same list indexing.  A :class:`JoinedBatch` (the hash join's
+flat probe output) holds its matched probe rows (the probe batch itself
+when all of them matched) and their build rows, and defers its output:
+``len()`` and a probe-side ``key_array`` come from the probe rows,
+``take`` concatenates only the rows it returns, and the first read of
+``rows`` builds them all (and keeps them).  A top-k that drops most join rows on arrival therefore
+builds only the rows it keeps.
+
 numpy is optional at this layer: without it (or for non-numeric key
 columns) ``key_array`` returns ``None`` and callers fall back to the
 row-at-a-time path, which is always correct.
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 try:  # numpy accelerates key extraction; the batch moves without it too.
@@ -43,6 +54,40 @@ DEFAULT_BATCH_ROWS = 4_096
 #: array, and they are the only types SUM and AVG accept.
 NUMERIC_TYPES = (ColumnType.INT64, ColumnType.FLOAT64, ColumnType.DECIMAL)
 
+#: Text ``float()`` and numpy parse, which is still not a number.
+_TEXT_TYPES = (str, bytes, bytearray)
+
+
+def float_key(value: Any) -> float:
+    """``value`` as a float key, by the rule of :func:`numeric_key_array`.
+
+    Text raises ``TypeError`` even when it spells a number (``'0.5'``),
+    a value ``float`` rejects raises its ``TypeError`` or
+    ``ValueError``, and an int beyond float64's range raises
+    ``OverflowError``.
+    """
+    if isinstance(value, _TEXT_TYPES):
+        raise TypeError(f"{type(value).__name__} {value!r} is not a number")
+    return float(value)
+
+
+def float64_array(values: Sequence[Any]):
+    """``values`` as one float64 array, or ``None`` when one of them does
+    not convert by :func:`float_key`, or without numpy.
+
+    The array is read-only (a view of ``bytes``): a table's cached key
+    column, which every query's batches share, relies on it.
+    """
+    if np is None:
+        return None
+    try:
+        # ``struct`` converts exactly what ``float()`` converts, except
+        # text, which numpy would parse.
+        packed = struct.pack(f"{len(values)}d", *values)
+    except struct.error:
+        return None
+    return np.frombuffer(packed, dtype=np.float64)
+
 
 def numeric_key_array(schema: Schema, rows: Sequence[tuple],
                       column_index: int):
@@ -50,19 +95,13 @@ def numeric_key_array(schema: Schema, rows: Sequence[tuple],
 
     The one conversion rule for key columns: the column must be a
     non-nullable INT64, FLOAT64 or DECIMAL column, and every value must
-    convert (a string float64 cannot parse, or an int beyond float64's
-    range, gives ``None``).  Returns ``None`` without numpy.
+    convert by :func:`float_key` (text, even ``'0.5'``, or an int beyond
+    float64's range gives ``None``).  Returns ``None`` without numpy.
     """
-    if np is None:
-        return None
     column = schema.columns[column_index]
     if column.type not in NUMERIC_TYPES or column.nullable:
         return None
-    try:
-        return np.fromiter(map(operator.itemgetter(column_index), rows),
-                           dtype=np.float64, count=len(rows))
-    except (TypeError, ValueError, OverflowError):
-        return None
+    return float64_array(list(map(operator.itemgetter(column_index), rows)))
 
 
 class RowBatch:
@@ -98,7 +137,24 @@ class RowBatch:
         return iter(self.rows)
 
     def __repr__(self) -> str:
-        return f"RowBatch({len(self.rows)} rows × {len(self.schema)} cols)"
+        return (f"{type(self).__name__}({len(self)} rows × "
+                f"{len(self.schema)} cols)")
+
+    def take(self, positions: Sequence[int]) -> list[tuple]:
+        """The rows at ``positions`` (a ``range``, a list or a numpy int
+        array), in that order; equal to indexing :attr:`rows`.
+
+        The whole batch in order is :attr:`rows` itself, shared, not
+        copied: treat the result as read-only.
+        """
+        rows = self.rows
+        if isinstance(positions, range) and positions.step == 1:
+            if positions.start == 0 and positions.stop == len(rows):
+                return rows
+            return rows[positions.start:positions.stop]
+        if np is not None and isinstance(positions, np.ndarray):
+            positions = positions.tolist()
+        return list(map(rows.__getitem__, positions))
 
     # -- key extraction ----------------------------------------------------
 
@@ -137,22 +193,95 @@ class RowBatch:
                         [row for row in self.rows if predicate(row)])
 
     def take_mask(self, mask) -> "RowBatch":
-        """A new batch holding the rows where ``mask`` is truthy.
+        """A new batch holding the rows where ``mask`` is truthy, gathered
+        by :meth:`take`.
 
         ``mask`` is a numpy boolean array or any per-row boolean sequence
         (the selection-mask form produced by vectorized comparisons).
         """
         if np is not None and isinstance(mask, np.ndarray):
-            rows = self.rows
-            return RowBatch(self.schema,
-                            [rows[i] for i in np.flatnonzero(mask)])
-        return RowBatch(self.schema,
-                        [row for row, keep in zip(self.rows, mask) if keep])
+            positions = np.flatnonzero(mask)
+        else:
+            positions = list(itertools.compress(range(len(self)), mask))
+        return RowBatch(self.schema, self.take(positions))
 
     def map(self, transform: Callable[[tuple], tuple],
             schema: Schema) -> "RowBatch":
         """A new batch of ``transform``-ed rows under ``schema``."""
         return RowBatch(schema, [transform(row) for row in self.rows])
+
+
+class JoinedBatch(RowBatch):
+    """Join output rows ``probe row + build row`` that are built on demand.
+
+    Args:
+        schema: The join's output schema: the probe batch's columns,
+            then the build side's.
+        probe: The matched probe rows, as a batch: the probe batch
+            itself when every row matched, else a batch of the rows
+            that did.
+        matches: Each probe row's build row.
+        on_build: Called with the number of rows each build concatenates
+            (the join's ``rows_built``), or ``None``.
+
+    ``len()`` is the match count.  ``key_array`` of a probe column is the
+    probe batch's (a table scan's probe serves a view of the table's
+    column), and it equals :func:`numeric_key_array` over :attr:`rows`.
+    :meth:`take` builds only the rows it returns; the first read of
+    :attr:`rows` builds all of them and keeps them.
+    """
+
+    __slots__ = ("probe", "matches", "on_build", "_built")
+
+    def __init__(self, schema: Schema, probe: RowBatch,
+                 matches: list[tuple],
+                 on_build: Callable[[int], None] | None = None):
+        self.schema = schema
+        self._key_arrays: dict[int, Any] = {}
+        self.table = None
+        self.start = 0
+        self.probe = probe
+        self.matches = matches
+        self.on_build = on_build
+        self._built: list[tuple] | None = None
+
+    @property
+    def rows(self) -> list[tuple]:  # type: ignore[override]
+        if self._built is None:
+            self._built = self._joined(self.probe.rows, self.matches)
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self.matches)
+
+    def take(self, positions: Sequence[int]) -> list[tuple]:
+        if self._built is not None or (isinstance(positions, range)
+                                       and positions == range(len(self))):
+            return RowBatch.take(self, positions)  # gathers from ``rows``
+        if np is not None and isinstance(positions, np.ndarray):
+            positions = positions.tolist()
+        return self._joined(self.probe.take(positions),
+                            list(map(self.matches.__getitem__, positions)))
+
+    def _joined(self, left: list[tuple],
+                right: list[tuple]) -> list[tuple]:
+        """Each row of ``left`` concatenated with its row of ``right``."""
+        rows = list(map(operator.add, left, right))
+        if self.on_build is not None:
+            self.on_build(len(rows))
+        return rows
+
+    def key_array(self, column_index: int, cache: bool = True):
+        if column_index in self._key_arrays:
+            return self._key_arrays[column_index]
+        if column_index < len(self.probe.schema):
+            array = self.probe.key_array(column_index, cache)
+        else:
+            # A build-side column: convert the built rows.
+            array = numeric_key_array(self.schema, self.rows, column_index)
+        if cache:
+            self._key_arrays[column_index] = array
+        return array
 
 
 def numeric_key_column(sort_spec) -> tuple[int, bool] | None:

@@ -13,8 +13,9 @@ from repro.storage.spill import SpillManager
 
 #: ``pytest --hypothesis-profile=ci``: property tests that leave
 #: ``max_examples`` to the profile (the batch key encoder's, the cutoff
-#: filter's batch update and the page codec's reference encoder among
-#: them) run ten times the default examples, with no deadline.
+#: filter's batch update, the page codec's reference encoder and the
+#: hash join's deferred batches among them) run ten times the default
+#: examples, with no deadline.
 settings.register_profile("ci", max_examples=1_000, deadline=None)
 
 

@@ -425,10 +425,13 @@ class TestTableKeyColumns:
 @pytest.mark.parametrize("path", ["vectorized", "batch"])
 def test_a_key_that_is_not_a_number_is_a_typed_error(path, limit, order):
     """One string in a FLOAT64 sort column ends either engine's query in
-    a ``KeyEncodingError`` naming the column, in both regimes."""
-    rows = pair_rows(20_000, seed=71)
-    rows[12_345] = ("abc", 12_345)
-    db = Database(memory_rows=400, force_path=path)
-    db.register_table("T", PAIR_SCHEMA, rows)
-    with pytest.raises(KeyEncodingError, match="a K value is not a number"):
-        db.sql(f"SELECT * FROM T ORDER BY K{order} LIMIT {limit}")
+    a ``KeyEncodingError`` naming the column, in both regimes, also when
+    the string spells a number (numpy would parse ``'0.5'``)."""
+    for text in ("abc", "0.5"):
+        rows = pair_rows(20_000, seed=71)
+        rows[12_345] = (text, 12_345)
+        db = Database(memory_rows=400, force_path=path)
+        db.register_table("T", PAIR_SCHEMA, rows)
+        with pytest.raises(KeyEncodingError,
+                           match="a K value is not a number"):
+            db.sql(f"SELECT * FROM T ORDER BY K{order} LIMIT {limit}")

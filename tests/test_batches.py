@@ -351,6 +351,70 @@ def test_table_served_arrays_equal_per_batch_extraction(values, batch_rows):
                              own_array(batch, column_index))
 
 
+# -- deferred join batches ---------------------------------------------------
+
+#: Join key and value pools: ints that share a float64, ±0.0, ±inf,
+#: NaN, an int beyond float64 and text numpy would parse.
+EDGE_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0.5, -0.0, 0.0, float("inf"), float("-inf"),
+                     float("nan"), 2**53, 2**53 + 1, 2**1024, "0.5"]))
+
+
+@given(probe=st.lists(st.tuples(EDGE_VALUES, EDGE_VALUES), max_size=80),
+       build=st.lists(EDGE_VALUES, max_size=12),
+       batch_rows=st.integers(1, 32),
+       data=st.data())
+@settings(deadline=None)
+def test_deferred_join_batches_equal_their_built_rows(probe, build,
+                                                      batch_rows, data):
+    """Every batch a flat hash probe emits answers ``len()``, ``take()``
+    and ``key_array()`` without building its rows and equal to the rows
+    it then builds, which equal a nested-loop join; the join counts each
+    row it concatenates once."""
+    from repro.engine.operators import HashJoin, Operator
+
+    left_schema = Schema([Column("LID", ColumnType.INT64),
+                          Column("JK", ColumnType.FLOAT64),
+                          Column("LV", ColumnType.FLOAT64)])
+    right_schema = Schema([Column("RK", ColumnType.FLOAT64),
+                           Column("RV", ColumnType.INT64)])
+    out_schema = Schema(list(left_schema.columns)
+                        + list(right_schema.columns))
+    left = [(i, key, value) for i, (key, value) in enumerate(probe)]
+    # Unique build keys make the probe flat; NaN never matches.
+    right = [(key, j) for j, key in
+             enumerate(dict.fromkeys(key for key in build if key == key))]
+    expected = [lrow + rrow for lrow in left for rrow in right
+                if lrow[1] == lrow[1] and lrow[1] == rrow[0]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Operator, "batch_rows", batch_rows)
+        join = HashJoin(TableScan(Table("L", left_schema, left)),
+                        TableScan(Table("R", right_schema, right)),
+                        1, 0, "inner", out_schema)
+        batches = list(join.batches())
+    taken = 0
+    checks = []
+    for batch in batches:
+        assert 0 < len(batch) <= batch_rows
+        positions = data.draw(st.lists(st.integers(0, len(batch) - 1),
+                                       max_size=5))
+        rows = batch.take(positions)
+        taken += len(rows)
+        arrays = [batch.key_array(i) for i in range(3)]
+        checks.append((batch, len(batch), positions, rows, arrays))
+    assert join.rows_built == taken
+    assert [row for batch in batches for row in batch.rows] == expected
+    assert join.rows_built == taken + len(expected)
+    for batch, length, positions, rows, arrays in checks:
+        assert length == len(batch.rows)
+        assert rows == [batch.rows[i] for i in positions]
+        for i in range(5):
+            built = RowBatch(out_schema, batch.rows).key_array(i)
+            assert same_bits(arrays[i] if i < 3 else batch.key_array(i),
+                             built)
+
+
 # -- batches() == rows() for every operator ----------------------------------
 
 

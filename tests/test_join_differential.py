@@ -32,21 +32,25 @@ The semantics the reference encodes (and therefore pins):
 
 from __future__ import annotations
 
+import importlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine.session import Database
 from repro.engine.operators import (
     HashJoin,
+    Limit,
     Operator,
     SortMergeJoin,
     Table,
     TableScan,
     VectorizedTopK,
 )
+from repro.rows.batch import numeric_key_array
 from repro.rows.schema import Column, ColumnType, Schema
 from repro.rows.sortspec import SortColumn, SortSpec
 from tests.test_strategies import (
@@ -299,30 +303,188 @@ def hash_join(left, right, join_type):
 @given(tables=joined_tables(),
        join_type=st.sampled_from(["inner", "left"]),
        unique_build=st.booleans(),
-       batch_rows=st.sampled_from([1, 7, 4096]))
+       batch_rows=st.sampled_from([1, 7, 4096]),
+       rnd=st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_hash_join_batches_and_counters(tables, join_type, unique_build,
-                                        batch_rows):
+                                        batch_rows, rnd):
     """The hash join's batch stream and counters agree with the
     nested-loop reference at every batch size, for both probe shapes:
-    an INNER join on unique build keys (the flat probe), and a LEFT join
-    or a build side with duplicate keys (the bucket probe)."""
+    an INNER join on unique build keys (the flat probe, whose batches
+    defer their rows), and a LEFT join or a build side with duplicate
+    keys (the bucket probe).  Before any batch's rows are read, its
+    ``len()``, ``take()`` and probe-side ``key_array()`` already agree
+    with the rows it then builds, and a flat probe has built only the
+    rows taken."""
     left, right = tables
     if unique_build:
         right = list({row[1]: row for row in right}.values())
+    build_keys = [row[1] for row in right if row[1] is not None]
+    flat = join_type == "inner" and len(set(build_keys)) == len(build_keys)
     expected = nested_loop_join(left, right, join_type)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Operator, "batch_rows", batch_rows)
         join = hash_join(left, right, join_type)
-        batches = list(join.batches())
         assert list(join.rows()) == expected
+        batches = list(join.batches())
+    assert join.rows_built == (0 if flat else len(expected))
+    lengths = [len(batch) for batch in batches]
+    picks = [[rnd.randrange(length) for _ in range(rnd.randrange(4))]
+             for length in lengths]
+    taken = [batch.take(pick) for batch, pick in zip(batches, picks)]
+    arrays = [[batch.key_array(i) for i in range(len(LEFT_SCHEMA))]
+              for batch in batches]
+    assert join.rows_built == (sum(map(len, picks)) if flat
+                               else len(expected))
     assert [row for batch in batches for row in batch.rows] == expected
+    for batch, length, pick, rows, probe_arrays in zip(
+            batches, lengths, picks, taken, arrays):
+        assert length == len(batch.rows)
+        assert rows == [batch.rows[i] for i in pick]
+        for i, array in enumerate(probe_arrays):
+            assert same_bits(array, numeric_key_array(JOIN_OUT_SCHEMA,
+                                                      batch.rows, i))
     assert all(0 < len(batch) <= batch_rows for batch in batches)
     assert join.rows_build == len(right)
     assert join.rows_probe == len(left)
     assert join.rows_matched == sum(row[RID] is not None for row in expected)
     assert join.stats.rows_output == len(expected)
     assert join.stats.rows_consumed == len(left) + len(right)
+
+
+def same_bits(left, right) -> bool:
+    """Both ``None``, or arrays equal bit for bit (NaN and -0.0 too)."""
+    if left is None or right is None:
+        return left is None and right is None
+    return left.dtype == right.dtype and left.tobytes() == right.tobytes()
+
+
+@pytest.mark.parametrize("matching", ["none", "some", "all"])
+@pytest.mark.parametrize("key_type", [ColumnType.INT64, ColumnType.FLOAT64])
+def test_flat_probe_batches_defer_their_rows(key_type, matching):
+    """Probe batches where none, some or all rows match: the flat probe
+    emits deferred batches that build nothing until taken from, answer
+    ``len()`` and probe-side ``key_array()`` without building (a view of
+    the table's column when every row matched), and build each taken row
+    once; a LIMIT over the join builds its window only.  The keys hold
+    ints that share a float64 (2**53 and 2**53 + 1 stay apart), -0.0
+    (it matches 0.0) and NaN (it matches nothing)."""
+    schema = Schema([Column("LID", ColumnType.INT64),
+                     Column("JK", key_type),
+                     Column("LV", ColumnType.FLOAT64)])
+    right_schema = Schema([Column("RID", ColumnType.INT64),
+                           Column("RK", key_type),
+                           Column("RV", ColumnType.INT64)])
+    out_schema = Schema(list(schema.columns) + list(right_schema.columns))
+    if key_type is ColumnType.INT64:
+        pool, some = [2**53, 2**53 + 1, 5, 7, 9], [2**53 + 1, 5]
+    else:
+        pool, some = [0.0, -0.0, 1.5, math.inf, 2.0**60], [-0.0, 1.5]
+    build = {"none": [], "some": some,
+             "all": list(dict.fromkeys(pool))}[matching]
+    if matching == "some" and key_type is ColumnType.FLOAT64:
+        pool = pool + [math.nan]
+    rng = random.Random(len(pool))
+    left = [(i, rng.choice(pool), rng.random()) for i in range(50)]
+    right = [(j, key, 10 * j)
+             for j, key in enumerate([2**53 - 1, 3.25] + build)]
+    join = HashJoin(TableScan(Table("L", schema, left)),
+                    TableScan(Table("R", right_schema, right)),
+                    1, 1, "inner", out_schema)
+    rows = {row[1]: row for row in right}
+    expected = [row + rows[row[1]] for row in left if row[1] in rows]
+    batches = list(join.batches())
+    if matching == "none" or not expected:
+        assert batches == [] and expected == []
+        return
+    (batch,) = batches
+    assert len(batch) == len(expected)
+    column = join.left.table.key_column(2)
+    keys = batch.key_array(2)
+    assert np.shares_memory(keys, column) == (len(expected) == 50)
+    assert join.rows_built == 0
+    assert batch.take([len(expected) - 1, 0]) == [expected[-1], expected[0]]
+    assert batch.take(np.array([1])) == expected[1:2]
+    assert batch.take(range(1, 3)) == expected[1:3]
+    assert join.rows_built == 5
+    assert batch.rows == expected
+    assert join.rows_built == 5 + len(expected)
+    assert same_bits(keys, numeric_key_array(out_schema, expected, 2))
+    assert batch.key_array(4).tolist() == [float(row[4]) for row in expected]
+    assert batch.take([0]) == expected[:1]
+    assert join.rows_built == 5 + len(expected)  # taken from the built rows
+    # A plain LIMIT/OFFSET over the join builds only its window.
+    assert list(Limit(join, 3, offset=2).rows()) == expected[2:5]
+    assert join.rows_built == len(expected[2:5])
+    # A probe batch longer than the join's batches goes out in chunks.
+    join.batch_rows = 16
+    chunks = list(join.batches())
+    assert [len(chunk) for chunk in chunks] == [
+        len(expected[start:start + 16])
+        for start in range(0, len(expected), 16)]
+    assert [row for chunk in chunks
+            for row in chunk.take(range(len(chunk) - 1, -1, -1))[::-1]
+            ] == expected
+    assert join.rows_built == len(expected)
+
+
+def test_a_top_k_over_a_fk_join_builds_only_the_rows_it_keeps(monkeypatch):
+    """The benchmark's skewed FK→PK shape at smoke size (6,000 fact rows
+    joined to 20 dimension rows, ``ORDER BY SV, ID LIMIT 20``): the
+    top-k takes its heap fill and the arrival prefilter's survivors from
+    the join's deferred batches, so the join builds exactly those rows,
+    about 3% of the rows it matched (as at full size), and EXPLAIN
+    ANALYZE says so."""
+    topk = importlib.import_module("repro.core.topk")
+    survivors = []
+    make = topk.leading_column_prefilter
+
+    def counting(spec, binary):
+        keep = make(spec, binary)
+
+        def counted(batch, bound, start=0):
+            flags = keep(batch, bound, start)
+            survivors.append(sum(flags))
+            return flags
+
+        return counted
+
+    monkeypatch.setattr(topk, "leading_column_prefilter", counting)
+    # As many batches as the full size's 300,000 rows make at 4,096 rows
+    # a batch: the prefilter's bound sharpens from batch to batch.
+    monkeypatch.setattr(Operator, "batch_rows", 82)
+    fact_schema = Schema([Column("ID", ColumnType.INT64),
+                          Column("FK", ColumnType.INT64),
+                          Column("SV", ColumnType.FLOAT64)])
+    dim_schema = Schema([Column("DK", ColumnType.INT64),
+                         Column("DV", ColumnType.INT64)])
+    rng = np.random.default_rng(1)
+    count, dims, k = 6_000, 20, 20
+    fact = list(zip(range(count), rng.integers(0, dims, size=count).tolist(),
+                    rng.lognormal(mean=0.0, sigma=2.0, size=count).tolist()))
+    dim = [(j, j * 10) for j in range(dims)]
+    db = Database(memory_rows=200)
+    db.register_table("FACT", fact_schema, fact)
+    db.register_table("DIM", dim_schema, dim)
+    result = db.sql("SELECT * FROM FACT JOIN DIM ON FACT.FK = DIM.DK "
+                    f"ORDER BY SV, ID LIMIT {k}", explain_analyze=True)
+    assert result.rows == sorted((row + dim[row[1]] for row in fact),
+                                 key=lambda row: (row[2], row[0]))[:k]
+    (join,) = [node for node in walk(result.plan)
+               if isinstance(node, HashJoin)]
+    assert join.rows_matched == count
+    assert survivors  # the prefilter ran on every batch after the fill
+    assert join.rows_built == k + sum(survivors)
+    assert join.rows_built < count // 10
+    assert f"join_rows_built={join.rows_built}\n" in \
+        result.explain_analyze() + "\n"
+
+
+def walk(node):
+    """``node`` and every operator below it."""
+    yield node
+    for child in node.children():
+        yield from walk(child)
 
 
 @pytest.mark.parametrize("join_type", ["inner", "left"])
